@@ -27,7 +27,15 @@ from .integrate import (
     flow_with_sensitivity,
 )
 from .kkt import KktSolution, SaddleSystem, solve_direct, solve_ppcg
-from .shooting import Ellipsoid, ProblemInstance, ShootingVector, evaluate_segments, pack, unpack
+from .shooting import (
+    Ellipsoid,
+    ProblemInstance,
+    ShootingVector,
+    evaluate_many,
+    evaluate_segments,
+    pack,
+    unpack,
+)
 from .sqp import RunReport, SqpConfig, Termination, run
 from .systems import OdeSystem, benchmark1, benchmark2, benchmark3
 

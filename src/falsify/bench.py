@@ -207,8 +207,9 @@ def run_table(spec, jobs=1, sqp=None):
     """All (n, N) cells of the sweep, in deterministic row-major order.
 
     Per-cell failures become "F" rows; they never abort the table.  With
-    ``jobs > 1`` cells run on a thread pool (the integrator kernels release
-    the GIL), results still gathered in order.
+    ``jobs > 1`` cells run on a thread pool, results still gathered in
+    order.  The solver runs mostly as Python bytecode on small arrays and so
+    holds the interpreter lock most of the time: threads overlap little.
     """
     sqp_cfg = sqp or spec.sqp_config()
     cells = [(dim, count) for dim in spec.dims for count in spec.segment_counts]

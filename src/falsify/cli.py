@@ -44,7 +44,7 @@ from .formulation import (
 from .hessian import VARIANTS, init_identity
 from .integrate import IntegrationFailure, IntegratorConfig
 from .kkt import Breakdown, SaddleSystem, SingularSystem, solve_direct, solve_ppcg
-from .shooting import evaluate_segments, pack, unpack
+from .shooting import evaluate_many, evaluate_segments, pack, unpack
 from .sqp import KKT_METHODS, SqpConfig, Termination, run
 
 logger = logging.getLogger("falsify")
@@ -302,15 +302,6 @@ def cmd_bench(cfg):
     return 0
 
 
-def _fd_gradient(func, x, h=1e-4):
-    grad = np.zeros_like(x)
-    for k in range(x.size):
-        step = np.zeros_like(x)
-        step[k] = h
-        grad[k] = (func(x + step) - func(x - step)) / (2.0 * h)
-    return grad
-
-
 def cmd_check(cfg):
     """Derivative, rank, and solver cross-checks on the configured instance."""
     dim, n_segments = _single_cell(cfg)
@@ -329,28 +320,32 @@ def cmd_check(cfg):
     def record(name, error, tol):
         results.append((name, f"max_error={error:.3e} tolerance={tol:.1e}", error < tol))
 
-    def flows_at(vec_flat):
-        return evaluate_segments(instance, unpack(vec_flat, n, n_segments), tight)
-
-    flows = flows_at(flat)
-
-    def objective_at(vec_flat):
-        return objective_value(form, instance, unpack(vec_flat, n, n_segments), flows_at(vec_flat))
+    flows = evaluate_segments(instance, guess, tight)
+    # every central-difference point, integrated in one batch and shared by
+    # the gradient and the Jacobian check
+    steps = 1e-4 * np.eye(flat.size)
+    points = [unpack(p, n, n_segments) for p in np.concatenate([flat + steps, flat - steps])]
+    pairs = list(zip(points, evaluate_many(instance, points, tight)))
+    plus, minus = pairs[: flat.size], pairs[flat.size :]
 
     analytic = objective_gradient(form, instance, guess, flows)
-    fd = _fd_gradient(objective_at, flat)
+    fd = np.array(
+        [
+            (objective_value(form, instance, *p) - objective_value(form, instance, *m)) / (2.0 * 1e-4)
+            for p, m in zip(plus, minus)
+        ]
+    )
     scale = max(1.0, float(np.linalg.norm(analytic)))
     record("objective_gradient_fd", float(np.linalg.norm(analytic - fd)) / scale, 1e-5)
 
     if m2:
         jac = constraint_jacobian(kind, instance, guess, flows).toarray()
-        fd_jac = np.zeros_like(jac)
-        for k in range(flat.size):
-            step = np.zeros_like(flat)
-            step[k] = 1e-4
-            c_plus = constraint_value(kind, instance, unpack(flat + step, n, n_segments), flows_at(flat + step))
-            c_minus = constraint_value(kind, instance, unpack(flat - step, n, n_segments), flows_at(flat - step))
-            fd_jac[k] = (c_plus - c_minus) / 2e-4
+        fd_jac = np.array(
+            [
+                (constraint_value(kind, instance, *p) - constraint_value(kind, instance, *m)) / 2e-4
+                for p, m in zip(plus, minus)
+            ]
+        )
         scale = max(1.0, float(np.linalg.norm(jac)))
         record("constraint_jacobian_fd", float(np.linalg.norm(jac - fd_jac)) / scale, 1e-5)
 

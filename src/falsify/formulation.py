@@ -265,31 +265,61 @@ def constraint_value(kind, instance, vec, flows):
 
 
 def constraint_jacobian(kind, instance, vec, flows):
-    """Sparse B with B[:, j] = gradient of constraint j, packed layout rows."""
+    """Sparse B with B[:, j] = gradient of constraint j, packed layout rows.
+
+    Assembled from (row, column, value) triplets; entries that come out
+    exactly zero are not stored.
+    """
     n, big_n = vec.dim, vec.n_segments
     m1 = big_n * (n + 1)
     m2 = constraint_dim(kind, n, big_n)
-    mat = sp.lil_matrix((m1, m2))
+    rows, cols, vals = [], [], []
+
+    def column(col, seg, x_part, t_part=None):
+        """Column ``col``: x rows of segment ``seg``, then its t row."""
+        rows.append(np.arange(n) + seg * (n + 1))
+        cols.append(np.full(n, col))
+        vals.append(x_part)
+        if t_part is not None:
+            rows.append([_t_row(seg, n)])
+            cols.append([col])
+            vals.append([t_part])
+
     col = 0
     if kind in ("matching_boundary", "boundary"):
-        mat[_x_rows(0, n), col] = (
-            instance.init.shape @ (vec.states[0] - instance.init.center)
-        ).reshape(-1, 1)
+        column(col, 0, instance.init.shape @ (vec.states[0] - instance.init.center))
         col += 1
     if kind in ("matching", "matching_boundary"):
-        for i in range(big_n - 1):
-            cols = slice(col + i * n, col + (i + 1) * n)
-            mat[_x_rows(i, n), cols] = -flows[i].sensitivity.T
-            mat[_t_row(i, n), cols] = -flows[i].end_derivative
-            mat[_x_rows(i + 1, n), cols] = np.eye(n)
+        # joint i, column col + i*n + c: -S_i[c, :] on segment i's x rows,
+        # -f_i[c] on its t row, and 1 on row c of segment i+1's x rows
+        joints = np.arange(big_n - 1)
+        block_cols = col + joints[:, None] * n + np.arange(n)          # (N-1, n)
+        x_rows = joints[:, None] * (n + 1) + np.arange(n)              # (N-1, n)
+        sens = np.array([f.sensitivity for f in flows[:-1]]).reshape(-1, n, n)
+        ends = np.array([f.end_derivative for f in flows[:-1]]).reshape(-1, n)
+        rows.append(np.broadcast_to(x_rows[:, None, :], (big_n - 1, n, n)).ravel())
+        cols.append(np.broadcast_to(block_cols[:, :, None], (big_n - 1, n, n)).ravel())
+        vals.append(-sens.ravel())
+        rows.append(np.repeat(joints * (n + 1) + n, n))
+        cols.append(block_cols.ravel())
+        vals.append(-ends.ravel())
+        rows.append((x_rows + n + 1).ravel())
+        cols.append(block_cols.ravel())
+        vals.append(np.ones((big_n - 1) * n))
         col += n * (big_n - 1)
     if kind in ("matching_boundary", "boundary"):
         w = instance.unsafe_set.shape @ (
             flows[-1].end_state - instance.unsafe_set.center
         )
-        mat[_x_rows(big_n - 1, n), col] = (flows[-1].sensitivity.T @ w).reshape(-1, 1)
-        mat[_t_row(big_n - 1, n), col] = float(flows[-1].end_derivative @ w)
-    return mat.tocsc()
+        column(
+            col, big_n - 1, flows[-1].sensitivity.T @ w, float(flows[-1].end_derivative @ w)
+        )
+    if rows:
+        rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+    mat = sp.csc_matrix((vals, (rows, cols)), shape=(m1, m2))
+    mat.eliminate_zeros()
+    mat.sort_indices()
+    return mat
 
 
 # ---------------------------------------------------------------------------

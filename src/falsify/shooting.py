@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .integrate import FlowResult, IntegrationFailure, flow_with_sensitivity
 
@@ -25,6 +24,7 @@ __all__ = [
     "pack",
     "unpack",
     "evaluate_segments",
+    "evaluate_many",
 ]
 
 #: Per-segment flow results, entry i computed from (x0_i, t_i).
@@ -154,11 +154,20 @@ def _min_quadratic_over_ellipsoid(inner, quad):
         w = gt / (eigval + mu)
         return float(w @ w) - 1.0
 
+    # radius_excess decreases monotonically in mu: bisect its sign change
     lo = max(0.0, -eigval.min()) + 1e-14
     hi = max(lo * 2, 1.0)
     while radius_excess(hi) > 0:
         hi *= 2.0
-    mu = brentq(radius_excess, lo, hi, xtol=1e-14)
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is as narrow as floats allow
+            break
+        if radius_excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
     w = eigvec @ (-gt / (eigval + mu))
     return value(w)
 
@@ -192,19 +201,40 @@ class ProblemInstance:
 
 
 def evaluate_segments(instance, vec, cfg=None):
-    """One flow-with-sensitivity solve per segment of ``vec``.
+    """Flow with sensitivity of every segment of ``vec``, one batched solve.
 
     Raises :class:`IntegrationFailure` carrying the 1-based index of the
-    failing segment in its ``segment`` attribute.
+    first failing segment in its ``segment`` attribute.
     """
-    if vec.dim != instance.dim or vec.n_segments != instance.n_segments:
-        raise ValueError("shooting vector does not match the problem instance")
-    flows = []
-    for i, (x0, t_i) in enumerate(vec.segments(), start=1):
-        try:
-            flows.append(flow_with_sensitivity(instance.system, x0, t_i, cfg))
-        except IntegrationFailure as exc:
-            failure = IntegrationFailure(f"segment {i}: {exc}")
-            failure.segment = i
-            raise failure from exc
-    return flows
+    return evaluate_many(instance, [vec], cfg)[0]
+
+
+def evaluate_many(instance, vecs, cfg=None):
+    """:func:`evaluate_segments` of each shooting vector in ``vecs``.
+
+    The segments of all vectors are integrated in one lockstep batch, so
+    each vector's flows equal those of its own :func:`evaluate_segments`
+    call.  A failure names the first failing segment of the first vector
+    that fails.
+    """
+    n_seg = instance.n_segments
+    for vec in vecs:
+        if vec.dim != instance.dim or vec.n_segments != n_seg:
+            raise ValueError("shooting vector does not match the problem instance")
+    states = np.concatenate([vec.states for vec in vecs])
+    times = np.concatenate([vec.times for vec in vecs])
+    try:
+        batch = flow_with_sensitivity(instance.system, states, times, cfg)
+    except IntegrationFailure as exc:
+        vector, segment = divmod(exc.lane, n_seg)
+        where = f"segment {segment + 1}"
+        if len(vecs) > 1:
+            where = f"vector {vector + 1}, {where}"
+        failure = IntegrationFailure(f"{where}: {exc}", exc.lane)
+        failure.segment = segment + 1
+        raise failure from exc
+    flows = [
+        FlowResult(*lane)
+        for lane in zip(batch.end_state, batch.sensitivity, batch.end_derivative)
+    ]
+    return [flows[k * n_seg:(k + 1) * n_seg] for k in range(len(vecs))]

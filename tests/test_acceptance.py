@@ -43,7 +43,13 @@ from falsify.formulation import (
 from falsify.hessian import init_identity
 from falsify.integrate import flow, flow_with_sensitivity
 from falsify.kkt import solve_direct, solve_ppcg
-from falsify.shooting import Ellipsoid, ProblemInstance, ShootingVector, evaluate_segments
+from falsify.shooting import (
+    Ellipsoid,
+    ProblemInstance,
+    ShootingVector,
+    evaluate_many,
+    evaluate_segments,
+)
 from falsify.sqp import (
     SqpConfig,
     Termination,
@@ -72,8 +78,9 @@ def _time_rows(n, n_segments):
 def test_derivative_consistency():
     """Analytic gradients/Jacobians of all nine formulations vs central FD.
 
-    The flows at the 2d perturbed points are shared across formulations, so
-    the sweep over 20 points stays well inside the one-minute budget.
+    The flows at the 2d perturbed points are integrated in one batch per
+    base point and shared across formulations, so the sweep over 20 points
+    stays well inside the one-minute budget.
     """
     start = time.perf_counter()
     instance = benchmark2_instance(n_segments=5)
@@ -88,15 +95,19 @@ def test_derivative_consistency():
         flat = random_flat_near_guess(instance, rng, scale=0.25)
         vec = unpack_flat(instance, flat)
         flows = evaluate_segments(instance, vec, TIGHT)
-        cache = []
+        perturbed = []
         for k in range(d):
-            pair = []
             for sign in (1.0, -1.0):
                 pert = flat.copy()
                 pert[k] += sign * FD_STEP
-                pvec = unpack_flat(instance, pert)
-                pair.append((pvec, evaluate_segments(instance, pvec, TIGHT)))
-            cache.append(pair)
+                perturbed.append(unpack_flat(instance, pert))
+        pert_flows = evaluate_many(instance, perturbed, TIGHT)
+        # a lane's result does not depend on the batch it shares
+        for batched, single in zip(pert_flows[0], evaluate_segments(instance, perturbed[0], TIGHT)):
+            assert np.array_equal(batched.end_state, single.end_state)
+            assert np.array_equal(batched.sensitivity, single.sensitivity)
+        pairs = list(zip(perturbed, pert_flows))
+        cache = list(zip(pairs[0::2], pairs[1::2]))
         lam_flat = {kind: rng.standard_normal(constraint_dim(kind, n, n_seg)) for kind in kinds}
 
         for name in FORMULATION_NAMES:

@@ -21,6 +21,8 @@ from falsify.bench import initial_guess
 from oracles import (
     TIGHT,
     benchmark2_instance,
+    benchmark3_instance,
+    fd_flows,
     fd_gradient,
     fd_jacobian,
     random_vector_near_guess,
@@ -147,12 +149,12 @@ def test_objective_gradients_match_finite_differences():
     rng = np.random.default_rng(31)
     vec = random_vector_near_guess(instance, rng)
     flat = np.column_stack([vec.states, vec.times]).ravel()
+    flows_at = fd_flows(instance, flat)
     for name in FORMULATION_NAMES:
         form = Formulation.by_name(name)
 
         def value_at(z, form=form):
-            v = unpack_flat(instance, z)
-            return objective_value(form, instance, v, flows_for(instance, v))
+            return objective_value(form, instance, unpack_flat(instance, z), flows_at[z.tobytes()])
 
         analytic = objective_gradient(form, instance, vec, flows_for(instance, vec))
         assert relative_error(fd_gradient(value_at, flat), analytic) < 1e-6, name
@@ -190,12 +192,12 @@ def test_constraint_jacobians_match_finite_differences():
     rng = np.random.default_rng(17)
     vec = random_vector_near_guess(instance, rng)
     flat = np.column_stack([vec.states, vec.times]).ravel()
+    flows_at = fd_flows(instance, flat)
     for kind in ("matching", "matching_boundary", "boundary"):
         m2 = constraint_dim(kind, 3, 4)
 
         def constraints_at(z, kind=kind):
-            v = unpack_flat(instance, z)
-            return constraint_value(kind, instance, v, flows_for(instance, v))
+            return constraint_value(kind, instance, unpack_flat(instance, z), flows_at[z.tobytes()])
 
         analytic = constraint_jacobian(
             kind, instance, vec, flows_for(instance, vec)
@@ -223,6 +225,46 @@ def test_matching_jacobian_block_structure():
         )
     # nothing outside the two block columns of segment i touches column block i
     assert np.all(jac[2 * (n + 1) + n, :] == 0.0)  # t-row of the last segment
+
+
+def dense_constraint_jacobian(kind, instance, vec, flows):
+    """B written entry by entry from the column order of Multipliers."""
+    n, big_n = vec.dim, vec.n_segments
+    jac = np.zeros((big_n * (n + 1), constraint_dim(kind, n, big_n)))
+    col = 0
+    if kind in ("matching_boundary", "boundary"):
+        jac[0:n, col] = instance.init.shape @ (vec.states[0] - instance.init.center)
+        col += 1
+    if kind in ("matching", "matching_boundary"):
+        for i in range(big_n - 1):
+            for c in range(n):
+                for r in range(n):
+                    jac[i * (n + 1) + r, col] = -flows[i].sensitivity[c, r]
+                jac[i * (n + 1) + n, col] = -flows[i].end_derivative[c]
+                jac[(i + 1) * (n + 1) + c, col] = 1.0
+                col += 1
+    if kind in ("matching_boundary", "boundary"):
+        last = (big_n - 1) * (n + 1)
+        w = instance.unsafe_set.shape @ (flows[-1].end_state - instance.unsafe_set.center)
+        jac[last : last + n, col] = flows[-1].sensitivity.T @ w
+        jac[last + n, col] = flows[-1].end_derivative @ w
+    return jac
+
+
+@pytest.mark.parametrize("n_segments", [1, 4])
+def test_constraint_jacobian_matches_dense_assembly(n_segments):
+    rng = np.random.default_rng(31)
+    # the rotation's sensitivities hold exact zeros, which must not be stored
+    for instance in (benchmark2_instance(n_segments), benchmark3_instance(4, n_segments)):
+        vec = random_vector_near_guess(instance, rng)
+        flows = flows_for(instance, vec)
+        for kind in ("matching", "matching_boundary", "boundary", "none"):
+            jac = constraint_jacobian(kind, instance, vec, flows)
+            dense = dense_constraint_jacobian(kind, instance, vec, flows)
+            assert jac.format == "csc" and jac.has_sorted_indices, kind
+            assert np.all(jac.data != 0.0), kind
+            assert jac.nnz == np.count_nonzero(dense), kind
+            np.testing.assert_array_equal(jac.toarray(), dense, err_msg=kind)
 
 
 def test_lagrangian_gradient_closed_forms_agree():
@@ -278,9 +320,11 @@ def test_lagrangian_gradient_matches_finite_differences():
     m2 = constraint_dim(form.constraints, 3, 4)
     lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 4)
 
+    flows_at = fd_flows(instance, flat)
+
     def lagrangian_at(z):
         v = unpack_flat(instance, z)
-        flows = flows_for(instance, v)
+        flows = flows_at[z.tobytes()]
         return objective_value(form, instance, v, flows) + float(
             lam.flat @ constraint_value(form.constraints, instance, v, flows)
         )

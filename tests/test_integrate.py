@@ -1,22 +1,18 @@
 """Tests for the adaptive Runge-Kutta flow map and its variational extension."""
 
-import importlib.util
-
 import numpy as np
 import pytest
 
-import falsify._kernels
 from falsify.integrate import (
     DEFAULT_CONFIG,
     IntegrationFailure,
     IntegratorConfig,
     flow,
     flow_with_sensitivity,
-    numba_path_enabled,
 )
 from falsify.systems import OdeSystem, benchmark1, benchmark2, benchmark3
 
-from oracles import TIGHT, rotation_flow_matrix, scipy_flow
+from oracles import TIGHT, rotation_flow_matrix, scipy_flow, serial_flow
 
 # End state of benchmark2 from [1, 1, 1] after 5 time units, frozen from an
 # independent high-accuracy run (scipy DOP853 at rtol=atol=1e-13).
@@ -117,45 +113,121 @@ def test_chain_rule_for_composed_sensitivities():
     )
 
 
-def test_numpy_and_numba_paths_agree(monkeypatch):
+def _mixed_batch(system, lanes, seed):
+    """Start states near the unit vector and durations of both signs and zero."""
+    rng = np.random.default_rng(seed)
+    x0 = 1.0 + 0.4 * rng.standard_normal((lanes, system.dim))
+    durations = rng.uniform(-2.5, 2.5, size=lanes)
+    durations[::4] = 0.0
+    return x0, durations
+
+
+@pytest.mark.parametrize("lanes", [5, 40])
+def test_batch_lanes_equal_single_calls(lanes):
+    for system in (benchmark1(4), benchmark2(), benchmark3(6)):
+        x0, durations = _mixed_batch(system, lanes, seed=lanes)
+        ends = flow(system, x0, durations)
+        batch = flow_with_sensitivity(system, x0, durations)
+        assert ends.shape == x0.shape
+        assert batch.sensitivity.shape == (lanes, system.dim, system.dim)
+        for i in range(lanes):
+            np.testing.assert_array_equal(ends[i], flow(system, x0[i], durations[i]))
+            single = flow_with_sensitivity(system, x0[i], durations[i])
+            np.testing.assert_array_equal(batch.end_state[i], single.end_state)
+            np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
+            np.testing.assert_array_equal(batch.end_derivative[i], single.end_derivative)
+
+
+def test_zero_duration_lanes_are_identity():
     system = benchmark2()
-    x0 = np.array([1.0, 1.0, 1.0])
-    monkeypatch.setenv("FALSIFY_NUMBA", "1")
-    jit_result = flow_with_sensitivity(system, x0, 3.0)
-    monkeypatch.setenv("FALSIFY_NUMBA", "0")
-    assert not numba_path_enabled()
-    plain_result = flow_with_sensitivity(system, x0, 3.0)
-    np.testing.assert_allclose(jit_result.end_state, plain_result.end_state, rtol=1e-12)
-    np.testing.assert_allclose(
-        jit_result.sensitivity, plain_result.sensitivity, rtol=1e-12, atol=1e-12
+    x0, durations = _mixed_batch(system, 8, seed=3)
+    batch = flow_with_sensitivity(system, x0, durations)
+    for i in np.flatnonzero(durations == 0.0):
+        np.testing.assert_array_equal(batch.end_state[i], x0[i])
+        np.testing.assert_array_equal(batch.sensitivity[i], np.eye(3))
+
+
+def test_lanes_agree_with_serial_reference():
+    for system in (benchmark1(4), benchmark2(), benchmark3(4)):
+        x0, durations = _mixed_batch(system, 12, seed=5)
+        ends = flow(system, x0, durations)
+        batch = flow_with_sensitivity(system, x0, durations)
+        for i in range(len(x0)):
+            np.testing.assert_allclose(
+                ends[i], serial_flow(system, x0[i], durations[i]), rtol=0.0, atol=1e-13
+            )
+            end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
+            np.testing.assert_allclose(batch.end_state[i], end, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(batch.sensitivity[i], sens, rtol=0.0, atol=1e-13)
+
+
+def _kink_system():
+    """dx/dt = r(t) x with r jumping from 1 to -30 at t = 0.5: steps across
+    the jump are rejected, so lanes that cross it reject while others accept."""
+
+    def rate(t):
+        return np.where(np.asarray(t) < 0.5, 1.0, -30.0)
+
+    return OdeSystem(
+        2,
+        lambda t, x: rate(t)[..., None] * x,
+        lambda t, x: rate(t)[..., None, None] * np.eye(x.shape[-1]),
+        "kink",
+        vectorized=True,
     )
 
 
-def test_env_flag_spellings(monkeypatch):
-    # Pin the jit kernels as present so the flag parsing is checked whether
-    # or not numba is installed; no flow is integrated while the pin holds.
-    monkeypatch.setattr(falsify._kernels, "NUMBA_AVAILABLE", True)
-    for value in ("0", "false", "off", "no", "False", "OFF"):
-        monkeypatch.setenv("FALSIFY_NUMBA", value)
-        assert not numba_path_enabled()
-    for value in ("1", "true", "on", "anything"):
-        monkeypatch.setenv("FALSIFY_NUMBA", value)
-        assert numba_path_enabled()
-    # Without the kernels every spelling falls back to the numpy path.
-    monkeypatch.setattr(falsify._kernels, "NUMBA_AVAILABLE", False)
-    for value in ("0", "false", "off", "no", "False", "OFF", "1", "true", "on",
-                  "anything"):
-        monkeypatch.setenv("FALSIFY_NUMBA", value)
-        assert not numba_path_enabled()
-    monkeypatch.delenv("FALSIFY_NUMBA")
-    assert not numba_path_enabled()
+def test_lanes_that_reject_steps_match_single_and_serial_runs():
+    system = _kink_system()
+    x0 = np.array([[1.0, -1.0], [0.5, 2.0], [1.0, 1.0], [-0.3, 0.8], [2.0, 0.1], [1.0, 0.0]])
+    durations = np.array([0.3, 1.0, 0.4, 2.0, -0.7, 1.5])
+    batch = flow_with_sensitivity(system, x0, durations)
+    for i in range(len(x0)):
+        single = flow_with_sensitivity(system, x0[i], durations[i])
+        np.testing.assert_array_equal(batch.end_state[i], single.end_state)
+        np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
+        end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
+        np.testing.assert_allclose(batch.end_state[i], end, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(batch.sensitivity[i], sens, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.skipif(importlib.util.find_spec("numba") is None, reason="numba not installed")
-def test_env_flag_default_with_numba_installed(monkeypatch):
-    monkeypatch.delenv("FALSIFY_NUMBA", raising=False)
-    assert falsify._kernels.NUMBA_AVAILABLE
-    assert numba_path_enabled()
+def test_scalar_duration_broadcasts_over_lanes():
+    system = benchmark3(4)
+    x0 = np.eye(4)
+    np.testing.assert_array_equal(
+        flow(system, x0, 1.5), flow(system, x0, np.full(4, 1.5))
+    )
+
+
+def test_non_vectorized_system_is_called_per_lane():
+    reference = benchmark2()
+    shapes = []
+
+    def rhs(t, x):
+        shapes.append((np.shape(t), x.shape))
+        return reference.rhs(t, x)
+
+    system = OdeSystem(3, rhs, reference.state_jacobian, "per-lane benchmark2")
+    assert not system.vectorized
+    x0, durations = _mixed_batch(system, 6, seed=11)
+    batch = flow_with_sensitivity(system, x0, durations)
+    assert set(shapes) == {((), (3,))}
+    for i in range(len(x0)):
+        single = flow_with_sensitivity(reference, x0[i], durations[i])
+        np.testing.assert_array_equal(batch.end_state[i], single.end_state)
+        np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
+
+
+def test_batch_shape_validation():
+    system = benchmark2()
+    with pytest.raises(ValueError):
+        flow(system, np.ones((4, 2)), 1.0)
+    with pytest.raises(ValueError):
+        flow(system, np.ones((4, 3)), np.ones(3))
+    with pytest.raises(ValueError):
+        flow(system, np.ones(3), np.ones(2))
+    with pytest.raises(ValueError):
+        flow_with_sensitivity(system, np.ones((2, 3)), np.array([1.0, np.nan]))
 
 
 def _blowup_system():

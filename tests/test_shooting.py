@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from falsify.integrate import IntegrationFailure, flow_with_sensitivity
 from falsify.shooting import (
     Ellipsoid,
     ProblemInstance,
     ShootingVector,
+    _min_quadratic_over_ellipsoid,
+    evaluate_many,
     evaluate_segments,
     pack,
     unpack,
@@ -105,6 +108,50 @@ def test_disjoint_sets_do_not_warn(recwarn):
     assert not [w for w in recwarn if "overlap" in str(w.message)]
 
 
+def _brentq_min_quadratic(inner, quad):
+    """Boundary minimum of quad over the inner ellipsoid, root found by brentq."""
+    basis = np.linalg.inv(np.linalg.cholesky(inner.shape).T)
+    mat = basis.T @ quad.shape @ basis
+    g = basis.T @ quad.shape @ (inner.center - quad.center)
+    eigval, eigvec = np.linalg.eigh(mat)
+    gt = eigvec.T @ g
+
+    def radius_excess(mu):
+        w = gt / (eigval + mu)
+        return float(w @ w) - 1.0
+
+    lo = max(0.0, -eigval.min()) + 1e-14
+    hi = max(lo * 2, 1.0)
+    while radius_excess(hi) > 0:
+        hi *= 2.0
+    mu = brentq(radius_excess, lo, hi, xtol=1e-14)
+    w = eigvec @ (-gt / (eigval + mu))
+    return float(w @ mat @ w + 2.0 * g @ w + quad.quadratic(inner.center))
+
+
+def test_overlap_minimum_matches_brentq_root():
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        shapes = []
+        for _ in range(2):
+            root = rng.standard_normal((n, n))
+            shapes.append(root @ root.T + 0.1 * np.eye(n))
+        inner = Ellipsoid(rng.standard_normal(n), shapes[0])
+        quad = Ellipsoid(inner.center + rng.uniform(0.5, 4.0) * rng.standard_normal(n), shapes[1])
+        basis = np.linalg.inv(np.linalg.cholesky(inner.shape).T)
+        w_free = np.linalg.solve(
+            basis.T @ quad.shape @ basis, -basis.T @ quad.shape @ (inner.center - quad.center)
+        )
+        if w_free @ w_free <= 1.0:
+            continue  # interior minimum: no root to find
+        checked += 1
+        expected = _brentq_min_quadratic(inner, quad)
+        assert _min_quadratic_over_ellipsoid(inner, quad) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert checked >= 20
+
+
 def test_evaluate_segments_matches_individual_flows():
     instance = benchmark2_instance(n_segments=3)
     rng = np.random.default_rng(9)
@@ -133,6 +180,40 @@ def test_evaluate_segments_reports_failing_segment():
     with pytest.raises(IntegrationFailure, match="segment 2") as info:
         evaluate_segments(instance, vec)
     assert info.value.segment == 2
+
+
+def test_evaluate_segments_reports_lowest_of_several_failures():
+    blowup = OdeSystem(
+        1,
+        lambda t, x: x * x,
+        lambda t, x: np.array([[2.0 * x[0]]]),
+        label="blowup",
+    )
+    instance = ProblemInstance(
+        blowup, Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 4
+    )
+    # segments 2 and 3 blow up (at t = 0.5 and t = 0.2); 1 and 4 do not
+    vec = ShootingVector(np.array([[0.1], [2.0], [5.0], [0.1]]), np.array([1.0, 3.0, 3.0, 1.0]))
+    with pytest.raises(IntegrationFailure, match="segment 2") as info:
+        evaluate_segments(instance, vec)
+    assert info.value.segment == 2
+    with pytest.raises(IntegrationFailure) as single:
+        flow_with_sensitivity(blowup, np.array([2.0]), 3.0)
+    assert str(info.value) == f"segment 2: {single.value}"
+
+
+def test_evaluate_many_equals_evaluate_segments():
+    instance = benchmark2_instance(n_segments=3)
+    rng = np.random.default_rng(4)
+    vecs = [
+        ShootingVector(instance.init.center + 0.2 * rng.standard_normal((3, 3)), rng.uniform(0.5, 2.0, 3))
+        for _ in range(4)
+    ]
+    for vec, flows in zip(vecs, evaluate_many(instance, vecs, TIGHT)):
+        for batched, single in zip(flows, evaluate_segments(instance, vec, TIGHT)):
+            np.testing.assert_array_equal(batched.end_state, single.end_state)
+            np.testing.assert_array_equal(batched.sensitivity, single.sensitivity)
+            np.testing.assert_array_equal(batched.end_derivative, single.end_derivative)
 
 
 def test_evaluate_segments_rejects_mismatched_vector():

@@ -76,12 +76,24 @@ def test_benchmark3_is_linear():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-14)
 
 
-def test_kernel_ids_assigned():
-    assert benchmark1(4).kernel_id is not None
-    assert benchmark2().kernel_id is not None
-    assert benchmark3(2).kernel_id is not None
-    ids = {benchmark1(4).kernel_id, benchmark2().kernel_id, benchmark3(2).kernel_id}
-    assert len(ids) == 3
+def test_vectorized_rhs_and_jacobian_equal_per_lane_calls():
+    rng = np.random.default_rng(17)
+    for system in (benchmark1(4), benchmark1(6), benchmark2(), benchmark3(4)):
+        assert system.vectorized
+        x = rng.uniform(-2.0, 2.0, size=(2, 5, system.dim))
+        t = rng.uniform(-1.0, 1.0, size=(2, 5))
+        rhs = system.rhs(t, x)
+        jac = system.state_jacobian(t, x)
+        assert rhs.shape == x.shape
+        assert jac.shape == x.shape + (system.dim,)
+        for index in np.ndindex(2, 5):
+            np.testing.assert_array_equal(rhs[index], system.rhs(t[index], x[index]))
+            np.testing.assert_array_equal(jac[index], system.state_jacobian(t[index], x[index]))
+
+
+def test_user_systems_default_to_per_lane_calls():
+    system = OdeSystem(1, lambda t, x: -x, lambda t, x: -np.eye(1), "decay")
+    assert not system.vectorized
 
 
 def test_dimension_validation():
