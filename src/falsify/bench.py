@@ -237,21 +237,22 @@ def dump_trajectory(instance, vec, sink, cfg=None, samples_per_segment=50):
     """Plot-ready dump: `t x1 ... xn` per line, '#' lines between segments.
 
     Each segment is sampled at equally spaced times by chained short
-    integrations; the time column is cumulative across segments.
+    integrations, all segments as lanes of one batch per sample; the time
+    column is cumulative across segments.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", newline="") as handle:
             dump_trajectory(instance, vec, handle, cfg, samples_per_segment)
         return
     cfg = cfg or DEFAULT_CONFIG
+    steps = vec.times / samples_per_segment
+    samples = [np.asarray(vec.states, dtype=float)]
+    for _ in range(samples_per_segment):
+        samples.append(integrate.flow(instance.system, samples[-1], steps, cfg))
     offset = 0.0
-    for index, (state, length) in enumerate(vec.segments(), start=1):
-        sink.write(f"# segment {index}\n")
-        step = length / samples_per_segment
-        point = np.asarray(state, dtype=float)
-        for j in range(samples_per_segment + 1):
-            if j > 0:
-                point = integrate.flow(instance.system, point, step, cfg)
-            coords = " ".join(f"{value:.12g}" for value in point)
+    for index, (length, step) in enumerate(zip(vec.times, steps)):
+        sink.write(f"# segment {index + 1}\n")
+        for j, points in enumerate(samples):
+            coords = " ".join(f"{value:.12g}" for value in points[index])
             sink.write(f"{offset + j * step:.12g} {coords}\n")
         offset += length

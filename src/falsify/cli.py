@@ -226,11 +226,14 @@ def _bench_spec(cfg):
 
 def _write_trace(report, path):
     with open(path, "w", newline="") as sink:
-        sink.write("# iter objective constraint_norm gradient_norm alpha merit cg_iterations\n")
+        sink.write(
+            "# iter objective constraint_norm gradient_norm alpha merit cg_iterations kkt_rung\n"
+        )
         for rec in report.trace:
             sink.write(
                 f"{rec.iteration} {rec.objective:.17g} {rec.constraint_norm:.17g} "
-                f"{rec.gradient_norm:.17g} {rec.alpha:.17g} {rec.merit:.17g} {rec.cg_iterations}\n"
+                f"{rec.gradient_norm:.17g} {rec.alpha:.17g} {rec.merit:.17g} {rec.cg_iterations} "
+                f"{rec.kkt_rung}\n"
             )
 
 

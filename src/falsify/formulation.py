@@ -326,11 +326,13 @@ def constraint_jacobian(kind, instance, vec, flows):
 # Lagrangian gradient, two paths
 
 
-def lagrangian_gradient(form, instance, vec, lam, flows):
-    """objective gradient + B lambda (the authoritative path)."""
-    grad = objective_gradient(form, instance, vec, flows)
+def lagrangian_gradient(form, instance, vec, lam, flows, *, grad_f=None, jac=None):
+    """objective gradient + B lambda (the authoritative path); ``grad_f`` and
+    ``jac``, when given, are the objective gradient and B at this point."""
+    grad = objective_gradient(form, instance, vec, flows) if grad_f is None else grad_f
     if form.constraints != "none" and lam.flat.size:
-        jac = constraint_jacobian(form.constraints, instance, vec, flows)
+        if jac is None:
+            jac = constraint_jacobian(form.constraints, instance, vec, flows)
         grad = grad + jac @ lam.flat
     return grad
 

@@ -11,15 +11,16 @@ C = [[I, B], [B^T, 0]]: applying C^{-1} reduces to solves with the sparse
 symmetric positive definite (and banded, for shooting Jacobians) matrix
 B^T B, and keeps every CG iterate exactly on the linearized constraint
 manifold.  A dense symmetric-indefinite direct solve serves as oracle and
-fallback, and a QR null-space basis provides conditioning diagnostics.
+fallback: one Bunch-Kaufman LDL^T factorization supplies both the pivots of
+its singularity test and the solve.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -28,12 +29,8 @@ __all__ = [
     "SingularSystem",
     "Breakdown",
     "PreconditionerSingular",
-    "RankDeficient",
     "solve_direct",
     "solve_ppcg",
-    "nullspace_basis",
-    "condition_report",
-    "dump_system",
 ]
 
 
@@ -47,10 +44,6 @@ class Breakdown(Exception):
 
 class PreconditionerSingular(Exception):
     """The constraint preconditioner (via B^T B) could not be factorized."""
-
-
-class RankDeficient(Exception):
-    """QR detected that B has rank < m2."""
 
 
 @dataclass(frozen=True)
@@ -111,24 +104,51 @@ class KktSolution:
     constraint_residuals: Optional[tuple] = None
 
 
+def _factor(mat):
+    """Bunch-Kaufman LDL^T factors (upper triangle) and pivot indices of ``mat``."""
+    sytrf, sytrf_lwork = get_lapack_funcs(("sytrf", "sytrf_lwork"), (mat,))
+    lwork, _ = sytrf_lwork(mat.shape[0], lower=0)
+    factor, ipiv, _ = sytrf(mat, lwork=int(lwork), lower=0)
+    return factor, ipiv
+
+
+def _pivot_magnitudes(factor, ipiv):
+    """|eigenvalues| of the block-diagonal D held in ``factor``'s diagonal band.
+
+    A 2x2 block occupies two consecutive negative ``ipiv`` entries.  Its
+    determinant is negative (Bunch-Kaufman), so the eigenvalue of larger
+    magnitude comes without cancellation and the other is det / that one.
+    """
+    diag = np.diag(factor).copy()
+    first = np.flatnonzero(ipiv < 0)[::2]
+    a, c, b = diag[first], diag[first + 1], factor[first, first + 1]
+    mid = 0.5 * (a + c)
+    big = mid + np.copysign(np.hypot(0.5 * (a - c), b), mid)
+    diag[first] = big
+    diag[first + 1] = (a * c - b * b) / big
+    return np.abs(diag)
+
+
 def solve_direct(system):
     """Dense symmetric-indefinite factorization solve (oracle scale).
 
-    Raises :class:`SingularSystem` when the LDL^T factors reveal rank
-    deficiency (relative tolerance 1e-12) or the residual check fails.
+    Raises :class:`SingularSystem` when the pivots of the LDL^T factors
+    reveal rank deficiency (relative tolerance 1e-12) or the residual check
+    fails.
     """
     mat = system.dense_matrix()
     rhs = system.rhs()
     if mat.shape[0] > 2000:
         raise ValueError("direct oracle limited to m1 + m2 <= 2000")
 
-    _, d_factor, _ = scipy.linalg.ldl(mat)
-    eigs = np.abs(scipy.linalg.eigvalsh(d_factor))
+    factor, ipiv = _factor(mat)
+    eigs = _pivot_magnitudes(factor, ipiv)
     if eigs.max() == 0.0 or eigs.min() <= 1e-12 * eigs.max():
         raise SingularSystem(
             f"saddle matrix numerically singular (pivot ratio {eigs.min():.2e}/{eigs.max():.2e})"
         )
-    sol = scipy.linalg.solve(mat, rhs, assume_a="sym")
+    (sytrs,) = get_lapack_funcs(("sytrs",), (mat,))
+    sol, _ = sytrs(factor, ipiv, rhs, lower=0)
     m1 = system.m1
     d_x, d_lam = sol[:m1], sol[m1:]
     residual = system.residual(d_x, d_lam)
@@ -148,7 +168,8 @@ class _ConstraintProjector:
 
     def __init__(self, jac):
         self.jac = jac.tocsc()
-        gram = (self.jac.T @ self.jac).tocsc()
+        self.jac_t = self.jac.T
+        gram = (self.jac_t @ self.jac).tocsc()
         try:
             self.gram_solve = splu(gram).solve
         except RuntimeError as exc:
@@ -159,16 +180,16 @@ class _ConstraintProjector:
 
     def project(self, r):
         """(g, v) with g + B v = r and B^T g = 0."""
-        v = self.gram_solve(self.jac.T @ r)
+        v = self.gram_solve(self.jac_t @ r)
         g = r - self.jac @ v
-        dv = self.gram_solve(self.jac.T @ g)
+        dv = self.gram_solve(self.jac_t @ g)
         g -= self.jac @ dv
         return g, v + dv
 
     def constraint_point(self, c):
         """Minimum-norm x with B^T x = c, with one refinement pass."""
         x = self.jac @ self.gram_solve(c)
-        x += self.jac @ self.gram_solve(c - self.jac.T @ x)
+        x += self.jac @ self.gram_solve(c - self.jac_t @ x)
         return x
 
 
@@ -197,7 +218,7 @@ def solve_ppcg(system, tol=1e-10, max_iter=None):
     def bottom_residual(vec):
         if m2 == 0:
             return 0.0
-        return float(np.linalg.norm(system.jac.T @ vec - system.rhs_bottom))
+        return float(np.linalg.norm(projector.jac_t @ vec - system.rhs_bottom))
 
     r = system.hess.matvec(x) - system.rhs_top
     if projector is None:
@@ -237,56 +258,3 @@ def solve_ppcg(system, tol=1e-10, max_iter=None):
         tuple(constraint_history),
     )
 
-
-def nullspace_basis(jac):
-    """Orthonormal basis of the null space of B^T via dense QR.
-
-    Raises :class:`RankDeficient` when a diagonal entry of R collapses
-    (relative tolerance 1e-12), i.e. rank(B) < m2.
-    """
-    b_dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, dtype=float)
-    m1, m2 = b_dense.shape
-    q_mat, r_mat = scipy.linalg.qr(b_dense, mode="full")
-    diag = np.abs(np.diag(r_mat[:m2, :m2])) if m2 else np.zeros(0)
-    if m2 and (diag.min() <= 1e-12 * max(diag.max(), 1e-300)):
-        raise RankDeficient(
-            f"constraint Jacobian rank deficient (diagonal ratio {diag.min():.2e})"
-        )
-    return q_mat[:, m2:]
-
-
-def condition_report(hess, jac):
-    """(cond(H), cond(N^T H N), cond(B^T B)) with N the null-space basis."""
-    h_dense = hess.dense_copy()
-    basis = nullspace_basis(jac)
-    projected = basis.T @ h_dense @ basis
-    b_dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, dtype=float)
-    gram = b_dense.T @ b_dense
-    return (
-        float(np.linalg.cond(h_dense)),
-        float(np.linalg.cond(projected)) if projected.size else 1.0,
-        float(np.linalg.cond(gram)) if gram.size else 1.0,
-    )
-
-
-def dump_system(system, path):
-    """Debug dump of (H, B, rhs) as plain-text triplets, 17 significant digits.
-
-    Sections are separated by '#' comment lines; vectors use column 0.
-    """
-    with open(path, "w") as sink:
-        sink.write("# hessian\n")
-        h_dense = system.hess.dense_copy()
-        for i, j in zip(*np.nonzero(h_dense)):
-            sink.write(f"{i} {j} {h_dense[i, j]:.17g}\n")
-        sink.write("# jacobian\n")
-        if system.m2:
-            coo = system.jac.tocoo()
-            for i, j, val in zip(coo.row, coo.col, coo.data):
-                sink.write(f"{i} {j} {val:.17g}\n")
-        sink.write("# rhs_top\n")
-        for i, val in enumerate(system.rhs_top):
-            sink.write(f"{i} 0 {val:.17g}\n")
-        sink.write("# rhs_bottom\n")
-        for i, val in enumerate(system.rhs_bottom):
-            sink.write(f"{i} 0 {val:.17g}\n")

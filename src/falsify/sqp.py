@@ -102,7 +102,9 @@ class TraceRecord:
 
     ``merit_zero`` and ``merit_slope`` are m(0) and m'(0) for the direction
     actually used, so the sufficient-decrease inequality of every accepted
-    step can be re-checked after the run.
+    step can be re-checked after the run.  ``kkt_rung`` names the rung of
+    the KKT fallback ladder that produced the step: "ppcg", "direct" or
+    "lstsq".
     """
 
     iteration: int
@@ -114,6 +116,7 @@ class TraceRecord:
     merit_zero: float
     merit_slope: float
     cg_iterations: int
+    kkt_rung: str
 
 
 @dataclass(frozen=True)
@@ -169,18 +172,26 @@ def merit(formulation, instance, vec, lam, d_x, d_lam, alpha, omega, cfg=None):
 
 
 def merit_derivative_at_zero(
-    formulation, instance, vec, lam, d_x, d_lam, omega, flows=None, cfg=None
+    formulation, instance, vec, lam, d_x, d_lam, omega, flows=None, cfg=None,
+    *, grad_f=None, jac=None, c_val=None,
 ):
-    """Directional derivative m'(0) = d_x^T (grad F + B(lam+d_lam)) + omega d_x^T B c."""
+    """Directional derivative m'(0) = d_x^T (grad F + B(lam+d_lam)) + omega d_x^T B c.
+
+    ``grad_f``, ``jac`` and ``c_val`` pass in grad F, B and c where the
+    caller already has them at ``vec``; they are computed otherwise.
+    """
     cfg = cfg or DEFAULT_CONFIG
     if flows is None:
         flows = evaluate_segments(instance, vec, cfg)
-    grad_f = objective_gradient(formulation, instance, vec, flows)
+    if grad_f is None:
+        grad_f = objective_gradient(formulation, instance, vec, flows)
     slope = float(d_x @ grad_f)
     kind = formulation.constraints
     if kind != "none":
-        jac = constraint_jacobian(kind, instance, vec, flows)
-        c_val = constraint_value(kind, instance, vec, flows)
+        if jac is None:
+            jac = constraint_jacobian(kind, instance, vec, flows)
+        if c_val is None:
+            c_val = constraint_value(kind, instance, vec, flows)
         slope += float(d_x @ (jac @ (lam.flat + d_lam)))
         slope += omega * float(d_x @ (jac @ c_val))
     return slope
@@ -218,15 +229,16 @@ def _solve_step(system, method):
 
     PPCG breakdowns fall back to the dense direct solve; a singular direct
     solve falls back to the minimum-norm least-squares direction with the
-    line search started at alpha = 1/2 instead of 1.
+    line search started at alpha = 1/2 instead of 1.  Returns the solution,
+    the initial step length and the name of the rung that solved.
     """
     if method == "ppcg":
         try:
-            return solve_ppcg(system), 1.0
+            return solve_ppcg(system), 1.0, "ppcg"
         except (Breakdown, PreconditionerSingular):
             pass
     try:
-        return solve_direct(system), 1.0
+        return solve_direct(system), 1.0, "direct"
     except (SingularSystem, ValueError):
         dense = system.dense_matrix()
         rhs = system.rhs()
@@ -234,7 +246,16 @@ def _solve_step(system, method):
         m1 = system.m1
         d_x, d_lam = sol[:m1], sol[m1:]
         residual = float(np.linalg.norm(dense @ sol - rhs))
-        return KktSolution(d_x, d_lam, residual, 0), 0.5
+        return KktSolution(d_x, d_lam, residual, 0), 0.5, "lstsq"
+
+
+def _linearize(formulation, instance, vec, lam, flows):
+    """(grad F, B, c, grad L) at an accepted point, B None without constraints."""
+    kind = formulation.constraints
+    grad_f = objective_gradient(formulation, instance, vec, flows)
+    jac = constraint_jacobian(kind, instance, vec, flows) if kind != "none" else None
+    grad_l = lagrangian_gradient(formulation, instance, vec, lam, flows, grad_f=grad_f, jac=jac)
+    return grad_f, jac, constraint_value(kind, instance, vec, flows), grad_l
 
 
 def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
@@ -243,7 +264,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     ``kkt_observer``, when given, receives each assembled
     :class:`~falsify.kkt.SaddleSystem` before it is solved (used by the
     solver cross-check suites).  Two runs with identical inputs produce
-    identical traces.
+    identical traces.  B is built once per accepted point.
     """
     cfg = cfg or SqpConfig()
     n = instance.system.dim
@@ -263,15 +284,10 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         flows = evaluate_segments(instance, vec, cfg.integrator)
     except IntegrationFailure:
         return report(0, Termination.INTEGRATION_FAILURE, math.nan, math.nan)
+    grad_f, jac, c_val, grad_l = _linearize(formulation, instance, vec, lam, flows)
 
     it = 0
     while True:
-        grad_l = lagrangian_gradient(formulation, instance, vec, lam, flows)
-        c_val = (
-            constraint_value(kind, instance, vec, flows)
-            if m2
-            else np.zeros(0)
-        )
         objective = objective_value(formulation, instance, vec, flows)
         gnorm = float(np.linalg.norm(grad_l))
         cnorm = float(np.linalg.norm(c_val))
@@ -280,11 +296,10 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         if it >= cfg.max_iter:
             return report(it, Termination.S2_MAXIT, objective, cnorm)
 
-        jac = constraint_jacobian(kind, instance, vec, flows) if m2 else None
         system = SaddleSystem(hess, jac, -grad_l, -c_val)
         if kkt_observer is not None:
             kkt_observer(system)
-        solution, alpha_start = _solve_step(system, cfg.kkt_method)
+        solution, alpha_start, rung = _solve_step(system, cfg.kkt_method)
         d_x, d_lam = solution.d_x, solution.d_lambda
 
         lam_new_flat = lam.flat + d_lam
@@ -294,7 +309,8 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
             merit_zero += float(lam_new_flat @ c_val)
             merit_zero += 0.5 * cfg.omega * float(c_val @ c_val)
         slope = merit_derivative_at_zero(
-            formulation, instance, vec, lam, d_x, d_lam, cfg.omega, flows=flows
+            formulation, instance, vec, lam, d_x, d_lam, cfg.omega,
+            flows=flows, grad_f=grad_f, jac=jac, c_val=c_val,
         )
 
         evaluate = _trial_merit(
@@ -331,15 +347,17 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
                 merit_zero,
                 slope,
                 solution.cg_iterations,
+                rung,
             )
         )
 
         vec_new, flows_new = cache[alpha]
         lam_new = lam.replace(lam.flat + alpha * d_lam)
         # quasi-Newton data: both gradients at the updated multipliers
-        grad_new = lagrangian_gradient(formulation, instance, vec_new, lam_new, flows_new)
-        grad_old = lagrangian_gradient(formulation, instance, vec, lam_new, flows)
-        hess.update(alpha * d_x, grad_new - grad_old)
-
+        grad_old = lagrangian_gradient(
+            formulation, instance, vec, lam_new, flows, grad_f=grad_f, jac=jac
+        )
         vec, lam, flows = vec_new, lam_new, flows_new
+        grad_f, jac, c_val, grad_l = _linearize(formulation, instance, vec, lam, flows)
+        hess.update(alpha * d_x, grad_l - grad_old)
         it += 1

@@ -3,14 +3,18 @@
 Everything here is deliberately written without reusing the library's own
 derivative or assembly code: finite differences drive the gradient checks,
 scipy's integrators provide reference flows, and the rotation benchmark has
-an explicit matrix-exponential solution.  Tolerance constants match the
-acceptance thresholds.
+an explicit matrix-exponential solution.  The dense KKT solve as three
+separate passes, and the conditioning and dump diagnostics the tests use,
+live here too.  Tolerance constants match the acceptance thresholds.
 """
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from falsify.integrate import DEFAULT_CONFIG, IntegratorConfig
+from falsify.kkt import KktSolution, SingularSystem
 from falsify.shooting import Ellipsoid, ProblemInstance, ShootingVector, evaluate_many, unpack
 from falsify.systems import benchmark2, benchmark3
 
@@ -246,3 +250,93 @@ def serial_flow(system, x0, duration, cfg=DEFAULT_CONFIG, sensitivity=False):
     if not sensitivity:
         return z_end
     return z_end[:n], z_end[n:].reshape(n, n)
+
+
+# ---------------------------------------------------------------------------
+# KKT oracles and diagnostics
+
+
+def direct_three_pass(system):
+    """The dense KKT solve as three O(m^3) passes, for comparison with
+    :func:`falsify.kkt.solve_direct`: a lower LDL^T factorization whose D
+    feeds the singularity test through ``eigvalsh``, then a separate
+    symmetric solve.  Raises and returns as ``solve_direct`` does.
+    """
+    mat = system.dense_matrix()
+    rhs = system.rhs()
+    if mat.shape[0] > 2000:
+        raise ValueError("direct oracle limited to m1 + m2 <= 2000")
+
+    _, d_factor, _ = scipy.linalg.ldl(mat)
+    eigs = np.abs(scipy.linalg.eigvalsh(d_factor))
+    if eigs.max() == 0.0 or eigs.min() <= 1e-12 * eigs.max():
+        raise SingularSystem(
+            f"saddle matrix numerically singular (pivot ratio {eigs.min():.2e}/{eigs.max():.2e})"
+        )
+    sol = scipy.linalg.solve(mat, rhs, assume_a="sym")
+    m1 = system.m1
+    d_x, d_lam = sol[:m1], sol[m1:]
+    residual = system.residual(d_x, d_lam)
+    if residual >= 1e-10 * (1.0 + np.linalg.norm(rhs)):
+        raise SingularSystem(
+            f"direct solve residual {residual:.2e} exceeds tolerance; system near-singular"
+        )
+    return KktSolution(d_x, d_lam, residual, 0)
+
+
+class RankDeficient(Exception):
+    """QR detected that B has rank < m2."""
+
+
+def nullspace_basis(jac):
+    """Orthonormal basis of the null space of B^T via dense QR.
+
+    Raises :class:`RankDeficient` when a diagonal entry of R collapses
+    (relative tolerance 1e-12), i.e. rank(B) < m2.
+    """
+    b_dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, dtype=float)
+    m1, m2 = b_dense.shape
+    q_mat, r_mat = scipy.linalg.qr(b_dense, mode="full")
+    diag = np.abs(np.diag(r_mat[:m2, :m2])) if m2 else np.zeros(0)
+    if m2 and (diag.min() <= 1e-12 * max(diag.max(), 1e-300)):
+        raise RankDeficient(
+            f"constraint Jacobian rank deficient (diagonal ratio {diag.min():.2e})"
+        )
+    return q_mat[:, m2:]
+
+
+def condition_report(hess, jac):
+    """(cond(H), cond(N^T H N), cond(B^T B)) with N the null-space basis."""
+    h_dense = hess.dense_copy()
+    basis = nullspace_basis(jac)
+    projected = basis.T @ h_dense @ basis
+    b_dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, dtype=float)
+    gram = b_dense.T @ b_dense
+    return (
+        float(np.linalg.cond(h_dense)),
+        float(np.linalg.cond(projected)) if projected.size else 1.0,
+        float(np.linalg.cond(gram)) if gram.size else 1.0,
+    )
+
+
+def dump_system(system, path):
+    """Debug dump of (H, B, rhs) as plain-text triplets, 17 significant digits.
+
+    Sections are separated by '#' comment lines; vectors use column 0.
+    """
+    with open(path, "w") as sink:
+        sink.write("# hessian\n")
+        h_dense = system.hess.dense_copy()
+        for i, j in zip(*np.nonzero(h_dense)):
+            sink.write(f"{i} {j} {h_dense[i, j]:.17g}\n")
+        sink.write("# jacobian\n")
+        if system.m2:
+            coo = system.jac.tocoo()
+            for i, j, val in zip(coo.row, coo.col, coo.data):
+                sink.write(f"{i} {j} {val:.17g}\n")
+        sink.write("# rhs_top\n")
+        for i, val in enumerate(system.rhs_top):
+            sink.write(f"{i} 0 {val:.17g}\n")
+        sink.write("# rhs_bottom\n")
+        for i, val in enumerate(system.rhs_bottom):
+            sink.write(f"{i} 0 {val:.17g}\n")

@@ -228,3 +228,32 @@ def test_dump_trajectory_format(tmp_path):
     last = np.array([float(v) for v in samples[4].split()[1:]])
     expected = flow(instance.system, vec.states[0], 2.5)
     np.testing.assert_allclose(last, expected, atol=1e-6)
+
+
+def per_segment_dump(instance, vec, sink, samples_per_segment=50):
+    """Reference dump: each segment sampled by its own chain of one-lane flows."""
+    offset = 0.0
+    for index, (state, length) in enumerate(vec.segments(), start=1):
+        sink.write(f"# segment {index}\n")
+        step = length / samples_per_segment
+        point = np.asarray(state, dtype=float)
+        for j in range(samples_per_segment + 1):
+            if j > 0:
+                point = flow(instance.system, point, step)
+            coords = " ".join(f"{value:.12g}" for value in point)
+            sink.write(f"{offset + j * step:.12g} {coords}\n")
+        offset += length
+
+
+def test_batched_dump_equals_the_per_segment_loop():
+    """Segments of unequal, zero and negative length, sampled as lanes of
+    one batch, print byte for byte what one-lane chains print."""
+    spec = small_spec(system="benchmark2", dims=(3,), segment_counts=(5,))
+    instance = generate_instance(spec, 3, 5)
+    guess = initial_guess(instance, 5)
+    vec = ShootingVector(guess.states, guess.times * np.array([1.0, 0.3, 0.0, 1.7, -0.4]))
+    for samples in (1, 7, 50):
+        batched, reference = io.StringIO(), io.StringIO()
+        dump_trajectory(instance, vec, batched, samples_per_segment=samples)
+        per_segment_dump(instance, vec, reference, samples_per_segment=samples)
+        assert batched.getvalue() == reference.getvalue()

@@ -172,8 +172,10 @@ def test_trace_and_dump_outputs(tmp_path, monkeypatch):
     assert trace_lines[0].startswith("#")
     assert len(trace_lines) > 1
     first = trace_lines[1].split()
-    assert len(first) == 7
+    assert len(first) == 8
     assert first[0] == "0"
+    assert trace_lines[0].split()[-1] == "kkt_rung"
+    assert first[-1] in ("ppcg", "direct", "lstsq")
     dump_lines = (tmp_path / "dump.txt").read_text().splitlines()
     assert any(line.startswith("# segment") for line in dump_lines)
     sample = [line for line in dump_lines if not line.startswith("#")][0]

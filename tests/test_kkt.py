@@ -1,23 +1,27 @@
 """Tests for the saddle-point solvers: direct oracle, PPCG, and diagnostics."""
 
-import io
-
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from falsify.hessian import HessianApprox, init_identity
 from falsify.kkt import (
     Breakdown,
     PreconditionerSingular,
-    RankDeficient,
     SaddleSystem,
     SingularSystem,
-    condition_report,
-    dump_system,
-    nullspace_basis,
+    _factor,
+    _pivot_magnitudes,
     solve_direct,
     solve_ppcg,
+)
+from oracles import (
+    RankDeficient,
+    condition_report,
+    direct_three_pass,
+    dump_system,
+    nullspace_basis,
 )
 
 
@@ -111,14 +115,71 @@ def test_breakdown_on_indefinite_reduced_hessian():
     np.testing.assert_allclose(sol.d_x, [0.0, -1.0], atol=1e-14)
 
 
+def random_indefinite_system(rng, m1, m2):
+    a = rng.standard_normal((m1, m1))
+    jac = sp.csc_matrix(rng.standard_normal((m1, m2)))
+    return SaddleSystem(
+        full_hessian(a + a.T), jac, rng.standard_normal(m1), rng.standard_normal(m2)
+    )
+
+
+def test_direct_solve_equals_the_three_pass_oracle_bitwise():
+    """One factorization gives the very step of ldl + eigvalsh + solve,
+    down to the last bit, on indefinite systems that need 2x2 pivots; the
+    largest has the size of the wide-linear direct cells."""
+    rng = np.random.default_rng(257)
+    for m1, m2 in ((6, 2), (40, 17), (120, 80), (420, 382)):
+        system = random_indefinite_system(rng, m1, m2)
+        _, ipiv = _factor(system.dense_matrix())
+        assert (ipiv < 0).any()
+        ours, oracle = solve_direct(system), direct_three_pass(system)
+        np.testing.assert_array_equal(ours.d_x, oracle.d_x)
+        np.testing.assert_array_equal(ours.d_lambda, oracle.d_lambda)
+        assert ours.residual_norm == oracle.residual_norm
+
+
+def test_pivot_magnitudes_are_the_eigenvalues_of_d():
+    rng = np.random.default_rng(263)
+    for m1, m2 in ((6, 2), (40, 17), (120, 80)):
+        mat = random_indefinite_system(rng, m1, m2).dense_matrix()
+        factor, ipiv = _factor(mat)
+        _, d_factor, _ = scipy.linalg.ldl(mat, lower=False)
+        expected = np.sort(np.abs(scipy.linalg.eigvalsh(d_factor)))
+        found = np.sort(_pivot_magnitudes(factor, ipiv))
+        assert np.abs(found - expected).max() <= 1e-13 * expected.max()
+
+
+def test_two_by_two_pivot_magnitudes_keep_full_relative_accuracy():
+    """The pivot block [[-1e5, 1], [1, 0]] has eigenvalues of opposite sign
+    and magnitudes near 1e5 and 1e-5: their difference must give back the
+    trace and their product the determinant, to round-off."""
+    mat = np.array([[1.0, 1e6, 0.0], [1e6, -1e5, 1.0], [0.0, 1.0, 0.0]])
+    factor, ipiv = _factor(mat)
+    assert list(ipiv) == [1, -2, -2]
+    big, small = _pivot_magnitudes(factor, ipiv)[1:]
+    assert big - small == pytest.approx(1e5, rel=1e-15)
+    assert big * small == pytest.approx(1.0, rel=1e-15)
+
+
+def test_nearly_parallel_constraints_are_singular():
+    jac = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, 1e-7]]))
+    system = SaddleSystem(full_hessian(np.eye(2)), jac, np.ones(2), np.zeros(2))
+    pivots = _pivot_magnitudes(*_factor(system.dense_matrix()))
+    assert pivots.min() < 1e-12 * pivots.max()
+    for solve in (solve_direct, direct_three_pass):
+        with pytest.raises(SingularSystem, match="numerically singular"):
+            solve(system)
+
+
 def test_singular_direct_solve_raises():
     # duplicated constraint -> singular saddle matrix
     jac = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
     system = SaddleSystem(
         full_hessian(np.eye(2)), jac, np.ones(2), np.zeros(2)
     )
-    with pytest.raises(SingularSystem):
-        solve_direct(system)
+    for solve in (solve_direct, direct_three_pass):
+        with pytest.raises(SingularSystem, match="numerically singular"):
+            solve(system)
     with pytest.raises(PreconditionerSingular):
         solve_ppcg(system)
 

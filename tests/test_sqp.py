@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import falsify.formulation
+import falsify.sqp
 from falsify.bench import generate_instance, initial_guess
 from falsify.formulation import (
     Formulation,
     Multipliers,
     constraint_dim,
+    constraint_jacobian,
     constraint_value,
+    lagrangian_gradient,
     objective_gradient,
     objective_value,
 )
+from falsify.hessian import HessianApprox
 from falsify.integrate import IntegratorConfig
 from falsify.shooting import (
     Ellipsoid,
@@ -19,11 +25,13 @@ from falsify.shooting import (
     ShootingVector,
     evaluate_segments,
 )
+from falsify.kkt import SaddleSystem
 from falsify.sqp import (
     RunReport,
     SqpConfig,
     StepTooSmall,
     Termination,
+    _solve_step,
     line_search,
     merit,
     merit_derivative_at_zero,
@@ -340,3 +348,80 @@ def test_banded_variant_completes_with_valid_steps():
             record.merit - record.merit_zero
             <= cfg.delta * record.alpha * record.merit_slope
         )
+
+
+def test_precomputed_derivatives_give_the_same_bits():
+    instance = benchmark2_instance(n_segments=4)
+    rng = np.random.default_rng(307)
+    form = Formulation.by_name("eq8")
+    vec = random_vector_near_guess(instance, rng)
+    flows = evaluate_segments(instance, vec, TIGHT)
+    m2 = constraint_dim(form.constraints, 3, 4)
+    lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 4)
+    d_x, d_lam = rng.standard_normal(16), rng.standard_normal(m2)
+    grad_f = objective_gradient(form, instance, vec, flows)
+    jac = constraint_jacobian(form.constraints, instance, vec, flows)
+    c_val = constraint_value(form.constraints, instance, vec, flows)
+    slope = merit_derivative_at_zero(
+        form, instance, vec, lam, d_x, d_lam, 1.0, flows=flows,
+        grad_f=grad_f, jac=jac, c_val=c_val,
+    )
+    assert slope == merit_derivative_at_zero(
+        form, instance, vec, lam, d_x, d_lam, 1.0, flows=flows
+    )
+    np.testing.assert_array_equal(
+        lagrangian_gradient(form, instance, vec, lam, flows, grad_f=grad_f, jac=jac),
+        lagrangian_gradient(form, instance, vec, lam, flows),
+    )
+
+
+@pytest.mark.parametrize("name, per_point", [("eq8", 1), ("eq13", 0)])
+def test_constraint_jacobian_is_built_once_per_iterate(monkeypatch, name, per_point):
+    calls = []
+
+    def counting(original):
+        def wrapped(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for module in (falsify.sqp, falsify.formulation):
+        monkeypatch.setattr(module, "constraint_jacobian", counting(module.constraint_jacobian))
+    instance = benchmark2_instance(n_segments=5)
+    report = run(
+        Formulation.by_name(name), instance, initial_guess(instance, 5), SqpConfig(max_iter=30)
+    )
+    assert report.nit > 0
+    assert len(calls) == per_point * (report.nit + 1)
+
+
+def test_trace_names_the_kkt_rung():
+    instance = benchmark2_instance(n_segments=5)
+    guess = initial_guess(instance, 5)
+    for method in ("ppcg", "direct"):
+        report = run(
+            Formulation.by_name("eq8"), instance, guess, SqpConfig(kkt_method=method)
+        )
+        assert report.trace
+        assert {record.kkt_rung for record in report.trace} == {method}
+
+
+def two_by_two_system(hess_diag, jac):
+    hess = HessianApprox("full", 1, 1, np.diag(hess_diag))
+    return SaddleSystem(hess, sp.csc_matrix(jac), np.array([0.0, 1.0]), np.zeros(jac.shape[1]))
+
+
+def test_indefinite_breakdown_falls_back_to_direct():
+    system = two_by_two_system([1.0, -1.0], np.array([[1.0], [0.0]]))
+    solution, alpha_start, rung = _solve_step(system, "ppcg")
+    assert rung == "direct" and alpha_start == 1.0
+    np.testing.assert_allclose(solution.d_x, [0.0, -1.0], atol=1e-14)
+
+
+def test_singular_system_falls_back_to_least_squares():
+    system = two_by_two_system([1.0, 1.0], np.array([[1.0, 1.0], [0.0, 0.0]]))
+    for method in ("ppcg", "direct"):
+        solution, alpha_start, rung = _solve_step(system, method)
+        assert rung == "lstsq" and alpha_start == 0.5
+        assert np.all(np.isfinite(solution.d_x))
