@@ -10,7 +10,6 @@ whose candidate fails any check are flagged "F" in the result table.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -203,22 +202,17 @@ def _solve_cell(spec, sqp_cfg, dim, n_segments):
     return BenchRow(dim, n_segments, report.nit, status, checked.reasons, report)
 
 
-def run_table(spec, jobs=1, sqp=None):
+def run_table(spec, sqp=None):
     """All (n, N) cells of the sweep, in deterministic row-major order.
 
-    Per-cell failures become "F" rows; they never abort the table.  With
-    ``jobs > 1`` cells run on a thread pool, results still gathered in
-    order.  The solver runs mostly as Python bytecode on small arrays and so
-    holds the interpreter lock most of the time: threads overlap little.
+    Per-cell failures become "F" rows; they never abort the table.
     """
     sqp_cfg = sqp or spec.sqp_config()
-    cells = [(dim, count) for dim in spec.dims for count in spec.segment_counts]
-    if jobs > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda c: _solve_cell(spec, sqp_cfg, *c), cells))
-    else:
-        rows = [_solve_cell(spec, sqp_cfg, *cell) for cell in cells]
-    return rows
+    return [
+        _solve_cell(spec, sqp_cfg, dim, count)
+        for dim in spec.dims
+        for count in spec.segment_counts
+    ]
 
 
 def emit_csv(rows, sink):

@@ -93,7 +93,6 @@ class RunConfig:
     table_path: Path = Path("table.csv")
     trace_path: Path = None
     dump_path: Path = None
-    jobs: int = 1
 
 
 def _convert(section, key, text, kind):
@@ -197,9 +196,6 @@ def load_config(args):
     dump = args.dump_trajectory or fetch("output", "dump_trajectory", None)
     cfg.trace_path = Path(trace) if trace else None
     cfg.dump_path = Path(dump) if dump else None
-    cfg.jobs = args.jobs
-    if cfg.jobs < 1:
-        raise ConfigError(f"invalid value for --jobs: {cfg.jobs}")
     return cfg
 
 
@@ -298,7 +294,7 @@ def cmd_solve(cfg):
 
 def cmd_bench(cfg):
     spec = _bench_spec(cfg)
-    rows = run_table(spec, jobs=cfg.jobs, sqp=cfg.sqp)
+    rows = run_table(spec, sqp=cfg.sqp)
     emit_csv(rows, cfg.table_path)
     emit_csv(rows, sys.stdout)
     print(f"table written to {cfg.table_path}")
@@ -342,23 +338,24 @@ def cmd_check(cfg):
     record("objective_gradient_fd", float(np.linalg.norm(analytic - fd)) / scale, 1e-5)
 
     if m2:
-        jac = constraint_jacobian(kind, instance, guess, flows).toarray()
+        jac = constraint_jacobian(kind, instance, guess, flows)
+        dense_jac = jac.toarray()
         fd_jac = np.array(
             [
                 (constraint_value(kind, instance, *p) - constraint_value(kind, instance, *m)) / 2e-4
                 for p, m in zip(plus, minus)
             ]
         )
-        scale = max(1.0, float(np.linalg.norm(jac)))
-        record("constraint_jacobian_fd", float(np.linalg.norm(jac - fd_jac)) / scale, 1e-5)
+        scale = max(1.0, float(np.linalg.norm(dense_jac)))
+        record("constraint_jacobian_fd", float(np.linalg.norm(dense_jac - fd_jac)) / scale, 1e-5)
 
-        sigma_min = float(np.linalg.svd(jac, compute_uv=False).min())
+        sigma_min = float(np.linalg.svd(dense_jac, compute_uv=False).min())
         results.append(
             ("constraint_rank", f"sigma_min={sigma_min:.3e} threshold=1.0e-10", sigma_min > 1e-10)
         )
 
         lam = Multipliers(kind, rng.standard_normal(m2), n, n_segments)
-        assembled = lagrangian_gradient(form, instance, guess, lam, flows)
+        assembled = lagrangian_gradient(form, instance, guess, lam, flows, jac=jac)
         try:
             direct = lagrangian_gradient_direct(form, instance, guess, lam, flows)
             record(
@@ -371,7 +368,7 @@ def cmd_check(cfg):
 
         hess = init_identity(cfg.sqp.hessian_variant, n, n_segments)
         c_val = constraint_value(kind, instance, guess, flows)
-        system = SaddleSystem(hess, constraint_jacobian(kind, instance, guess, flows), -assembled, -c_val)
+        system = SaddleSystem(hess, jac, -assembled, -c_val)
         try:
             iterative = solve_ppcg(system)
             direct_sol = solve_direct(system)
@@ -404,7 +401,6 @@ def main(argv=None):
     parser.add_argument("--kkt", choices=KKT_METHODS, help="saddle-point solver")
     parser.add_argument("--trace", help="write per-iteration records to this file")
     parser.add_argument("--dump-trajectory", help="write the final trajectory samples to this file")
-    parser.add_argument("--jobs", type=int, default=1, help="bench cells to run concurrently")
     args = parser.parse_args(argv)
 
     level = os.environ.get("FALSIFY_LOG", "warning").upper()

@@ -155,23 +155,13 @@ class Multipliers:
 
 
 # ---------------------------------------------------------------------------
-# layout helpers
-
-
-def _x_rows(i, n):
-    return slice(i * (n + 1), i * (n + 1) + n)
-
-
-def _t_row(i, n):
-    return i * (n + 1) + n
+# ``flows`` is the batched FlowResult of :func:`falsify.shooting.evaluate_segments`:
+# end_state (N, n), sensitivity (N, n, n), end_derivative (N, n).
 
 
 def _gaps(vec, flows):
     """Matching residuals x0_{i+1} - end_state_i, shape (N-1, n)."""
-    ends = np.array([f.end_state for f in flows[:-1]])
-    if vec.n_segments == 1:
-        return np.zeros((0, vec.dim))
-    return vec.states[1:] - ends
+    return vec.states[1:] - flows.end_state[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +174,7 @@ def objective_value(form, instance, vec, flows):
     if form.objective in ("endpoint_distance", "combined"):
         total += 0.5 * (
             instance.init.quadratic(vec.states[0])
-            + instance.unsafe_set.quadratic(flows[-1].end_state)
+            + instance.unsafe_set.quadratic(flows.end_state[-1])
         )
     if form.objective in ("matching_gap", "combined"):
         gaps = _gaps(vec, flows)
@@ -220,27 +210,23 @@ def _regularizer_gradient(reg, times):
 
 def objective_gradient(form, instance, vec, flows):
     """Gradient of :func:`objective_value` in the packed layout."""
-    n, big_n = vec.dim, vec.n_segments
-    grad = np.zeros(big_n * (n + 1))
+    n = vec.dim
+    grad = np.zeros((vec.n_segments, n + 1))  # row i: [d/dx0_i, d/dt_i]
+    x_grad, t_grad = grad[:, :n], grad[:, n]
     if form.objective in ("endpoint_distance", "combined"):
-        grad[_x_rows(0, n)] += instance.init.shape @ (
-            vec.states[0] - instance.init.center
-        )
+        x_grad[0] += instance.init.shape @ (vec.states[0] - instance.init.center)
         w = instance.unsafe_set.shape @ (
-            flows[-1].end_state - instance.unsafe_set.center
+            flows.end_state[-1] - instance.unsafe_set.center
         )
-        grad[_x_rows(big_n - 1, n)] += flows[-1].sensitivity.T @ w
-        grad[_t_row(big_n - 1, n)] += float(flows[-1].end_derivative @ w)
+        x_grad[-1] += flows.sensitivity[-1].T @ w
+        t_grad[-1] += float(flows.end_derivative[-1] @ w)
     if form.objective in ("matching_gap", "combined"):
         gaps = _gaps(vec, flows)
-        for i in range(big_n - 1):
-            grad[_x_rows(i + 1, n)] += gaps[i]
-            grad[_x_rows(i, n)] -= flows[i].sensitivity.T @ gaps[i]
-            grad[_t_row(i, n)] -= float(flows[i].end_derivative @ gaps[i])
-    reg_grad = _regularizer_gradient(form.regularizer, vec.times)
-    for i in range(big_n):
-        grad[_t_row(i, n)] += reg_grad[i]
-    return grad
+        x_grad[1:] += gaps
+        x_grad[:-1] -= (gaps[:, None, :] @ flows.sensitivity[:-1])[:, 0]
+        t_grad[:-1] -= (flows.end_derivative[:-1, None, :] @ gaps[:, :, None])[:, 0, 0]
+    t_grad += _regularizer_gradient(form.regularizer, vec.times)
+    return grad.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +243,7 @@ def constraint_value(kind, instance, vec, flows):
         parts.append(_gaps(vec, flows).ravel())
     if kind in ("matching_boundary", "boundary"):
         parts.append(
-            [0.5 * (instance.unsafe_set.quadratic(flows[-1].end_state) - 1.0)]
+            [0.5 * (instance.unsafe_set.quadratic(flows.end_state[-1]) - 1.0)]
         )
     if not parts:
         return np.zeros(0)
@@ -281,7 +267,7 @@ def constraint_jacobian(kind, instance, vec, flows):
         cols.append(np.full(n, col))
         vals.append(x_part)
         if t_part is not None:
-            rows.append([_t_row(seg, n)])
+            rows.append([seg * (n + 1) + n])
             cols.append([col])
             vals.append([t_part])
 
@@ -295,24 +281,22 @@ def constraint_jacobian(kind, instance, vec, flows):
         joints = np.arange(big_n - 1)
         block_cols = col + joints[:, None] * n + np.arange(n)          # (N-1, n)
         x_rows = joints[:, None] * (n + 1) + np.arange(n)              # (N-1, n)
-        sens = np.array([f.sensitivity for f in flows[:-1]]).reshape(-1, n, n)
-        ends = np.array([f.end_derivative for f in flows[:-1]]).reshape(-1, n)
         rows.append(np.broadcast_to(x_rows[:, None, :], (big_n - 1, n, n)).ravel())
         cols.append(np.broadcast_to(block_cols[:, :, None], (big_n - 1, n, n)).ravel())
-        vals.append(-sens.ravel())
+        vals.append(-flows.sensitivity[:-1].ravel())
         rows.append(np.repeat(joints * (n + 1) + n, n))
         cols.append(block_cols.ravel())
-        vals.append(-ends.ravel())
+        vals.append(-flows.end_derivative[:-1].ravel())
         rows.append((x_rows + n + 1).ravel())
         cols.append(block_cols.ravel())
         vals.append(np.ones((big_n - 1) * n))
         col += n * (big_n - 1)
     if kind in ("matching_boundary", "boundary"):
         w = instance.unsafe_set.shape @ (
-            flows[-1].end_state - instance.unsafe_set.center
+            flows.end_state[-1] - instance.unsafe_set.center
         )
         column(
-            col, big_n - 1, flows[-1].sensitivity.T @ w, float(flows[-1].end_derivative @ w)
+            col, big_n - 1, flows.sensitivity[-1].T @ w, float(flows.end_derivative[-1] @ w)
         )
     if rows:
         rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
@@ -375,10 +359,10 @@ def lagrangian_gradient_direct(
         lam_unsafe = 1.0
 
     init_vec = instance.init.shape @ (vec.states[0] - instance.init.center)
-    w = instance.unsafe_set.shape @ (flows[-1].end_state - instance.unsafe_set.center)
+    w = instance.unsafe_set.shape @ (flows.end_state[-1] - instance.unsafe_set.center)
     reg_grad = _regularizer_gradient(form.regularizer, vec.times)
 
-    grad = np.zeros(big_n * (n + 1))
+    grad = np.zeros((big_n, n + 1))
     for i in range(big_n):
         x_part = np.zeros(n)
         t_part = reg_grad[i]
@@ -387,14 +371,14 @@ def lagrangian_gradient_direct(
         else:
             x_part += inner[i - 1]
         if i < big_n - 1:
-            x_part -= flows[i].sensitivity.T @ inner[i]
-            t_part -= float(flows[i].end_derivative @ inner[i])
+            x_part -= flows.sensitivity[i].T @ inner[i]
+            t_part -= float(flows.end_derivative[i] @ inner[i])
         else:
-            x_part += lam_unsafe * (flows[i].sensitivity.T @ w)
-            t_part += lam_unsafe * float(flows[i].end_derivative @ w)
-        grad[_x_rows(i, n)] = x_part
-        grad[_t_row(i, n)] = t_part
-    return grad
+            x_part += lam_unsafe * (flows.sensitivity[i].T @ w)
+            t_part += lam_unsafe * float(flows.end_derivative[i] @ w)
+        grad[i, :n] = x_part
+        grad[i, n] = t_part
+    return grad.ravel()
 
 
 # (init term coefficient, unsafe term coefficient, inner vectors) per combo;

@@ -82,12 +82,13 @@ DEFAULT_CONFIG = IntegratorConfig()
 class FlowResult:
     """End state, sensitivity matrix and end-point derivative of one segment.
 
-    A batched call returns the same fields with a leading lane axis.
+    A batched call returns the same fields with a leading lane axis, and
+    :func:`falsify.shooting.evaluate_segments` with a leading segment axis.
     """
 
-    end_state: np.ndarray     # x(t0 + duration), length n
-    sensitivity: np.ndarray   # d end_state / d x0, shape (n, n)
-    end_derivative: np.ndarray  # f(t0 + duration, end_state), length n
+    end_state: np.ndarray     # x(t0 + duration): (n,), or (B, n) per lane/segment
+    sensitivity: np.ndarray   # d end_state / d x0: (n, n), or (B, n, n)
+    end_derivative: np.ndarray  # f(t0 + duration, end_state): (n,), or (B, n)
 
 
 def numba_path_enabled():

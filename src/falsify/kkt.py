@@ -130,7 +130,7 @@ def _pivot_magnitudes(factor, ipiv):
 
 
 def solve_direct(system):
-    """Dense symmetric-indefinite factorization solve (oracle scale).
+    """Dense symmetric-indefinite factorization solve.
 
     Raises :class:`SingularSystem` when the pivots of the LDL^T factors
     reveal rank deficiency (relative tolerance 1e-12) or the residual check
@@ -138,9 +138,6 @@ def solve_direct(system):
     """
     mat = system.dense_matrix()
     rhs = system.rhs()
-    if mat.shape[0] > 2000:
-        raise ValueError("direct oracle limited to m1 + m2 <= 2000")
-
     factor, ipiv = _factor(mat)
     eigs = _pivot_magnitudes(factor, ipiv)
     if eigs.max() == 0.0 or eigs.min() <= 1e-12 * eigs.max():

@@ -1,4 +1,4 @@
-"""Shooting parameterization: ellipsoid sets, segment vectors, per-segment flows.
+"""Shooting parameterization: ellipsoid sets, segment vectors, segment flows.
 
 A candidate trajectory is N segments, each a start state x0_i and a signed
 duration t_i.  The packed parameter vector interleaves them as
@@ -9,8 +9,7 @@ and every derivative in the optimizer is laid out in this order.
 """
 
 import warnings
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +19,11 @@ __all__ = [
     "Ellipsoid",
     "ShootingVector",
     "ProblemInstance",
-    "SegmentFlows",
     "pack",
     "unpack",
     "evaluate_segments",
     "evaluate_many",
 ]
-
-#: Per-segment flow results, entry i computed from (x0_i, t_i).
-SegmentFlows = List[FlowResult]
 
 
 @dataclass(frozen=True)
@@ -203,14 +198,17 @@ class ProblemInstance:
 def evaluate_segments(instance, vec, cfg=None):
     """Flow with sensitivity of every segment of ``vec``, one batched solve.
 
-    Raises :class:`IntegrationFailure` carrying the 1-based index of the
-    first failing segment in its ``segment`` attribute.
+    Returns one :class:`FlowResult` whose fields carry a leading segment
+    axis: ``end_state`` (N, n), ``sensitivity`` (N, n, n) and
+    ``end_derivative`` (N, n), row i computed from (x0_i, t_i).  Raises
+    :class:`IntegrationFailure` carrying the 1-based index of the first
+    failing segment in its ``segment`` attribute.
     """
     return evaluate_many(instance, [vec], cfg)[0]
 
 
 def evaluate_many(instance, vecs, cfg=None):
-    """:func:`evaluate_segments` of each shooting vector in ``vecs``.
+    """:func:`evaluate_segments` of each shooting vector in ``vecs``, as a list.
 
     The segments of all vectors are integrated in one lockstep batch, so
     each vector's flows equal those of its own :func:`evaluate_segments`
@@ -233,8 +231,10 @@ def evaluate_many(instance, vecs, cfg=None):
         failure = IntegrationFailure(f"{where}: {exc}", exc.lane)
         failure.segment = segment + 1
         raise failure from exc
-    flows = [
-        FlowResult(*lane)
-        for lane in zip(batch.end_state, batch.sensitivity, batch.end_derivative)
-    ]
-    return [flows[k * n_seg:(k + 1) * n_seg] for k in range(len(vecs))]
+    n = instance.dim
+    fields = (
+        batch.end_state.reshape(-1, n_seg, n),
+        batch.sensitivity.reshape(-1, n_seg, n, n),
+        batch.end_derivative.reshape(-1, n_seg, n),
+    )
+    return [FlowResult(*vector) for vector in zip(*fields)]

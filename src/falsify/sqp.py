@@ -239,7 +239,7 @@ def _solve_step(system, method):
             pass
     try:
         return solve_direct(system), 1.0, "direct"
-    except (SingularSystem, ValueError):
+    except SingularSystem:
         dense = system.dense_matrix()
         rhs = system.rhs()
         sol, *_ = np.linalg.lstsq(dense, rhs, rcond=None)

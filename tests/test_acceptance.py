@@ -103,9 +103,9 @@ def test_derivative_consistency():
                 perturbed.append(unpack_flat(instance, pert))
         pert_flows = evaluate_many(instance, perturbed, TIGHT)
         # a lane's result does not depend on the batch it shares
-        for batched, single in zip(pert_flows[0], evaluate_segments(instance, perturbed[0], TIGHT)):
-            assert np.array_equal(batched.end_state, single.end_state)
-            assert np.array_equal(batched.sensitivity, single.sensitivity)
+        batched, single = pert_flows[0], evaluate_segments(instance, perturbed[0], TIGHT)
+        assert np.array_equal(batched.end_state, single.end_state)
+        assert np.array_equal(batched.sensitivity, single.sensitivity)
         pairs = list(zip(perturbed, pert_flows))
         cache = list(zip(pairs[0::2], pairs[1::2]))
         lam_flat = {kind: rng.standard_normal(constraint_dim(kind, n, n_seg)) for kind in kinds}
@@ -253,7 +253,7 @@ def test_constraint_jacobian_rank():
     hit_center = ProblemInstance(
         instance.system,
         instance.init,
-        Ellipsoid.ball(flows[-1].end_state, 0.25),
+        Ellipsoid.ball(flows.end_state[-1], 0.25),
         instance.n_segments,
     )
     for kind in ("boundary", "matching_boundary"):

@@ -148,16 +148,6 @@ def test_bench_writes_csv(tmp_path, monkeypatch, capsys):
     assert "out.csv" in capsys.readouterr().out
 
 
-def test_bench_jobs_flag(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    config = write(
-        tmp_path / "cfg.ini",
-        "[problem]\nsystem = benchmark3\ndim = 2\nsegments = 5,10\n",
-    )
-    assert run_cli("bench", "--config", config, "--jobs", "2") == 0
-    assert (tmp_path / "table.csv").exists()
-
-
 def test_trace_and_dump_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run_cli(

@@ -14,6 +14,7 @@ from falsify.formulation import (
     lagrangian_gradient_direct,
     objective_gradient,
     objective_value,
+    _regularizer_gradient,
 )
 from falsify.shooting import ShootingVector, evaluate_segments
 from falsify.bench import initial_guess
@@ -144,8 +145,9 @@ def test_combined_objective_sums_terms():
     assert combined == pytest.approx(endpoint + gap, rel=1e-14)
 
 
-def test_objective_gradients_match_finite_differences():
-    instance = benchmark2_instance(n_segments=5)
+@pytest.mark.parametrize("n_segments", [1, 5])
+def test_objective_gradients_match_finite_differences(n_segments):
+    instance = benchmark2_instance(n_segments=n_segments)
     rng = np.random.default_rng(31)
     vec = random_vector_near_guess(instance, rng)
     flat = np.column_stack([vec.states, vec.times]).ravel()
@@ -158,6 +160,40 @@ def test_objective_gradients_match_finite_differences():
 
         analytic = objective_gradient(form, instance, vec, flows_for(instance, vec))
         assert relative_error(fd_gradient(value_at, flat), analytic) < 1e-6, name
+
+
+def looped_objective_gradient(form, instance, vec, flows):
+    """objective_gradient as a per-segment loop, the reference of its array form."""
+    n, big_n = vec.dim, vec.n_segments
+    grad = np.zeros((big_n, n + 1))
+    if form.objective in ("endpoint_distance", "combined"):
+        grad[0, :n] += instance.init.shape @ (vec.states[0] - instance.init.center)
+        w = instance.unsafe_set.shape @ (flows.end_state[-1] - instance.unsafe_set.center)
+        grad[-1, :n] += flows.sensitivity[-1].T @ w
+        grad[-1, n] += float(flows.end_derivative[-1] @ w)
+    if form.objective in ("matching_gap", "combined"):
+        for i in range(big_n - 1):
+            gap = vec.states[i + 1] - flows.end_state[i]
+            grad[i + 1, :n] += gap
+            grad[i, :n] -= flows.sensitivity[i].T @ gap
+            grad[i, n] -= float(flows.end_derivative[i] @ gap)
+    grad[:, n] += _regularizer_gradient(form.regularizer, vec.times)
+    return grad.ravel()
+
+
+@pytest.mark.parametrize("n_segments", [1, 4])
+def test_objective_gradient_equals_the_per_segment_loop(n_segments):
+    rng = np.random.default_rng(37)
+    for instance in (benchmark2_instance(n_segments), benchmark3_instance(4, n_segments)):
+        vec = random_vector_near_guess(instance, rng)
+        flows = flows_for(instance, vec)
+        for name in FORMULATION_NAMES:
+            form = Formulation.by_name(name)
+            np.testing.assert_array_equal(
+                objective_gradient(form, instance, vec, flows),
+                looped_objective_gradient(form, instance, vec, flows),
+                err_msg=name,
+            )
 
 
 def test_constraint_values_on_exact_split():
@@ -217,9 +253,9 @@ def test_matching_jacobian_block_structure():
         cols = slice(i * n, (i + 1) * n)
         base = i * (n + 1)
         np.testing.assert_allclose(
-            jac[base : base + n, cols], -flows[i].sensitivity.T
+            jac[base : base + n, cols], -flows.sensitivity[i].T
         )
-        np.testing.assert_allclose(jac[base + n, cols], -flows[i].end_derivative)
+        np.testing.assert_allclose(jac[base + n, cols], -flows.end_derivative[i])
         np.testing.assert_array_equal(
             jac[base + n + 1 : base + 2 * n + 1, cols], np.eye(n)
         )
@@ -239,15 +275,15 @@ def dense_constraint_jacobian(kind, instance, vec, flows):
         for i in range(big_n - 1):
             for c in range(n):
                 for r in range(n):
-                    jac[i * (n + 1) + r, col] = -flows[i].sensitivity[c, r]
-                jac[i * (n + 1) + n, col] = -flows[i].end_derivative[c]
+                    jac[i * (n + 1) + r, col] = -flows.sensitivity[i][c, r]
+                jac[i * (n + 1) + n, col] = -flows.end_derivative[i][c]
                 jac[(i + 1) * (n + 1) + c, col] = 1.0
                 col += 1
     if kind in ("matching_boundary", "boundary"):
         last = (big_n - 1) * (n + 1)
-        w = instance.unsafe_set.shape @ (flows[-1].end_state - instance.unsafe_set.center)
-        jac[last : last + n, col] = flows[-1].sensitivity.T @ w
-        jac[last + n, col] = flows[-1].end_derivative @ w
+        w = instance.unsafe_set.shape @ (flows.end_state[-1] - instance.unsafe_set.center)
+        jac[last : last + n, col] = flows.sensitivity[-1].T @ w
+        jac[last + n, col] = flows.end_derivative[-1] @ w
     return jac
 
 

@@ -159,11 +159,13 @@ def test_evaluate_segments_matches_individual_flows():
     times = np.array([1.0, 2.0, 1.5])
     vec = ShootingVector(states, times)
     flows = evaluate_segments(instance, vec, TIGHT)
-    assert len(flows) == 3
+    assert flows.end_state.shape == (3, 3)
+    assert flows.sensitivity.shape == (3, 3, 3)
+    assert flows.end_derivative.shape == (3, 3)
     for i, (state, length) in enumerate(vec.segments()):
         single = flow_with_sensitivity(instance.system, state, length, TIGHT)
-        np.testing.assert_array_equal(flows[i].end_state, single.end_state)
-        np.testing.assert_array_equal(flows[i].sensitivity, single.sensitivity)
+        np.testing.assert_array_equal(flows.end_state[i], single.end_state)
+        np.testing.assert_array_equal(flows.sensitivity[i], single.sensitivity)
 
 
 def test_evaluate_segments_reports_failing_segment():
@@ -209,11 +211,11 @@ def test_evaluate_many_equals_evaluate_segments():
         ShootingVector(instance.init.center + 0.2 * rng.standard_normal((3, 3)), rng.uniform(0.5, 2.0, 3))
         for _ in range(4)
     ]
-    for vec, flows in zip(vecs, evaluate_many(instance, vecs, TIGHT)):
-        for batched, single in zip(flows, evaluate_segments(instance, vec, TIGHT)):
-            np.testing.assert_array_equal(batched.end_state, single.end_state)
-            np.testing.assert_array_equal(batched.sensitivity, single.sensitivity)
-            np.testing.assert_array_equal(batched.end_derivative, single.end_derivative)
+    for vec, batched in zip(vecs, evaluate_many(instance, vecs, TIGHT)):
+        single = evaluate_segments(instance, vec, TIGHT)
+        np.testing.assert_array_equal(batched.end_state, single.end_state)
+        np.testing.assert_array_equal(batched.sensitivity, single.sensitivity)
+        np.testing.assert_array_equal(batched.end_derivative, single.end_derivative)
 
 
 def test_evaluate_segments_rejects_mismatched_vector():

@@ -425,3 +425,16 @@ def test_singular_system_falls_back_to_least_squares():
         solution, alpha_start, rung = _solve_step(system, method)
         assert rung == "lstsq" and alpha_start == 0.5
         assert np.all(np.isfinite(solution.d_x))
+
+
+def test_large_well_conditioned_system_solves_directly():
+    # m1 + m2 = 2100: the dense factorization solves it, so the ladder must
+    # not fall to least squares with a halved initial step
+    m1, m2 = 1500, 600
+    rng = np.random.default_rng(5)
+    hess = HessianApprox("full", 2, 500, np.eye(m1))
+    jac = 2.0 * sp.eye(m1, m2) + 0.1 * sp.random(m1, m2, density=0.01, random_state=rng)
+    system = SaddleSystem(hess, jac.tocsc(), rng.standard_normal(m1), rng.standard_normal(m2))
+    solution, alpha_start, rung = _solve_step(system, "direct")
+    assert rung == "direct" and alpha_start == 1.0
+    assert system.residual(solution.d_x, solution.d_lambda) < 1e-10
