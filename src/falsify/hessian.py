@@ -66,7 +66,8 @@ class HessianApprox:
         return self.mat @ v
 
     def dense_copy(self):
-        """Dense export for oracles and the direct KKT solver."""
+        """Dense export for the oracles, the least-squares KKT rung and the
+        CSC assembly of the direct solver's saddle matrix."""
         return self.mat.copy()
 
     def _windows(self):

@@ -10,9 +10,10 @@ conjugate gradient (PPCG) with the constraint preconditioner
 C = [[I, B], [B^T, 0]]: applying C^{-1} reduces to solves with the sparse
 symmetric positive definite (and banded, for shooting Jacobians) matrix
 B^T B, and keeps every CG iterate exactly on the linearized constraint
-manifold.  A dense symmetric-indefinite direct solve serves as oracle and
-fallback: one Bunch-Kaufman LDL^T factorization supplies both the pivots of
-its singularity test and the solve.
+manifold.  The direct solve serves as fallback: it assembles the saddle
+matrix in CSC format (B is sparse and block structured under multiple
+shooting) and factors it once with SuperLU.  That one sparse LU supplies
+both the diagonal of U that its singularity test reads and the solve.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -104,48 +104,34 @@ class KktSolution:
     constraint_residuals: Optional[tuple] = None
 
 
-def _factor(mat):
-    """Bunch-Kaufman LDL^T factors (upper triangle) and pivot indices of ``mat``."""
-    sytrf, sytrf_lwork = get_lapack_funcs(("sytrf", "sytrf_lwork"), (mat,))
-    lwork, _ = sytrf_lwork(mat.shape[0], lower=0)
-    factor, ipiv, _ = sytrf(mat, lwork=int(lwork), lower=0)
-    return factor, ipiv
-
-
-def _pivot_magnitudes(factor, ipiv):
-    """|eigenvalues| of the block-diagonal D held in ``factor``'s diagonal band.
-
-    A 2x2 block occupies two consecutive negative ``ipiv`` entries.  Its
-    determinant is negative (Bunch-Kaufman), so the eigenvalue of larger
-    magnitude comes without cancellation and the other is det / that one.
-    """
-    diag = np.diag(factor).copy()
-    first = np.flatnonzero(ipiv < 0)[::2]
-    a, c, b = diag[first], diag[first + 1], factor[first, first + 1]
-    mid = 0.5 * (a + c)
-    big = mid + np.copysign(np.hypot(0.5 * (a - c), b), mid)
-    diag[first] = big
-    diag[first + 1] = (a * c - b * b) / big
-    return np.abs(diag)
+def _saddle_csc(system):
+    """The saddle matrix [[H, B], [B^T, 0]] in CSC format."""
+    hess = sp.csc_matrix(system.hess.dense_copy())
+    if not system.m2:
+        return hess
+    return sp.bmat([[hess, system.jac], [system.jac.T, None]], format="csc")
 
 
 def solve_direct(system):
-    """Dense symmetric-indefinite factorization solve.
+    """Sparse LU (SuperLU) solve of the saddle matrix.
 
-    Raises :class:`SingularSystem` when the pivots of the LDL^T factors
-    reveal rank deficiency (relative tolerance 1e-12) or the residual check
-    fails.
+    One factorization with SuperLU's default COLAMD ordering and partial
+    pivoting serves both the singularity test and the solve.  Raises
+    :class:`SingularSystem` when SuperLU finds the matrix exactly singular,
+    when the magnitudes of U's diagonal reveal rank deficiency (relative
+    tolerance 1e-12), or when the residual check fails.
     """
-    mat = system.dense_matrix()
     rhs = system.rhs()
-    factor, ipiv = _factor(mat)
-    eigs = _pivot_magnitudes(factor, ipiv)
-    if eigs.max() == 0.0 or eigs.min() <= 1e-12 * eigs.max():
+    try:
+        lu = splu(_saddle_csc(system))
+    except RuntimeError as exc:
+        raise SingularSystem(f"saddle matrix numerically singular (SuperLU: {exc})") from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.max() == 0.0 or pivots.min() <= 1e-12 * pivots.max():
         raise SingularSystem(
-            f"saddle matrix numerically singular (pivot ratio {eigs.min():.2e}/{eigs.max():.2e})"
+            f"saddle matrix numerically singular (pivot ratio {pivots.min():.2e}/{pivots.max():.2e})"
         )
-    (sytrs,) = get_lapack_funcs(("sytrs",), (mat,))
-    sol, _ = sytrs(factor, ipiv, rhs, lower=0)
+    sol = lu.solve(rhs)
     m1 = system.m1
     d_x, d_lam = sol[:m1], sol[m1:]
     residual = system.residual(d_x, d_lam)

@@ -3,9 +3,9 @@
 Everything here is deliberately written without reusing the library's own
 derivative or assembly code: finite differences drive the gradient checks,
 scipy's integrators provide reference flows, and the rotation benchmark has
-an explicit matrix-exponential solution.  The dense KKT solve as three
-separate passes, and the conditioning and dump diagnostics the tests use,
-live here too.  Tolerance constants match the acceptance thresholds.
+an explicit matrix-exponential solution.  The dense LDL^T KKT solve as
+three separate passes, and the conditioning and dump diagnostics the tests
+use, live here too.  Tolerance constants match the acceptance thresholds.
 """
 
 import numpy as np
@@ -256,19 +256,25 @@ def serial_flow(system, x0, duration, cfg=DEFAULT_CONFIG, sensitivity=False):
 # KKT oracles and diagnostics
 
 
+def ldl_pivot_magnitudes(mat):
+    """|eigenvalues| of D in a lower Bunch-Kaufman LDL^T factorization of ``mat``."""
+    _, d_factor, _ = scipy.linalg.ldl(mat)
+    return np.abs(scipy.linalg.eigvalsh(d_factor))
+
+
 def direct_three_pass(system):
-    """The dense KKT solve as three O(m^3) passes, for comparison with
-    :func:`falsify.kkt.solve_direct`: a lower LDL^T factorization whose D
-    feeds the singularity test through ``eigvalsh``, then a separate
-    symmetric solve.  Raises and returns as ``solve_direct`` does.
+    """The dense KKT solve as three O(m^3) passes, an independent reference
+    for the sparse LU of :func:`falsify.kkt.solve_direct`: a lower LDL^T
+    factorization whose D feeds the singularity test through ``eigvalsh``,
+    then a separate symmetric solve.  Raises and returns as
+    ``solve_direct`` does.
     """
     mat = system.dense_matrix()
     rhs = system.rhs()
     if mat.shape[0] > 2000:
         raise ValueError("direct oracle limited to m1 + m2 <= 2000")
 
-    _, d_factor, _ = scipy.linalg.ldl(mat)
-    eigs = np.abs(scipy.linalg.eigvalsh(d_factor))
+    eigs = ldl_pivot_magnitudes(mat)
     if eigs.max() == 0.0 or eigs.min() <= 1e-12 * eigs.max():
         raise SingularSystem(
             f"saddle matrix numerically singular (pivot ratio {eigs.min():.2e}/{eigs.max():.2e})"

@@ -1,18 +1,18 @@
-"""Tests for the saddle-point solvers: direct oracle, PPCG, and diagnostics."""
+"""Tests for the saddle-point solvers: sparse direct solve, PPCG, and diagnostics."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from falsify.hessian import HessianApprox, init_identity
+from falsify.hessian import VARIANTS, HessianApprox, init_identity
 from falsify.kkt import (
     Breakdown,
     PreconditionerSingular,
     SaddleSystem,
     SingularSystem,
-    _factor,
-    _pivot_magnitudes,
     solve_direct,
     solve_ppcg,
 )
@@ -21,6 +21,7 @@ from oracles import (
     condition_report,
     direct_three_pass,
     dump_system,
+    ldl_pivot_magnitudes,
     nullspace_basis,
 )
 
@@ -123,48 +124,75 @@ def random_indefinite_system(rng, m1, m2):
     )
 
 
-def test_direct_solve_equals_the_three_pass_oracle_bitwise():
-    """One factorization gives the very step of ldl + eigvalsh + solve,
-    down to the last bit, on indefinite systems that need 2x2 pivots; the
-    largest has the size of the wide-linear direct cells."""
+def assert_agrees_with_the_three_pass_oracle(system):
+    """Both solves pass their residual checks, and their solutions differ by
+    at most 10 eps kappa_2(K) relative: the two factorizations are backward
+    stable, so each lies within a small multiple of eps kappa of the exact
+    solution."""
+    ours, oracle = solve_direct(system), direct_three_pass(system)
+    tolerance = 1e-10 * (1.0 + np.linalg.norm(system.rhs()))
+    assert ours.residual_norm < tolerance and oracle.residual_norm < tolerance
+    found = np.concatenate([ours.d_x, ours.d_lambda])
+    expected = np.concatenate([oracle.d_x, oracle.d_lambda])
+    kappa = np.linalg.cond(system.dense_matrix())
+    difference = np.linalg.norm(found - expected) / np.linalg.norm(expected)
+    assert difference <= 10 * np.finfo(float).eps * kappa
+
+
+def test_direct_solve_agrees_with_the_three_pass_oracle():
+    """The sparse LU step matches the dense LDL^T step on indefinite systems
+    whose upper LDL^T needs 2x2 pivots; the largest has the size of the
+    wide-linear direct cells (kappa about 1e5)."""
     rng = np.random.default_rng(257)
     for m1, m2 in ((6, 2), (40, 17), (120, 80), (420, 382)):
         system = random_indefinite_system(rng, m1, m2)
-        _, ipiv = _factor(system.dense_matrix())
-        assert (ipiv < 0).any()
-        ours, oracle = solve_direct(system), direct_three_pass(system)
-        np.testing.assert_array_equal(ours.d_x, oracle.d_x)
-        np.testing.assert_array_equal(ours.d_lambda, oracle.d_lambda)
-        assert ours.residual_norm == oracle.residual_norm
+        _, d_factor, _ = scipy.linalg.ldl(system.dense_matrix(), lower=False)
+        assert np.diag(d_factor, 1).any()
+        assert_agrees_with_the_three_pass_oracle(system)
 
 
-def test_pivot_magnitudes_are_the_eigenvalues_of_d():
-    rng = np.random.default_rng(263)
-    for m1, m2 in ((6, 2), (40, 17), (120, 80)):
-        mat = random_indefinite_system(rng, m1, m2).dense_matrix()
-        factor, ipiv = _factor(mat)
-        _, d_factor, _ = scipy.linalg.ldl(mat, lower=False)
-        expected = np.sort(np.abs(scipy.linalg.eigvalsh(d_factor)))
-        found = np.sort(_pivot_magnitudes(factor, ipiv))
-        assert np.abs(found - expected).max() <= 1e-13 * expected.max()
+@st.composite
+def structured_saddle_systems(draw):
+    """A saddle system with H in one variant's pattern, SPD or indefinite but
+    nonsingular (diagonally dominant), and a full-rank sparse B."""
+    variant = draw(st.sampled_from(VARIANTS))
+    n, n_segments = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    m1 = n_segments * (n + 1)
+    m2 = draw(st.integers(1, m1))
+    definite = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    block = np.arange(m1) // (n + 1)
+    reach = {"full": n_segments, "blockdiag": 0, "banded": 1}[variant]
+    a = rng.standard_normal((m1, m1))
+    hess = (a + a.T) * (np.abs(block[:, None] - block[None, :]) <= reach)
+    signs = np.ones(m1) if definite else rng.choice([-1.0, 1.0], m1)
+    hess += np.diag(signs * (np.abs(hess).sum(axis=1) + 1.0))
+
+    jac = rng.standard_normal((m1, m2)) * (rng.random((m1, m2)) < 0.3)
+    jac[rng.permutation(m1)[:m2], np.arange(m2)] = 1.0 + rng.random(m2)
+    assume(np.linalg.matrix_rank(jac) == m2)
+    system = SaddleSystem(
+        HessianApprox(variant, n, n_segments, hess),
+        sp.csc_matrix(jac),
+        rng.standard_normal(m1),
+        rng.standard_normal(m2),
+    )
+    # an indefinite H can still leave the reduced Hessian nearly singular
+    assume(np.linalg.cond(system.dense_matrix()) < 1e8)
+    return system
 
 
-def test_two_by_two_pivot_magnitudes_keep_full_relative_accuracy():
-    """The pivot block [[-1e5, 1], [1, 0]] has eigenvalues of opposite sign
-    and magnitudes near 1e5 and 1e-5: their difference must give back the
-    trace and their product the determinant, to round-off."""
-    mat = np.array([[1.0, 1e6, 0.0], [1e6, -1e5, 1.0], [0.0, 1.0, 0.0]])
-    factor, ipiv = _factor(mat)
-    assert list(ipiv) == [1, -2, -2]
-    big, small = _pivot_magnitudes(factor, ipiv)[1:]
-    assert big - small == pytest.approx(1e5, rel=1e-15)
-    assert big * small == pytest.approx(1.0, rel=1e-15)
+@settings(derandomize=True, deadline=None, database=None)
+@given(structured_saddle_systems())
+def test_direct_solve_agrees_with_the_oracle_on_structured_systems(system):
+    assert_agrees_with_the_three_pass_oracle(system)
 
 
 def test_nearly_parallel_constraints_are_singular():
     jac = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, 1e-7]]))
     system = SaddleSystem(full_hessian(np.eye(2)), jac, np.ones(2), np.zeros(2))
-    pivots = _pivot_magnitudes(*_factor(system.dense_matrix()))
+    pivots = ldl_pivot_magnitudes(system.dense_matrix())
     assert pivots.min() < 1e-12 * pivots.max()
     for solve in (solve_direct, direct_three_pass):
         with pytest.raises(SingularSystem, match="numerically singular"):

@@ -428,8 +428,8 @@ def test_singular_system_falls_back_to_least_squares():
 
 
 def test_large_well_conditioned_system_solves_directly():
-    # m1 + m2 = 2100: the dense factorization solves it, so the ladder must
-    # not fall to least squares with a halved initial step
+    # m1 + m2 = 2100: the sparse LU of the saddle matrix solves it, so the
+    # ladder must not fall to least squares with a halved initial step
     m1, m2 = 1500, 600
     rng = np.random.default_rng(5)
     hess = HessianApprox("full", 2, 500, np.eye(m1))
