@@ -337,8 +337,8 @@ def cmd_check(cfg):
     scale = max(1.0, float(np.linalg.norm(analytic)))
     record("objective_gradient_fd", float(np.linalg.norm(analytic - fd)) / scale, 1e-5)
 
+    jac = constraint_jacobian(kind, instance, guess, flows)
     if m2:
-        jac = constraint_jacobian(kind, instance, guess, flows)
         dense_jac = jac.toarray()
         fd_jac = np.array(
             [
@@ -354,32 +354,32 @@ def cmd_check(cfg):
             ("constraint_rank", f"sigma_min={sigma_min:.3e} threshold=1.0e-10", sigma_min > 1e-10)
         )
 
-        lam = Multipliers(kind, rng.standard_normal(m2), n, n_segments)
-        assembled = lagrangian_gradient(form, instance, guess, lam, flows, jac=jac)
-        try:
-            direct = lagrangian_gradient_direct(form, instance, guess, lam, flows)
-            record(
-                "lagrangian_gradient_closed_form",
-                float(np.max(np.abs(assembled - direct))),
-                1e-10,
-            )
-        except ValueError:
-            pass
+    lam = Multipliers(kind, rng.standard_normal(m2), n, n_segments)
+    assembled = lagrangian_gradient(form, instance, guess, lam, flows, jac=jac)
+    try:
+        direct = lagrangian_gradient_direct(form, instance, guess, lam, flows)
+        record(
+            "lagrangian_gradient_closed_form",
+            float(np.max(np.abs(assembled - direct))),
+            1e-10,
+        )
+    except ValueError:
+        pass
 
-        hess = init_identity(cfg.sqp.hessian_variant, n, n_segments)
-        c_val = constraint_value(kind, instance, guess, flows)
-        system = SaddleSystem(hess, jac, -assembled, -c_val)
-        try:
-            iterative = solve_ppcg(system)
-            direct_sol = solve_direct(system)
-            denom = max(1e-30, float(np.linalg.norm(direct_sol.d_x)))
-            record(
-                "kkt_ppcg_vs_direct",
-                float(np.linalg.norm(iterative.d_x - direct_sol.d_x)) / denom,
-                1e-8,
-            )
-        except (Breakdown, SingularSystem) as exc:
-            record(f"kkt_ppcg_vs_direct ({exc})", np.inf, 1e-8)
+    hess = init_identity(cfg.sqp.hessian_variant, n, n_segments)
+    c_val = constraint_value(kind, instance, guess, flows)
+    system = SaddleSystem(hess, jac, -assembled, -c_val)
+    try:
+        iterative = solve_ppcg(system)
+        direct_sol = solve_direct(system)
+        denom = max(1e-30, float(np.linalg.norm(direct_sol.d_x)))
+        record(
+            "kkt_ppcg_vs_direct",
+            float(np.linalg.norm(iterative.d_x - direct_sol.d_x)) / denom,
+            1e-8,
+        )
+    except (Breakdown, SingularSystem) as exc:
+        record(f"kkt_ppcg_vs_direct ({exc})", np.inf, 1e-8)
 
     all_ok = True
     for name, detail, ok in results:

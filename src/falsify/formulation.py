@@ -251,10 +251,11 @@ def constraint_value(kind, instance, vec, flows):
 
 
 def constraint_jacobian(kind, instance, vec, flows):
-    """Sparse B with B[:, j] = gradient of constraint j, packed layout rows.
+    """Sparse (m1, m2) B with B[:, j] = gradient of constraint j, packed layout rows.
 
     Assembled from (row, column, value) triplets; entries that come out
-    exactly zero are not stored.
+    exactly zero are not stored.  Kind ``"none"`` gives an empty (m1, 0)
+    matrix, which the SQP and KKT layers treat like any other B.
     """
     n, big_n = vec.dim, vec.n_segments
     m1 = big_n * (n + 1)
@@ -314,11 +315,9 @@ def lagrangian_gradient(form, instance, vec, lam, flows, *, grad_f=None, jac=Non
     """objective gradient + B lambda (the authoritative path); ``grad_f`` and
     ``jac``, when given, are the objective gradient and B at this point."""
     grad = objective_gradient(form, instance, vec, flows) if grad_f is None else grad_f
-    if form.constraints != "none" and lam.flat.size:
-        if jac is None:
-            jac = constraint_jacobian(form.constraints, instance, vec, flows)
-        grad = grad + jac @ lam.flat
-    return grad
+    if jac is None:
+        jac = constraint_jacobian(form.constraints, instance, vec, flows)
+    return grad + jac @ lam.flat
 
 
 def lagrangian_gradient_direct(

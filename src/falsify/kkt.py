@@ -5,15 +5,19 @@ Each SQP iteration solves
     [ H  B ] [ d_x   ]   [ rhs_top    ]
     [ B^T 0 ] [ d_lam ] = [ rhs_bottom ]
 
-for the primal-dual step.  The workhorse is a projected preconditioned
-conjugate gradient (PPCG) with the constraint preconditioner
-C = [[I, B], [B^T, 0]]: applying C^{-1} reduces to solves with the sparse
-symmetric positive definite (and banded, for shooting Jacobians) matrix
-B^T B, and keeps every CG iterate exactly on the linearized constraint
-manifold.  The direct solve serves as fallback: it assembles the saddle
-matrix in CSC format (B is sparse and block structured under multiple
-shooting) and factors it once with SuperLU.  That one sparse LU supplies
-both the diagonal of U that its singularity test reads and the solve.
+for the primal-dual step.  B is always a sparse m1 x m2 matrix; the
+unconstrained formulations carry an empty (m1, 0) B, and every solver
+treats them as the case m2 = 0 of the same system.  The workhorse is a
+projected preconditioned conjugate gradient (PPCG) with the constraint
+preconditioner C = [[I, B], [B^T, 0]]: applying C^{-1} reduces to solves
+with the sparse symmetric positive definite (and banded, for shooting
+Jacobians) matrix B^T B, and keeps every CG iterate exactly on the
+linearized constraint manifold.  With m2 = 0 the projection is the
+identity and PPCG is plain CG on H d_x = rhs_top.  The direct solve serves
+as fallback: it assembles the saddle matrix in CSC format (B is sparse and
+block structured under multiple shooting) and factors it once with
+SuperLU.  That one sparse LU supplies both the diagonal of U that its
+singularity test reads and the solve.
 """
 
 from dataclasses import dataclass
@@ -50,18 +54,17 @@ class PreconditionerSingular(Exception):
 class SaddleSystem:
     """Assembled KKT system: Hessian approximation, constraint Jacobian, rhs."""
 
-    hess: object               # HessianApprox (dimension m1)
-    jac: Optional[sp.spmatrix]  # B, m1 x m2 (None or empty when unconstrained)
-    rhs_top: np.ndarray        # -grad_x L, length m1
-    rhs_bottom: np.ndarray     # -c(X), length m2
+    hess: object          # HessianApprox (dimension m1)
+    jac: sp.spmatrix      # B, sparse m1 x m2 ((m1, 0) when unconstrained)
+    rhs_top: np.ndarray   # -grad_x L, length m1
+    rhs_bottom: np.ndarray  # -c(X), length m2
 
     def __post_init__(self):
         m1 = self.hess.dim
         if self.rhs_top.shape != (m1,):
             raise ValueError("rhs_top length must match the Hessian dimension")
-        m2 = self.rhs_bottom.shape[0]
-        if m2 and (self.jac is None or self.jac.shape != (m1, m2)):
-            raise ValueError("jac must have shape (m1, m2)")
+        if not sp.issparse(self.jac) or self.jac.shape != (m1, self.rhs_bottom.shape[0]):
+            raise ValueError("jac must be a sparse matrix of shape (m1, m2)")
 
     @property
     def m1(self):
@@ -75,10 +78,9 @@ class SaddleSystem:
         m1, m2 = self.m1, self.m2
         mat = np.zeros((m1 + m2, m1 + m2))
         mat[:m1, :m1] = self.hess.dense_copy()
-        if m2:
-            b_dense = self.jac.toarray()
-            mat[:m1, m1:] = b_dense
-            mat[m1:, :m1] = b_dense.T
+        b_dense = self.jac.toarray()
+        mat[:m1, m1:] = b_dense
+        mat[m1:, :m1] = b_dense.T
         return mat
 
     def rhs(self):
@@ -86,12 +88,9 @@ class SaddleSystem:
 
     def residual(self, d_x, d_lam):
         """True 2-norm residual of the full system at (d_x, d_lam)."""
-        top = self.hess.matvec(d_x) - self.rhs_top
-        if self.m2:
-            top = top + self.jac @ d_lam
-            bottom = self.jac.T @ d_x - self.rhs_bottom
-            return float(np.sqrt(top @ top + bottom @ bottom))
-        return float(np.linalg.norm(top))
+        top = self.hess.matvec(d_x) - self.rhs_top + self.jac @ d_lam
+        bottom = self.jac.T @ d_x - self.rhs_bottom
+        return float(np.sqrt(top @ top + bottom @ bottom))
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,6 @@ class KktSolution:
 def _saddle_csc(system):
     """The saddle matrix [[H, B], [B^T, 0]] in CSC format."""
     hess = sp.csc_matrix(system.hess.dense_copy())
-    if not system.m2:
-        return hess
     return sp.bmat([[hess, system.jac], [system.jac.T, None]], format="csc")
 
 
@@ -181,33 +178,18 @@ def solve_ppcg(system, tol=1e-10, max_iter=None):
 
     Requires the Hessian approximation to be positive definite on the null
     space of B^T; a non-positive curvature pivot raises :class:`Breakdown`
-    (callers fall back to :func:`solve_direct`).  With m2 = 0 this is plain
-    CG on H d_x = rhs_top.  ``tol`` is relative to the initial projected
-    residual.
+    (callers fall back to :func:`solve_direct`).  With m2 = 0 the projector
+    is the identity and this is plain CG on H d_x = rhs_top.  ``tol`` is
+    relative to the initial projected residual.
     """
-    m1, m2 = system.m1, system.m2
     if max_iter is None:
-        max_iter = 2 * m1
-
-    if m2 == 0:
-        projector = None
-        x = np.zeros(m1)
-    else:
-        projector = _ConstraintProjector(system.jac)
-        x = projector.constraint_point(system.rhs_bottom)
-
+        max_iter = 2 * system.m1
+    projector = _ConstraintProjector(system.jac)
+    x = projector.constraint_point(system.rhs_bottom)
     constraint_history = []
 
-    def bottom_residual(vec):
-        if m2 == 0:
-            return 0.0
-        return float(np.linalg.norm(projector.jac_t @ vec - system.rhs_bottom))
-
     r = system.hess.matvec(x) - system.rhs_top
-    if projector is None:
-        g, v = r.copy(), np.zeros(0)
-    else:
-        g, v = projector.project(r)
+    g, v = projector.project(r)
     rg = float(r @ g)
     target = tol * max(1.0, np.sqrt(abs(rg)))
     p = -g
@@ -222,17 +204,16 @@ def solve_ppcg(system, tol=1e-10, max_iter=None):
         alpha = rg / curvature
         x = x + alpha * p
         r = r + alpha * hp
-        if projector is None:
-            g_new, v = r.copy(), v
-        else:
-            g_new, v = projector.project(r)
+        g_new, v = projector.project(r)
         rg_new = float(r @ g_new)
         p = -g_new + (rg_new / rg) * p
         g, rg = g_new, rg_new
         iterations += 1
-        constraint_history.append(bottom_residual(x))
+        constraint_history.append(
+            float(np.linalg.norm(projector.jac_t @ x - system.rhs_bottom))
+        )
 
-    d_lam = -v if m2 else np.zeros(0)
+    d_lam = -v
     return KktSolution(
         x,
         d_lam,
@@ -240,4 +221,3 @@ def solve_ppcg(system, tol=1e-10, max_iter=None):
         iterations,
         tuple(constraint_history),
     )
-

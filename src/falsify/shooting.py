@@ -94,10 +94,6 @@ class ShootingVector:
     def dim(self):
         return self.states.shape[1]
 
-    def segments(self):
-        """Iterate (x0_i, t_i) pairs in order."""
-        return zip(self.states, self.times)
-
 
 def pack(vec):
     """Flatten a ShootingVector into the interleaved parameter layout."""

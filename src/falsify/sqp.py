@@ -18,7 +18,6 @@ import numpy as np
 
 from .formulation import (
     Multipliers,
-    constraint_dim,
     constraint_jacobian,
     constraint_value,
     lagrangian_gradient,
@@ -131,6 +130,16 @@ class RunReport:
     final_multipliers: Optional[Multipliers] = None
 
 
+def _merit_value(objective, lam_new_flat, c_val, omega):
+    """F + (lam+d_lam)^T c + (omega/2)||c||^2, added in that order.
+
+    Every merit value of a run, m(0) included, goes through here, so the
+    sufficient-decrease test compares sums rounded the same way.
+    """
+    value = objective + float(lam_new_flat @ c_val)
+    return value + 0.5 * omega * float(c_val @ c_val)
+
+
 def _trial_merit(formulation, instance, base_flat, lam_new_flat, d_x, omega, cfg):
     """Returns a callable alpha -> (merit value, trial vector, trial flows).
 
@@ -139,7 +148,6 @@ def _trial_merit(formulation, instance, base_flat, lam_new_flat, d_x, omega, cfg
     """
     n = instance.system.dim
     n_seg = instance.n_segments
-    kind_dim = lam_new_flat.shape[0]
 
     def evaluate(alpha):
         vec = unpack(base_flat + alpha * d_x, n, n_seg)
@@ -147,11 +155,12 @@ def _trial_merit(formulation, instance, base_flat, lam_new_flat, d_x, omega, cfg
             flows = evaluate_segments(instance, vec, cfg)
         except IntegrationFailure:
             return math.inf, vec, None
-        value = objective_value(formulation, instance, vec, flows)
-        if kind_dim:
-            c_trial = constraint_value(formulation.constraints, instance, vec, flows)
-            value += float(lam_new_flat @ c_trial)
-            value += 0.5 * omega * float(c_trial @ c_trial)
+        value = _merit_value(
+            objective_value(formulation, instance, vec, flows),
+            lam_new_flat,
+            constraint_value(formulation.constraints, instance, vec, flows),
+            omega,
+        )
         return value, vec, flows
 
     return evaluate
@@ -187,13 +196,12 @@ def merit_derivative_at_zero(
         grad_f = objective_gradient(formulation, instance, vec, flows)
     slope = float(d_x @ grad_f)
     kind = formulation.constraints
-    if kind != "none":
-        if jac is None:
-            jac = constraint_jacobian(kind, instance, vec, flows)
-        if c_val is None:
-            c_val = constraint_value(kind, instance, vec, flows)
-        slope += float(d_x @ (jac @ (lam.flat + d_lam)))
-        slope += omega * float(d_x @ (jac @ c_val))
+    if jac is None:
+        jac = constraint_jacobian(kind, instance, vec, flows)
+    if c_val is None:
+        c_val = constraint_value(kind, instance, vec, flows)
+    slope += float(d_x @ (jac @ (lam.flat + d_lam)))
+    slope += omega * float(d_x @ (jac @ c_val))
     return slope
 
 
@@ -252,10 +260,14 @@ def _solve_step(system, method):
 
 
 def _linearize(formulation, instance, vec, lam, flows):
-    """(grad F, B, c, grad L) at an accepted point, B None without constraints."""
+    """(grad F, B, c, grad L) at an accepted point.
+
+    B is the sparse (m1, m2) constraint Jacobian; the unconstrained
+    formulations get an empty (m1, 0) B like any other.
+    """
     kind = formulation.constraints
     grad_f = objective_gradient(formulation, instance, vec, flows)
-    jac = constraint_jacobian(kind, instance, vec, flows) if kind != "none" else None
+    jac = constraint_jacobian(kind, instance, vec, flows)
     grad_l = lagrangian_gradient(formulation, instance, vec, lam, flows, grad_f=grad_f, jac=jac)
     return grad_f, jac, constraint_value(kind, instance, vec, flows), grad_l
 
@@ -271,11 +283,9 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     cfg = cfg or SqpConfig()
     n = instance.system.dim
     n_seg = instance.n_segments
-    kind = formulation.constraints
-    m2 = constraint_dim(kind, n, n_seg)
 
     vec = X_init
-    lam = Multipliers.zeros(kind, n, n_seg)
+    lam = Multipliers.zeros(formulation.constraints, n, n_seg)
     hess = init_identity(cfg.hessian_variant, n, n_seg)
     trace = []
 
@@ -306,10 +316,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
 
         lam_new_flat = lam.flat + d_lam
         flat = pack(vec)
-        merit_zero = objective
-        if m2:
-            merit_zero += float(lam_new_flat @ c_val)
-            merit_zero += 0.5 * cfg.omega * float(c_val @ c_val)
+        merit_zero = _merit_value(objective, lam_new_flat, c_val, cfg.omega)
         slope = merit_derivative_at_zero(
             formulation, instance, vec, lam, d_x, d_lam, cfg.omega,
             flows=flows, grad_f=grad_f, jac=jac, c_val=c_val,

@@ -224,7 +224,7 @@ def test_dump_trajectory_format(tmp_path):
 def per_segment_dump(instance, vec, sink, samples_per_segment=50):
     """Reference dump: each segment sampled by its own chain of one-lane flows."""
     offset = 0.0
-    for index, (state, length) in enumerate(vec.segments(), start=1):
+    for index, (state, length) in enumerate(zip(vec.states, vec.times), start=1):
         sink.write(f"# segment {index}\n")
         step = length / samples_per_segment
         point = np.asarray(state, dtype=float)

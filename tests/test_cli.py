@@ -199,6 +199,14 @@ def test_check_respects_formulation_flag(tmp_path, monkeypatch, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_check_cross_checks_unconstrained_formulations(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("check", "--formulation", "eq13") == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("lagrangian_gradient_closed_form", "kkt_ppcg_vs_direct"):
+        assert any(line.startswith(f"{name}: ") and line.endswith(" PASS") for line in lines)
+
+
 def test_log_env_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("FALSIFY_LOG", "debug")

@@ -84,7 +84,7 @@ def test_ppcg_iterates_stay_on_the_constraint_manifold():
 def test_unconstrained_identity_converges_in_one_iteration():
     rng = np.random.default_rng(227)
     system = SaddleSystem(
-        init_identity("full", 3, 4), None, rng.standard_normal(16), np.zeros(0)
+        init_identity("full", 3, 4), sp.csc_matrix((16, 0)), rng.standard_normal(16), np.zeros(0)
     )
     sol = solve_ppcg(system)
     assert sol.cg_iterations == 1
@@ -96,7 +96,7 @@ def test_unconstrained_plain_cg_matches_direct():
     rng = np.random.default_rng(229)
     a = rng.standard_normal((10, 10))
     hess = full_hessian(a @ a.T + 10 * np.eye(10))
-    system = SaddleSystem(hess, None, rng.standard_normal(10), np.zeros(0))
+    system = SaddleSystem(hess, sp.csc_matrix((10, 0)), rng.standard_normal(10), np.zeros(0))
     direct = solve_direct(system)
     iterative = solve_ppcg(system)
     np.testing.assert_allclose(iterative.d_x, direct.d_x, rtol=1e-8)
@@ -158,7 +158,7 @@ def structured_saddle_systems(draw):
     variant = draw(st.sampled_from(VARIANTS))
     n, n_segments = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     m1 = n_segments * (n + 1)
-    m2 = draw(st.integers(1, m1))
+    m2 = draw(st.integers(0, m1))
     definite = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -273,6 +273,8 @@ def test_dump_round_trips_every_entry(tmp_path):
 def test_saddle_system_validation():
     with pytest.raises(ValueError):
         SaddleSystem(init_identity("full", 2, 2), None, np.zeros(5), np.zeros(0))
+    with pytest.raises(ValueError):
+        SaddleSystem(init_identity("full", 2, 2), None, np.zeros(6), np.zeros(0))
     with pytest.raises(ValueError):
         SaddleSystem(
             init_identity("full", 2, 2),

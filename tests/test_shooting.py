@@ -162,7 +162,7 @@ def test_evaluate_segments_matches_individual_flows():
     assert flows.end_state.shape == (3, 3)
     assert flows.sensitivity.shape == (3, 3, 3)
     assert flows.end_derivative.shape == (3, 3)
-    for i, (state, length) in enumerate(vec.segments()):
+    for i, (state, length) in enumerate(zip(vec.states, vec.times)):
         single = flow_with_sensitivity(instance.system, state, length, TIGHT)
         np.testing.assert_array_equal(flows.end_state[i], single.end_state)
         np.testing.assert_array_equal(flows.sensitivity[i], single.sensitivity)
