@@ -20,7 +20,7 @@ Storage is a dense symmetric matrix with exact zeros outside the variant's
 pattern; the structured variants never touch entries outside their pattern.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class HessianApprox:
 
     def matvec(self, v):
         return self.mat @ v
+
+    def copy(self):
+        """An independent approximation with the same state."""
+        return replace(self, mat=self.mat.copy())
 
     def dense_copy(self):
         """Dense export for the oracles, the least-squares KKT rung and the

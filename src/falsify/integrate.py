@@ -17,8 +17,11 @@ lane at once.  Each lane keeps its own time, step size, controller state and
 outcome and leaves the batch when it reaches its end time.  All arithmetic
 is elementwise per lane, so a lane's result is bitwise the same whatever
 else shares its batch.  Systems marked ``vectorized`` evaluate the whole
-batch in one call; other systems, and batches of one, are called lane by
-lane.
+batch in one call; other systems are called lane by lane, and a batch of one
+lane calls the system on its single state.  Each stage derivative is written
+straight into the step's (B, 7, m) stage buffer, the sensitivity block
+through ``np.matmul(..., out=...)``, so a stage allocates no augmented array
+of its own.
 """
 
 import math
@@ -136,7 +139,8 @@ def _initial_step(fun, t0, y0, f0, direction, rtol, atol):
     h0 = np.array(
         [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
     )
-    f1 = fun(t0 + direction * h0, y0 + (direction * h0)[:, None] * f0)
+    f1 = np.empty_like(f0)
+    fun(t0 + direction * h0, y0 + (direction * h0)[:, None] * f0, f1)
     d2 = (_rms((f1 - f0) / scale) / h0).tolist()
     h1 = [
         max(1e-6, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
@@ -159,10 +163,11 @@ def _step_factor(err, err_prev):
 def _rk45(fun, y0, duration, rtol, atol, max_steps):
     """Dormand-Prince 5(4) over the rows of ``y0``, all lanes in lockstep.
 
-    ``fun(t, y)`` maps lane times (B,) and states (B, m) to derivatives
-    (B, m).  Returns the end states and a status code per lane.  When a
-    lane fails, the lanes after it are dropped, since callers report only
-    the lowest failing lane; the lanes before it run on.
+    ``fun(t, y, out)`` maps lane times (B,) and states (B, m) to derivatives
+    and writes them into ``out``, a (B, m) view of the step's stage buffer;
+    its return value is ignored.  Returns the end states and a status code
+    per lane.  When a lane fails, the lanes after it are dropped, since
+    callers report only the lowest failing lane; the lanes before it run on.
 
     Stage sums are one matrix-vector product per lane, and step-size
     control is scalar arithmetic per lane (numpy's vectorized power rounds
@@ -177,7 +182,8 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
     y, t_end = y0[lanes], duration[lanes]
     direction = np.sign(t_end)
     t = np.zeros(lanes.size)
-    k0 = fun(t, y)
+    k0 = np.empty_like(y)
+    fun(t, y, k0)
     h = direction * np.minimum(
         _initial_step(fun, t, y, k0, direction, rtol, atol), np.abs(t_end)
     )
@@ -189,10 +195,12 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
     # every lane still in the batch has taken exactly `steps` steps
     steps = 0
     while True:
-        running = (t_end - t) * direction > 0.0
+        left = (t_end - t) * direction  # time left, > 0 while a lane runs
+        running = left > 0.0
         if not running.all():
             y_end[lanes[~running]] = y[~running]
             lanes, y, k0, t, t_end, direction, h, err_prev = keep(running)
+            left = left[running]
             if not lanes.size:
                 return y_end, status
         if steps >= max_steps:
@@ -200,24 +208,28 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
             return y_end, status
         steps += 1
         # h and the time left share the sign `direction`: clip h to the end
-        span = np.minimum(np.abs(h), np.abs(t_end - t))
+        span = np.minimum(np.abs(h), left)
         h = direction * span
         tiny = span < 1e-15 * np.maximum(np.abs(t), 1.0)
         if tiny.any():
-            first = int(np.argmax(tiny))
-            status[lanes[first]] = _STEP_UNDERFLOW
-            lanes, y, k0, t, t_end, direction, h, err_prev = keep(slice(first))
-            if not lanes.size:
-                return y_end, status
+            # only a step the controller chose can underflow; a step cut to
+            # the end time is taken however short it is
+            tiny &= span < left
+            if tiny.any():
+                first = int(np.argmax(tiny))
+                status[lanes[first]] = _STEP_UNDERFLOW
+                lanes, y, k0, t, t_end, direction, h, err_prev = keep(slice(first))
+                if not lanes.size:
+                    return y_end, status
 
         hc = h[:, None]
         nodes = t + np.multiply.outer(_C, h)
         k = np.empty((len(y), 7, y.shape[1]))
         k[:, 0] = k0
         for s in range(1, 6):
-            k[:, s] = fun(nodes[s], y + hc * (_A[s] @ k[:, :s]))
+            fun(nodes[s], y + hc * (_A[s] @ k[:, :s]), k[:, s])
         y_new = y + hc * (_B @ k[:, :6])
-        k[:, 6] = fun(nodes[5], y_new)
+        fun(nodes[5], y_new, k[:, 6])
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = _rms(hc * (_E @ k) / scale)
 
@@ -239,17 +251,18 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
 def _lane_functions(system):
     """``system.rhs`` and ``system.state_jacobian`` over a batch of lanes.
 
-    Each maps lane times (B,) and states (B, n) to a C-contiguous array with
-    a leading lane axis.  A vectorized system takes a batch of two or more
-    in one call; everything else is called once per lane.
+    Each maps lane times (B,) and states (B, n) to an array with a leading
+    lane axis.  A vectorized system's own functions do that and are returned
+    unchanged, to be called directly; other systems get an adapter that
+    calls them once per lane.  A batch of one lane is better served by a
+    call on its single state (see the stage functions of :func:`flow` and
+    :func:`flow_with_sensitivity`).
     """
+    if system.vectorized:
+        return system.rhs, system.state_jacobian
 
     def over_lanes(fn):
         def batched(t, x):
-            if len(x) == 1:
-                return np.asarray(fn(t[0], x[0]), dtype=float)[None]
-            if system.vectorized:
-                return np.ascontiguousarray(fn(t, x), dtype=float)
             return np.array([fn(ti, xi) for ti, xi in zip(t, x)], dtype=float)
 
         return batched
@@ -298,7 +311,14 @@ def flow(system, x0, duration, cfg=None):
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
     rhs, _ = _lane_functions(system)
-    return _integrate(system, rhs, xs, ts, cfg or DEFAULT_CONFIG).reshape(x0.shape)
+
+    def stage(t, x, out):
+        if len(x) == 1:  # a single state runs on numpy scalars, not length-1 arrays
+            out[0] = system.rhs(t[0], x[0])
+        else:
+            out[...] = rhs(t, x)
+
+    return _integrate(system, stage, xs, ts, cfg or DEFAULT_CONFIG).reshape(x0.shape)
 
 
 def flow_with_sensitivity(system, x0, duration, cfg=None):
@@ -314,12 +334,15 @@ def flow_with_sensitivity(system, x0, duration, cfg=None):
     n = system.dim
     rhs, jac = _lane_functions(system)
 
-    def augmented(t, z):
-        x = z[:, :n]
-        sens = z[:, n:].reshape(len(z), n, n)
-        return np.concatenate(
-            [rhs(t, x), (jac(t, x) @ sens).reshape(len(z), n * n)], axis=1
-        )
+    def augmented(t, z, out):
+        f, df = rhs, jac
+        if len(z) == 1:  # a single state runs on numpy scalars, not length-1 arrays
+            f, df, t, z, out = system.rhs, system.state_jacobian, t[0], z[0], out[0]
+        x = z[..., :n]
+        shape = z.shape[:-1] + (n, n)
+        out[..., :n] = f(t, x)
+        # out's last axis is contiguous, so the reshape is a view into it
+        np.matmul(df(t, x), z[..., n:].reshape(shape), out=out[..., n:].reshape(shape))
 
     identity = np.broadcast_to(np.eye(n).ravel(), (len(xs), n * n))
     z_end = _integrate(
@@ -327,7 +350,9 @@ def flow_with_sensitivity(system, x0, duration, cfg=None):
     )
     end_state = z_end[:, :n]
     result = FlowResult(
-        end_state, z_end[:, n:].reshape(len(xs), n, n), rhs(ts, end_state)
+        end_state,
+        z_end[:, n:].reshape(len(xs), n, n),
+        np.ascontiguousarray(rhs(ts, end_state), dtype=float),
     )
     if x0.ndim == 1:
         return FlowResult(

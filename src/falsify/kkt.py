@@ -86,6 +86,15 @@ class SaddleSystem:
     def rhs(self):
         return np.concatenate([self.rhs_top, self.rhs_bottom])
 
+    def is_finite(self):
+        """True when H, B and both right-hand sides hold only finite numbers."""
+        return bool(
+            np.isfinite(self.hess.mat).all()
+            and np.isfinite(self.jac.data).all()
+            and np.isfinite(self.rhs_top).all()
+            and np.isfinite(self.rhs_bottom).all()
+        )
+
     def residual(self, d_x, d_lam):
         """True 2-norm residual of the full system at (d_x, d_lam)."""
         top = self.hess.matvec(d_x) - self.rhs_top + self.jac @ d_lam

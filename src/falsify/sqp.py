@@ -11,7 +11,7 @@ integration failure at the incumbent point.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -240,8 +240,12 @@ def _solve_step(system, method):
     diagonal of U is rank deficient, or the residual check fails) falls back
     to the dense minimum-norm least-squares direction with the line search
     started at alpha = 1/2 instead of 1.  Returns the solution, the initial
-    step length and the name of the rung that solved.
+    step length and the name of the rung that solved.  A system holding a
+    NaN or an infinity raises :class:`SingularSystem` before any rung runs:
+    no rung can solve it, and each would fail in its own way.
     """
+    if not system.is_finite():
+        raise SingularSystem("non-finite saddle system: H, B or the rhs holds NaN or inf")
     if method == "ppcg":
         try:
             return solve_ppcg(system), 1.0, "ppcg"
@@ -277,8 +281,12 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
 
     ``kkt_observer``, when given, receives each assembled
     :class:`~falsify.kkt.SaddleSystem` before it is solved (used by the
-    solver cross-check suites).  Two runs with identical inputs produce
-    identical traces.  B is built once per accepted point.
+    solver cross-check suites).  Its ``hess`` is a copy of the run's Hessian
+    approximation, so a kept system still describes the step it produced
+    after later BFGS updates; without an observer nothing is copied.  Two
+    runs with identical inputs produce identical traces.  B is built once
+    per accepted point.  A saddle system that is not finite raises
+    :class:`~falsify.kkt.SingularSystem`.
     """
     cfg = cfg or SqpConfig()
     n = instance.system.dim
@@ -310,7 +318,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
 
         system = SaddleSystem(hess, jac, -grad_l, -c_val)
         if kkt_observer is not None:
-            kkt_observer(system)
+            kkt_observer(replace(system, hess=hess.copy()))
         solution, alpha_start, rung = _solve_step(system, cfg.kkt_method)
         d_x, d_lam = solution.d_x, solution.d_lambda
 

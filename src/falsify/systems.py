@@ -20,8 +20,12 @@ class OdeSystem:
     ``rhs`` and ``state_jacobian`` must be defined for all finite t
     (including t < 0) and all finite states.  When ``vectorized`` is set
     they also accept a batch: times of shape (...) and states of shape
-    (..., n), giving (..., n) and (..., n, n), each lane computed exactly as
-    a single call would.  Other systems are called once per lane.
+    (..., n), giving float arrays of shape (..., n) and (..., n, n), each
+    lane computed exactly as a single call would.  The integrator calls them
+    on the batch directly and hands the Jacobians to ``np.matmul`` as they
+    are, so they should be C-contiguous: numpy may round a product with a
+    strided operand differently, and a batched lane would then no longer be
+    bitwise equal to a single call.  Other systems are called once per lane.
     """
 
     dim: int
@@ -56,7 +60,9 @@ def _rotate(x):
 
 def _rotation_jacobian(a_mat, x):
     """A copy of ``a_mat`` per lane of ``x``."""
-    return np.broadcast_to(a_mat, x.shape[:-1] + a_mat.shape).copy()
+    out = np.empty(x.shape[:-1] + a_mat.shape)
+    out[...] = a_mat
+    return out
 
 
 def benchmark1(n):
@@ -67,14 +73,15 @@ def benchmark1(n):
     is A plus cos terms on the anti-diagonal.
     """
     a_mat = rotation_matrix(n)
-    idx = np.arange(n)
+    # entries (i, n-1-i) of a flattened n x n matrix, i = 0 .. n-1
+    anti_diagonal = slice(n - 1, n * n - 1, n - 1)
 
     def rhs(t, x):
         return _rotate(x) + np.sin(x[..., ::-1])
 
     def jac(t, x):
         out = _rotation_jacobian(a_mat, x)
-        out[..., idx, n - 1 - idx] += np.cos(x[..., n - 1 - idx])
+        out.reshape(x.shape[:-1] + (n * n,))[..., anti_diagonal] += np.cos(x[..., ::-1])
         return out
 
     return OdeSystem(n, rhs, jac, f"benchmark1(n={n})", vectorized=True)
@@ -104,14 +111,12 @@ def benchmark2():
     def jac(t, x):
         x1, x2, x3 = x.T
         one = x3 ** 0  # 1.0 in the shape of a component, cheap for scalars
-        # listed column by column, so that the final .T yields the rows
-        return np.array(
-            [
-                [x3, one, -2.0 * x1],
-                [-one, x3, -2.0 * x2],
-                [x1, x2, -1.0 + 2.0 * x3],
-            ]
-        ).T
+        # the nine entries row by row; .T puts the lane axes back in front,
+        # in C order for batches (a single state is already contiguous)
+        entries = np.array(
+            [x3, -one, x1, one, x3, x2, -2.0 * x1, -2.0 * x2, -1.0 + 2.0 * x3]
+        )
+        return np.ascontiguousarray(entries.T).reshape(x.shape + (3,))
 
     return OdeSystem(3, rhs, jac, "benchmark2", vectorized=True)
 

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from falsify.integrate import DEFAULT_CONFIG, IntegratorConfig
 from falsify.kkt import KktSolution, SingularSystem
 from falsify.shooting import Ellipsoid, ProblemInstance, ShootingVector, evaluate_many, unpack
-from falsify.systems import benchmark2, benchmark3
+from falsify.systems import benchmark2, benchmark3, rotation_matrix
 
 # finite differences need flows far more accurate than the default solver
 # tolerances, otherwise integrator noise dominates the h^2 truncation error
@@ -145,6 +145,56 @@ def unpack_flat(instance, flat):
 
 
 # ---------------------------------------------------------------------------
+# reference formulas of the built-in systems
+
+# The right-hand sides and state Jacobians of benchmark1/2/3 as first
+# written: broadcast copies of the rotation generator, a fancy-indexed
+# anti-diagonal and transposed nested lists.  The library builds the same
+# numbers with fewer copies and must match these bit for bit.
+
+
+def _reference_rotate(x):
+    out = np.empty_like(x)
+    out[..., 0::2] = x[..., 1::2]
+    out[..., 1::2] = -x[..., 0::2]
+    return out
+
+
+def reference_functions(name, n):
+    """(rhs, state_jacobian) of built-in system ``name`` of dimension ``n``."""
+    if name == "benchmark2":
+
+        def rhs(t, x):
+            x1, x2, x3 = x.T
+            return np.array([-x2 + x1 * x3, x1 + x2 * x3, -x3 - x1 * x1 - x2 * x2 + x3 * x3]).T
+
+        def jac(t, x):
+            x1, x2, x3 = x.T
+            one = x3 ** 0
+            return np.array(
+                [[x3, one, -2.0 * x1], [-one, x3, -2.0 * x2], [x1, x2, -1.0 + 2.0 * x3]]
+            ).T
+
+        return rhs, jac
+
+    a_mat = rotation_matrix(n)
+    idx = np.arange(n)
+
+    def rotation_jacobian(t, x):
+        return np.broadcast_to(a_mat, x.shape[:-1] + a_mat.shape).copy()
+
+    if name == "benchmark3":
+        return (lambda t, x: _reference_rotate(x)), rotation_jacobian
+
+    def benchmark1_jac(t, x):
+        out = rotation_jacobian(t, x)
+        out[..., idx, n - 1 - idx] += np.cos(x[..., n - 1 - idx])
+        return out
+
+    return (lambda t, x: _reference_rotate(x) + np.sin(x[..., ::-1])), benchmark1_jac
+
+
+# ---------------------------------------------------------------------------
 # serial reference integrator
 
 # A one-IVP-at-a-time Dormand-Prince loop with the library's coefficients
@@ -203,7 +253,7 @@ def _serial_rk45(fun, y0, duration, rtol, atol, max_steps):
         steps += 1
         if abs(h) > abs(t_end - t):
             h = t_end - t
-        if abs(h) < 1e-15 * max(abs(t), 1.0):
+        elif abs(h) < 1e-15 * max(abs(t), 1.0) and abs(h) < abs(t_end - t):
             raise RuntimeError("step size underflow")
         for s in range(1, 6):
             k[s] = fun(t + _C[s] * h, y + h * (_A[s] @ k[:s]))

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from falsify.bench import make_system
 from falsify.integrate import (
     DEFAULT_CONFIG,
     IntegrationFailure,
@@ -189,6 +193,61 @@ def test_lanes_that_reject_steps_match_single_and_serial_runs():
         end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
         np.testing.assert_allclose(batch.end_state[i], end, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(batch.sensitivity[i], sens, rtol=0.0, atol=1e-13)
+
+
+BUILT_IN = [("benchmark1", 2), ("benchmark1", 4), ("benchmark2", 3), ("benchmark3", 2),
+            ("benchmark3", 4)]
+# durations of both signs, exact zeros among them
+DURATIONS = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def random_batches(draw):
+    """A built-in system, B <= 12 start states near the unit vector, B durations."""
+    name, n = draw(st.sampled_from(BUILT_IN))
+    lanes = draw(st.integers(1, 12))
+    x0 = draw(hnp.arrays(float, (lanes, n), elements=st.floats(0.6, 1.4)))
+    durations = draw(hnp.arrays(float, lanes, elements=DURATIONS))
+    return make_system(name, n), x0, durations
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(random_batches())
+def test_random_batch_lanes_equal_single_calls_and_the_serial_loop(case):
+    system, x0, durations = case
+    ends = flow(system, x0, durations)
+    batch = flow_with_sensitivity(system, x0, durations)
+    for i in range(len(x0)):
+        np.testing.assert_array_equal(ends[i], flow(system, x0[i], durations[i]))
+        single = flow_with_sensitivity(system, x0[i], durations[i])
+        np.testing.assert_array_equal(batch.end_state[i], single.end_state)
+        np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
+        np.testing.assert_array_equal(batch.end_derivative[i], single.end_derivative)
+        end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
+        np.testing.assert_allclose(batch.end_state[i], end, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(batch.sensitivity[i], sens, rtol=0.0, atol=1e-13)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.sampled_from(BUILT_IN), hnp.arrays(float, 4, elements=st.floats(0.6, 1.4)),
+       DURATIONS)
+def test_flowing_back_returns_to_the_start(built_in, x0, duration):
+    name, n = built_in
+    system = make_system(name, n)
+    there = flow(system, x0[:n], duration, TIGHT)
+    np.testing.assert_allclose(flow(system, there, -duration, TIGHT), x0[:n], rtol=0.0, atol=1e-9)
+
+
+def test_durations_shorter_than_the_underflow_threshold_take_one_step():
+    # the step is cut to the end time, not chosen by the controller, so it
+    # must not count as a step-size underflow
+    system = benchmark2()
+    x0 = np.array([[1.0, 0.5, -0.25], [0.3, 1.0, 0.8], [1.0, 1.0, 1.0]])
+    durations = np.array([1e-200, -1e-16, 5e-16])
+    ends = flow(system, x0, durations)
+    for i in range(len(x0)):
+        np.testing.assert_allclose(ends[i], x0[i], rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(ends[i], serial_flow(system, x0[i], durations[i]))
 
 
 def test_scalar_duration_broadcasts_over_lanes():

@@ -25,7 +25,7 @@ from falsify.shooting import (
     ShootingVector,
     evaluate_segments,
 )
-from falsify.kkt import SaddleSystem
+from falsify.kkt import SaddleSystem, SingularSystem
 from falsify.sqp import (
     RunReport,
     SqpConfig,
@@ -88,12 +88,31 @@ def test_recorded_merit_zero_is_the_merit_at_alpha_zero(name):
     form = Formulation.by_name(name)
     cfg = SqpConfig(max_iter=1)
     steps = []
-    # solved on sight: the run updates the Hessian the system refers to
+    # solved inside the observer, before the run's Hessian update
     report = run(
         form, instance, guess, cfg,
         kkt_observer=lambda system: steps.append(_solve_step(system, cfg.kkt_method)),
     )
     solution, _, _ = steps[0]
+    lam = Multipliers.zeros(form.constraints, 3, 4)
+    value = merit(
+        form, instance, guess, lam, solution.d_x, solution.d_lambda,
+        alpha=0.0, omega=cfg.omega, cfg=cfg.integrator,
+    )
+    assert value == report.trace[0].merit_zero
+
+
+def test_kept_observer_system_re_solves_to_the_recorded_merit():
+    """The observer's system is a snapshot: the Hessian update after the
+    step does not reach it, so solving it after the run gives the step."""
+    instance = benchmark2_instance(n_segments=4)
+    guess = initial_guess(instance, 4)
+    form = Formulation.by_name("eq8")
+    cfg = SqpConfig(max_iter=1)
+    seen = []
+    report = run(form, instance, guess, cfg, kkt_observer=seen.append)
+    assert report.nit == 1 and len(seen) == 1
+    solution, _, _ = _solve_step(seen[0], cfg.kkt_method)
     lam = Multipliers.zeros(form.constraints, 3, 4)
     value = merit(
         form, instance, guess, lam, solution.d_x, solution.d_lambda,
@@ -447,6 +466,15 @@ def test_singular_system_falls_back_to_least_squares():
         solution, alpha_start, rung = _solve_step(system, method)
         assert rung == "lstsq" and alpha_start == 0.5
         assert np.all(np.isfinite(solution.d_x))
+
+
+@pytest.mark.parametrize("method", ["ppcg", "direct"])
+def test_non_finite_system_raises_singular_before_any_rung(method):
+    hess = HessianApprox("full", 2, 1, np.eye(3))
+    hess.mat[0, 0] = np.nan
+    system = SaddleSystem(hess, sp.csc_matrix(np.ones((3, 1))), np.ones(3), np.ones(1))
+    with pytest.raises(SingularSystem, match="non-finite saddle system"):
+        _solve_step(system, method)
 
 
 def test_large_well_conditioned_system_solves_directly():

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from falsify.bench import make_system
 from falsify.systems import OdeSystem, benchmark1, benchmark2, benchmark3, rotation_matrix
+
+from oracles import reference_functions
 
 
 def fd_jacobian_of_rhs(system, x, h=1e-6):
@@ -103,3 +109,30 @@ def test_dimension_validation():
         benchmark1(3)
     with pytest.raises(ValueError):
         benchmark3(5)
+
+
+BUILT_IN = [("benchmark1", 2), ("benchmark1", 4), ("benchmark1", 6), ("benchmark2", 3),
+            ("benchmark3", 2), ("benchmark3", 4)]
+
+
+@st.composite
+def built_in_states(draw):
+    """A built-in system and a time and state of shape (), (B,) or (B1, B2)."""
+    name, n = draw(st.sampled_from(BUILT_IN))
+    batch = draw(st.sampled_from([(), (1,), (7,), (3, 4)]))
+    x = draw(hnp.arrays(float, batch + (n,), elements=st.floats(-1e3, 1e3)))
+    t = draw(hnp.arrays(float, batch, elements=st.floats(-10.0, 10.0)))
+    return name, n, t[()] if not batch else t, x
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(built_in_states())
+def test_built_in_functions_equal_the_reference_formulas(case):
+    name, n, t, x = case
+    system = make_system(name, n)
+    ref_rhs, ref_jac = reference_functions(name, n)
+    rhs, jac = system.rhs(t, x), system.state_jacobian(t, x)
+    assert rhs.shape == x.shape and jac.shape == x.shape + (n,)
+    assert jac.flags.c_contiguous
+    np.testing.assert_array_equal(rhs, ref_rhs(t, x))
+    np.testing.assert_array_equal(jac, ref_jac(t, x))
