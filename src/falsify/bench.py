@@ -10,6 +10,7 @@ whose candidate fails any check are flagged "F" in the result table.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -77,10 +78,10 @@ class BenchSpec:
     def __post_init__(self):
         if self.system not in SYSTEM_NAMES:
             raise ValueError(f"unknown system {self.system!r}")
-        if self.radius <= 0 or self.horizon <= 0:
-            raise ValueError("radius and horizon must be positive")
-        if self.eps4 <= 0:
-            raise ValueError("eps4 must be positive")
+        for name in ("horizon", "radius", "eps4"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and positive")
 
     def sqp_config(self):
         return SqpConfig(

@@ -26,6 +26,7 @@ from .bench import (
     emit_csv,
     generate_instance,
     initial_guess,
+    make_system,
     run_table,
     verify,
 )
@@ -56,23 +57,26 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
 
 
+# [sqp] key -> (SqpConfig field, or IntegratorConfig field after "integrator.", type)
+_SQP_KEYS = {
+    "omega": ("omega", float),
+    "delta": ("delta", float),
+    "eps1": ("eps1", float),
+    "eps2": ("eps2", float),
+    "eps3": ("eps3", float),
+    "max_iter": ("max_iter", int),
+    "backtrack_factor": ("backtrack_factor", float),
+    "hessian": ("hessian_variant", str),
+    "kkt": ("kkt_method", str),
+    "rel_tol": ("integrator.rel_tol", float),
+    "abs_tol": ("integrator.abs_tol", float),
+    "max_steps": ("integrator.max_steps", int),
+}
+
 _KNOWN_KEYS = {
     "problem": ("system", "dim", "segments", "horizon", "radius", "eps4"),
     "formulation": ("name", "objective", "regularizer", "constraints"),
-    "sqp": (
-        "omega",
-        "delta",
-        "eps1",
-        "eps2",
-        "eps3",
-        "max_iter",
-        "backtrack_factor",
-        "hessian",
-        "kkt",
-        "rel_tol",
-        "abs_tol",
-        "max_steps",
-    ),
+    "sqp": tuple(_SQP_KEYS),
     "output": ("report", "table", "trace", "dump_trajectory"),
 }
 
@@ -159,36 +163,32 @@ def load_config(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    integrator_kwargs = {}
-    for key, target in (("rel_tol", "rel_tol"), ("abs_tol", "abs_tol"), ("max_steps", "max_steps")):
-        value = fetch("sqp", key, None, int if key == "max_steps" else float)
+    kwargs = {"sqp": {}, "integrator": {}}
+    flags = {"hessian": args.hessian, "kkt": args.kkt}
+    for key, (target, kind) in _SQP_KEYS.items():
+        value = flags.get(key) or fetch("sqp", key, None, kind)
         if value is not None:
-            integrator_kwargs[target] = value
-    sqp_kwargs = {}
-    for key, kind in (
-        ("omega", float),
-        ("delta", float),
-        ("eps1", float),
-        ("eps2", float),
-        ("eps3", float),
-        ("max_iter", int),
-        ("backtrack_factor", float),
-    ):
-        value = fetch("sqp", key, None, kind)
-        if value is not None:
-            sqp_kwargs[key] = value
-    hessian = args.hessian or fetch("sqp", "hessian", None)
-    kkt = args.kkt or fetch("sqp", "kkt", None)
-    if hessian is not None:
-        sqp_kwargs["hessian_variant"] = hessian
-    if kkt is not None:
-        sqp_kwargs["kkt_method"] = kkt
+            owner, _, attr = target.rpartition(".")
+            kwargs[owner or "sqp"][attr] = value
     try:
-        if integrator_kwargs:
-            sqp_kwargs["integrator"] = IntegratorConfig(**integrator_kwargs)
-        cfg.sqp = SqpConfig(**sqp_kwargs)
+        if kwargs["integrator"]:
+            kwargs["sqp"]["integrator"] = IntegratorConfig(**kwargs["integrator"])
+        cfg.sqp = SqpConfig(**kwargs["sqp"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+    # reject [problem] values no instance can be built from before any solve
+    try:
+        _bench_spec(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [problem] value: {exc}") from exc
+    for dim in cfg.dims:
+        try:
+            make_system(cfg.system, dim)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for problem.dim: {exc}") from exc
+    if min(cfg.segments) < 1:
+        raise ConfigError("invalid value for problem.segments: need at least one segment")
 
     cfg.report_path = Path(fetch("output", "report", cfg.report_path))
     cfg.table_path = Path(fetch("output", "table", cfg.table_path))

@@ -72,8 +72,8 @@ class IntegratorConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(tol > 0 and math.isfinite(tol) for tol in (self.rel_tol, self.abs_tol)):
+            raise ValueError("tolerances must be finite and strictly positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 

@@ -8,6 +8,7 @@ duration t_i.  The packed parameter vector interleaves them as
 and every derivative in the optimizer is laid out in this order.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -52,8 +53,8 @@ class Ellipsoid:
 
     @classmethod
     def ball(cls, center, radius):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError("radius must be finite and positive")
         center = np.asarray(center, dtype=float)
         return cls(center, np.eye(center.size) / radius**2)
 

@@ -4,15 +4,18 @@ Each iteration linearizes the constraints, solves the saddle-point system
 for a primal-dual step, backtracks on an augmented-Lagrangian merit
 function until the sufficient-decrease test holds, then applies the common
 step length to both the shooting vector and the multipliers and refreshes
-the quasi-Newton Hessian.  Termination causes mirror the stopping criteria
-S1 (converged), S2 (iteration budget), S3 (step length underflow), plus an
-integration failure at the incumbent point.
+the quasi-Newton Hessian.  Every shooting vector the run evaluates, the
+initial point and each trial, is integrated and given its F + R and c
+once; the accepted trial becomes the next iterate as it is, and only grad
+F, B and grad L are built on top of it.  Termination causes mirror the
+stopping criteria S1 (converged), S2 (iteration budget), S3 (step length
+underflow), plus an integration failure at the incumbent point.
 """
 
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .formulation import (
     objective_value,
 )
 from .hessian import VARIANTS, init_identity
-from .integrate import DEFAULT_CONFIG, IntegrationFailure, IntegratorConfig
+from .integrate import DEFAULT_CONFIG, FlowResult, IntegrationFailure, IntegratorConfig
 from .kkt import (
     Breakdown,
     KktSolution,
@@ -35,7 +38,7 @@ from .kkt import (
     solve_direct,
     solve_ppcg,
 )
-from .shooting import evaluate_segments, pack, unpack
+from .shooting import ShootingVector, evaluate_segments, pack, unpack
 
 __all__ = [
     "KKT_METHODS",
@@ -81,8 +84,9 @@ class SqpConfig:
 
     def __post_init__(self):
         for name in ("omega", "eps1", "eps2", "eps3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.backtrack_factor < 1.0:
@@ -140,30 +144,45 @@ def _merit_value(objective, lam_new_flat, c_val, omega):
     return value + 0.5 * omega * float(c_val @ c_val)
 
 
-def _trial_merit(formulation, instance, base_flat, lam_new_flat, d_x, omega, cfg):
-    """Returns a callable alpha -> (merit value, trial vector, trial flows).
+class _Point(NamedTuple):
+    """One evaluated shooting vector: its segment flows, F + R and c."""
 
-    Integration failure at a trial point yields +inf (the step is simply
-    rejected); the incumbent is never touched here.
+    vec: ShootingVector
+    flows: FlowResult
+    objective: float
+    c_val: np.ndarray
+
+
+def _evaluate(formulation, instance, vec, cfg):
+    """The :class:`_Point` at ``vec``; raises :class:`IntegrationFailure`."""
+    flows = evaluate_segments(instance, vec, cfg)
+    return _Point(
+        vec,
+        flows,
+        objective_value(formulation, instance, vec, flows),
+        constraint_value(formulation.constraints, instance, vec, flows),
+    )
+
+
+def _trial(formulation, instance, base_flat, d_x, alpha, lam_new_flat, omega, cfg):
+    """(m(alpha), point) at the trial vector base + alpha d_x.
+
+    Integration failure at the trial point yields (+inf, None): the step is
+    simply rejected, and the incumbent is never touched here.
     """
-    n = instance.system.dim
-    n_seg = instance.n_segments
+    vec = unpack(base_flat + alpha * d_x, instance.system.dim, instance.n_segments)
+    try:
+        point = _evaluate(formulation, instance, vec, cfg)
+    except IntegrationFailure:
+        return math.inf, None
+    return _merit_value(point.objective, lam_new_flat, point.c_val, omega), point
 
-    def evaluate(alpha):
-        vec = unpack(base_flat + alpha * d_x, n, n_seg)
-        try:
-            flows = evaluate_segments(instance, vec, cfg)
-        except IntegrationFailure:
-            return math.inf, vec, None
-        value = _merit_value(
-            objective_value(formulation, instance, vec, flows),
-            lam_new_flat,
-            constraint_value(formulation.constraints, instance, vec, flows),
-            omega,
-        )
-        return value, vec, flows
 
-    return evaluate
+def _merit_slope(grad_f, jac, c_val, lam_new_flat, d_x, omega):
+    """m'(0) = d_x^T grad F + d_x^T B(lam+d_lam) + omega d_x^T B c, added in that order."""
+    slope = float(d_x @ grad_f)
+    slope += float(d_x @ (jac @ lam_new_flat))
+    return slope + omega * float(d_x @ (jac @ c_val))
 
 
 def merit(formulation, instance, vec, lam, d_x, d_lam, alpha, omega, cfg=None):
@@ -171,38 +190,28 @@ def merit(formulation, instance, vec, lam, d_x, d_lam, alpha, omega, cfg=None):
 
     Returns +inf when the trial point fails to integrate.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    lam_new = lam.flat + d_lam
-    evaluate = _trial_merit(
-        formulation, instance, pack(vec), lam_new, d_x, omega, cfg
+    value, _ = _trial(
+        formulation, instance, pack(vec), d_x, alpha, lam.flat + d_lam, omega,
+        cfg or DEFAULT_CONFIG,
     )
-    value, _, _ = evaluate(alpha)
     return value
 
 
 def merit_derivative_at_zero(
-    formulation, instance, vec, lam, d_x, d_lam, omega, flows=None, cfg=None,
-    *, grad_f=None, jac=None, c_val=None,
+    formulation, instance, vec, lam, d_x, d_lam, omega, flows=None, cfg=None
 ):
-    """Directional derivative m'(0) = d_x^T (grad F + B(lam+d_lam)) + omega d_x^T B c.
-
-    ``grad_f``, ``jac`` and ``c_val`` pass in grad F, B and c where the
-    caller already has them at ``vec``; they are computed otherwise.
-    """
-    cfg = cfg or DEFAULT_CONFIG
+    """Directional derivative m'(0) = d_x^T (grad F + B(lam+d_lam)) + omega d_x^T B c."""
     if flows is None:
-        flows = evaluate_segments(instance, vec, cfg)
-    if grad_f is None:
-        grad_f = objective_gradient(formulation, instance, vec, flows)
-    slope = float(d_x @ grad_f)
+        flows = evaluate_segments(instance, vec, cfg or DEFAULT_CONFIG)
     kind = formulation.constraints
-    if jac is None:
-        jac = constraint_jacobian(kind, instance, vec, flows)
-    if c_val is None:
-        c_val = constraint_value(kind, instance, vec, flows)
-    slope += float(d_x @ (jac @ (lam.flat + d_lam)))
-    slope += omega * float(d_x @ (jac @ c_val))
-    return slope
+    return _merit_slope(
+        objective_gradient(formulation, instance, vec, flows),
+        constraint_jacobian(kind, instance, vec, flows),
+        constraint_value(kind, instance, vec, flows),
+        lam.flat + d_lam,
+        d_x,
+        omega,
+    )
 
 
 def line_search(
@@ -263,17 +272,17 @@ def _solve_step(system, method):
         return KktSolution(d_x, d_lam, residual, 0), 0.5, "lstsq"
 
 
-def _linearize(formulation, instance, vec, lam, flows):
-    """(grad F, B, c, grad L) at an accepted point.
+def _linearize(formulation, instance, point, lam):
+    """(grad F, B, grad L) at an accepted point.
 
     B is the sparse (m1, m2) constraint Jacobian; the unconstrained
     formulations get an empty (m1, 0) B like any other.
     """
-    kind = formulation.constraints
+    vec, flows = point.vec, point.flows
     grad_f = objective_gradient(formulation, instance, vec, flows)
-    jac = constraint_jacobian(kind, instance, vec, flows)
+    jac = constraint_jacobian(formulation.constraints, instance, vec, flows)
     grad_l = lagrangian_gradient(formulation, instance, vec, lam, flows, grad_f=grad_f, jac=jac)
-    return grad_f, jac, constraint_value(kind, instance, vec, flows), grad_l
+    return grad_f, jac, grad_l
 
 
 def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
@@ -284,97 +293,75 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     solver cross-check suites).  Its ``hess`` is a copy of the run's Hessian
     approximation, so a kept system still describes the step it produced
     after later BFGS updates; without an observer nothing is copied.  Two
-    runs with identical inputs produce identical traces.  B is built once
-    per accepted point.  A saddle system that is not finite raises
+    runs with identical inputs produce identical traces.  Each shooting
+    vector is evaluated once: the accepted trial point, with its flows, F
+    and c, becomes the next iterate, and B is built once per accepted
+    point.  A saddle system that is not finite raises
     :class:`~falsify.kkt.SingularSystem`.
     """
     cfg = cfg or SqpConfig()
-    n = instance.system.dim
-    n_seg = instance.n_segments
-
-    vec = X_init
-    lam = Multipliers.zeros(formulation.constraints, n, n_seg)
-    hess = init_identity(cfg.hessian_variant, n, n_seg)
+    lam = Multipliers.zeros(formulation.constraints, instance.system.dim, instance.n_segments)
+    hess = init_identity(cfg.hessian_variant, instance.system.dim, instance.n_segments)
+    try:
+        point = _evaluate(formulation, instance, X_init, cfg.integrator)
+    except IntegrationFailure:
+        return RunReport(0, Termination.INTEGRATION_FAILURE, X_init, math.nan, math.nan, (), lam)
+    grad_f, jac, grad_l = _linearize(formulation, instance, point, lam)
     trace = []
 
-    def report(nit, cause, objective, cnorm):
-        return RunReport(nit, cause, vec, objective, cnorm, tuple(trace), lam)
-
-    try:
-        flows = evaluate_segments(instance, vec, cfg.integrator)
-    except IntegrationFailure:
-        return report(0, Termination.INTEGRATION_FAILURE, math.nan, math.nan)
-    grad_f, jac, c_val, grad_l = _linearize(formulation, instance, vec, lam, flows)
+    def report(cause):
+        return RunReport(it, cause, point.vec, point.objective, cnorm, tuple(trace), lam)
 
     it = 0
     while True:
-        objective = objective_value(formulation, instance, vec, flows)
         gnorm = float(np.linalg.norm(grad_l))
-        cnorm = float(np.linalg.norm(c_val))
+        cnorm = float(np.linalg.norm(point.c_val))
         if gnorm < cfg.eps1 and cnorm < cfg.eps2:
-            return report(it, Termination.S1_CONVERGED, objective, cnorm)
+            return report(Termination.S1_CONVERGED)
         if it >= cfg.max_iter:
-            return report(it, Termination.S2_MAXIT, objective, cnorm)
+            return report(Termination.S2_MAXIT)
 
-        system = SaddleSystem(hess, jac, -grad_l, -c_val)
+        system = SaddleSystem(hess, jac, -grad_l, -point.c_val)
         if kkt_observer is not None:
             kkt_observer(replace(system, hess=hess.copy()))
         solution, alpha_start, rung = _solve_step(system, cfg.kkt_method)
         d_x, d_lam = solution.d_x, solution.d_lambda
 
         lam_new_flat = lam.flat + d_lam
-        flat = pack(vec)
-        merit_zero = _merit_value(objective, lam_new_flat, c_val, cfg.omega)
-        slope = merit_derivative_at_zero(
-            formulation, instance, vec, lam, d_x, d_lam, cfg.omega,
-            flows=flows, grad_f=grad_f, jac=jac, c_val=c_val,
-        )
+        flat = pack(point.vec)
+        merit_zero = _merit_value(point.objective, lam_new_flat, point.c_val, cfg.omega)
+        slope = _merit_slope(grad_f, jac, point.c_val, lam_new_flat, d_x, cfg.omega)
+        # line_search accepts the last alpha it evaluates
+        trials = []
 
-        evaluate = _trial_merit(
-            formulation, instance, flat, lam_new_flat, d_x, cfg.omega, cfg.integrator
-        )
-        cache = {}
-
-        def cached(alpha, _evaluate=evaluate, _cache=cache):
-            value, trial_vec, trial_flows = _evaluate(alpha)
-            _cache[alpha] = (trial_vec, trial_flows)
+        def evaluate(alpha):
+            value, trial = _trial(
+                formulation, instance, flat, d_x, alpha, lam_new_flat, cfg.omega,
+                cfg.integrator,
+            )
+            trials.append(trial)
             return value
 
         try:
             alpha, merit_value = line_search(
-                cached,
-                merit_zero,
-                slope,
-                cfg.delta,
-                cfg.backtrack_factor,
-                cfg.eps3,
-                alpha_start,
+                evaluate, merit_zero, slope, cfg.delta, cfg.backtrack_factor, cfg.eps3, alpha_start
             )
         except StepTooSmall:
-            return report(it, Termination.S3_STEP_TOO_SMALL, objective, cnorm)
+            return report(Termination.S3_STEP_TOO_SMALL)
 
         trace.append(
             TraceRecord(
-                it,
-                objective,
-                cnorm,
-                gnorm,
-                alpha,
-                merit_value,
-                merit_zero,
-                slope,
-                solution.cg_iterations,
-                rung,
+                it, point.objective, cnorm, gnorm, alpha, merit_value, merit_zero, slope,
+                solution.cg_iterations, rung,
             )
         )
 
-        vec_new, flows_new = cache[alpha]
         lam_new = lam.replace(lam.flat + alpha * d_lam)
         # quasi-Newton data: both gradients at the updated multipliers
         grad_old = lagrangian_gradient(
-            formulation, instance, vec, lam_new, flows, grad_f=grad_f, jac=jac
+            formulation, instance, point.vec, lam_new, point.flows, grad_f=grad_f, jac=jac
         )
-        vec, lam, flows = vec_new, lam_new, flows_new
-        grad_f, jac, c_val, grad_l = _linearize(formulation, instance, vec, lam, flows)
+        point, lam = trials[-1], lam_new
+        grad_f, jac, grad_l = _linearize(formulation, instance, point, lam)
         hess.update(alpha * d_x, grad_l - grad_old)
         it += 1

@@ -197,6 +197,10 @@ def test_spec_validation():
         small_spec(radius=0.0)
     with pytest.raises(ValueError):
         small_spec(eps4=-1.0)
+    for name in ("horizon", "radius", "eps4"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                small_spec(**{name: value})
 
 
 def test_dump_trajectory_format(tmp_path):

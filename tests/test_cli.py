@@ -109,6 +109,30 @@ def test_invalid_sqp_value_rejected(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize(
+    "problem, key",
+    [
+        ("system = benchmark3\ndim = 3", "dim"),
+        ("system = benchmark2\ndim = 4", "dim"),
+        ("segments = 0", "segments"),
+        ("radius = -1", "radius"),
+        ("radius = nan", "radius"),
+        ("horizon = 0", "horizon"),
+        ("horizon = inf", "horizon"),
+    ],
+)
+def test_invalid_problem_value_rejected(tmp_path, monkeypatch, capsys, command, problem, key):
+    monkeypatch.chdir(tmp_path)
+    config = write(tmp_path / "bad.ini", f"[problem]\n{problem}\n[output]\ntable = out.csv\n")
+    assert run_cli(command, "--config", config) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert key in err
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_unknown_formulation_name_rejected(tmp_path, capsys):
     config = write(tmp_path / "bad.ini", "[formulation]\nname = eq99\n")
     assert run_cli("solve", "--config", config) == 64

@@ -315,6 +315,13 @@ def test_lagrangian_gradient_closed_forms_agree():
         assembled = lagrangian_gradient(form, instance, vec, lam, flows)
         direct = lagrangian_gradient_direct(form, instance, vec, lam, flows)
         np.testing.assert_allclose(direct, assembled, rtol=1e-12, atol=1e-12)
+        # the SQP driver passes in the grad F and B it already built
+        given = lagrangian_gradient(
+            form, instance, vec, lam, flows,
+            grad_f=objective_gradient(form, instance, vec, flows),
+            jac=constraint_jacobian(form.constraints, instance, vec, flows),
+        )
+        assert given.tobytes() == assembled.tobytes()
 
 
 def test_lagrangian_gradient_direct_rejects_unsupported_combo():

@@ -312,6 +312,10 @@ def test_step_budget_exhaustion_raises():
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=-1.0)
+    for name in ("rel_tol", "abs_tol"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tolerances"):
+                IntegratorConfig(**{name: value})
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
 

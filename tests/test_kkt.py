@@ -152,14 +152,16 @@ def test_direct_solve_agrees_with_the_three_pass_oracle():
 
 
 @st.composite
-def structured_saddle_systems(draw):
+def structured_saddle_systems(draw, definite=None):
     """A saddle system with H in one variant's pattern, SPD or indefinite but
-    nonsingular (diagonally dominant), and a full-rank sparse B."""
+    nonsingular (diagonally dominant), and a full-rank sparse B.
+    ``definite=True`` keeps H positive definite."""
     variant = draw(st.sampled_from(VARIANTS))
     n, n_segments = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     m1 = n_segments * (n + 1)
     m2 = draw(st.integers(0, m1))
-    definite = draw(st.booleans())
+    if definite is None:
+        definite = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     block = np.arange(m1) // (n + 1)
@@ -187,6 +189,15 @@ def structured_saddle_systems(draw):
 @given(structured_saddle_systems())
 def test_direct_solve_agrees_with_the_oracle_on_structured_systems(system):
     assert_agrees_with_the_three_pass_oracle(system)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(structured_saddle_systems(definite=True))
+def test_both_solvers_meet_the_kkt_residual_on_positive_definite_systems(system):
+    scale = np.linalg.norm(system.rhs())
+    for solve in (solve_ppcg, solve_direct):
+        solution = solve(system)
+        assert system.residual(solution.d_x, solution.d_lambda) <= 1e-10 * scale, solve.__name__
 
 
 def test_nearly_parallel_constraints_are_singular():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
 from falsify.integrate import IntegrationFailure, flow_with_sensitivity
@@ -44,8 +47,9 @@ def test_ellipsoid_validation():
         Ellipsoid(np.zeros(2), np.diag([1.0, -1.0]))  # indefinite
     with pytest.raises(ValueError):
         Ellipsoid(np.zeros(2), np.eye(3))  # center/shape mismatch
-    with pytest.raises(ValueError):
-        Ellipsoid.ball(np.zeros(2), 0.0)
+    for radius in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius"):
+            Ellipsoid.ball(np.zeros(2), radius)
 
 
 def test_pack_interleaves_states_and_durations():
@@ -63,12 +67,20 @@ def test_pack_interleaves_states_and_durations():
         assert flat[base + n] == times[i]
 
 
-def test_pack_unpack_roundtrip():
-    rng = np.random.default_rng(5)
-    vec = ShootingVector(rng.standard_normal((4, 3)), rng.uniform(0.1, 2.0, 4))
-    back = unpack(pack(vec), 3, 4)
-    np.testing.assert_array_equal(back.states, vec.states)
-    np.testing.assert_array_equal(back.times, vec.times)
+@st.composite
+def shooting_vectors(draw):
+    n, n_segments = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    states = draw(hnp.arrays(float, (n_segments, n), elements=finite))
+    return ShootingVector(states, draw(hnp.arrays(float, n_segments, elements=finite)))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(shooting_vectors())
+def test_pack_unpack_roundtrip(vec):
+    back = unpack(pack(vec), vec.dim, vec.n_segments)
+    assert back.states.tobytes() == vec.states.tobytes()
+    assert back.times.tobytes() == vec.times.tobytes()
 
 
 def test_unpack_validates_length():

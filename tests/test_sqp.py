@@ -11,9 +11,7 @@ from falsify.formulation import (
     Formulation,
     Multipliers,
     constraint_dim,
-    constraint_jacobian,
     constraint_value,
-    lagrangian_gradient,
     objective_gradient,
     objective_value,
 )
@@ -235,6 +233,10 @@ def test_config_validation():
         SqpConfig(backtrack_factor=0.0)
     with pytest.raises(ValueError):
         SqpConfig(eps1=-1.0)
+    for name in ("omega", "eps1", "eps2", "eps3"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                SqpConfig(**{name: value})
     with pytest.raises(ValueError):
         SqpConfig(hessian_variant="dense")
     with pytest.raises(ValueError):
@@ -391,31 +393,6 @@ def test_banded_variant_completes_with_valid_steps():
         )
 
 
-def test_precomputed_derivatives_give_the_same_bits():
-    instance = benchmark2_instance(n_segments=4)
-    rng = np.random.default_rng(307)
-    form = Formulation.by_name("eq8")
-    vec = random_vector_near_guess(instance, rng)
-    flows = evaluate_segments(instance, vec, TIGHT)
-    m2 = constraint_dim(form.constraints, 3, 4)
-    lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 4)
-    d_x, d_lam = rng.standard_normal(16), rng.standard_normal(m2)
-    grad_f = objective_gradient(form, instance, vec, flows)
-    jac = constraint_jacobian(form.constraints, instance, vec, flows)
-    c_val = constraint_value(form.constraints, instance, vec, flows)
-    slope = merit_derivative_at_zero(
-        form, instance, vec, lam, d_x, d_lam, 1.0, flows=flows,
-        grad_f=grad_f, jac=jac, c_val=c_val,
-    )
-    assert slope == merit_derivative_at_zero(
-        form, instance, vec, lam, d_x, d_lam, 1.0, flows=flows
-    )
-    np.testing.assert_array_equal(
-        lagrangian_gradient(form, instance, vec, lam, flows, grad_f=grad_f, jac=jac),
-        lagrangian_gradient(form, instance, vec, lam, flows),
-    )
-
-
 @pytest.mark.parametrize("name", ["eq8", "eq13"])
 def test_constraint_jacobian_is_built_once_per_iterate(monkeypatch, name):
     calls = []
@@ -435,6 +412,58 @@ def test_constraint_jacobian_is_built_once_per_iterate(monkeypatch, name):
     )
     assert report.nit > 0
     assert len(calls) == report.nit + 1
+
+
+@pytest.mark.parametrize("name", ["eq8", "eq13"])
+def test_each_shooting_vector_is_evaluated_once(monkeypatch, name):
+    """F and c are computed once per evaluated vector, the initial point and
+    each trial; the accepted trial's values carry over to the next iterate."""
+    calls = {"objective_value": 0, "constraint_value": 0}
+    trials = []
+
+    def counting(attr):
+        original = getattr(falsify.sqp, attr)
+
+        def wrapped(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    def counting_line_search(evaluate, *args):
+        def counted(alpha):
+            trials.append(alpha)
+            return evaluate(alpha)
+
+        return line_search(counted, *args)
+
+    for attr in calls:
+        monkeypatch.setattr(falsify.sqp, attr, counting(attr))
+    monkeypatch.setattr(falsify.sqp, "line_search", counting_line_search)
+    instance = benchmark2_instance(n_segments=5)
+    report = run(
+        Formulation.by_name(name), instance, initial_guess(instance, 5), SqpConfig(max_iter=30)
+    )
+    assert report.nit > 0
+    assert calls == {"objective_value": len(trials) + 1, "constraint_value": len(trials) + 1}
+
+
+@pytest.mark.parametrize("name", ["eq8", "eq13"])
+def test_recorded_merit_slope_is_the_public_derivative(name):
+    """m'(0) of the first step is bitwise the public merit_derivative_at_zero."""
+    instance = benchmark2_instance(n_segments=4)
+    guess = initial_guess(instance, 4)
+    form = Formulation.by_name(name)
+    cfg = SqpConfig(max_iter=1)
+    seen = []
+    report = run(form, instance, guess, cfg, kkt_observer=seen.append)
+    solution, _, _ = _solve_step(seen[0], cfg.kkt_method)
+    lam = Multipliers.zeros(form.constraints, 3, 4)
+    slope = merit_derivative_at_zero(
+        form, instance, guess, lam, solution.d_x, solution.d_lambda, cfg.omega,
+        cfg=cfg.integrator,
+    )
+    assert slope == report.trace[0].merit_slope
 
 
 def test_trace_names_the_kkt_rung():
