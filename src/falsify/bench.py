@@ -1,5 +1,9 @@
 """Benchmark methodology: build instances by simulation, solve, verify, tabulate.
 
+A :class:`BenchSpec` describes the problem only: the system, the sizes
+n x N, the formulation and the two balls.  How it is solved is an
+:class:`~falsify.sqp.SqpConfig`, passed to :func:`run_table` beside it.
+
 An instance is manufactured so that an error trajectory certainly exists:
 pick a center c_I, simulate the system for the horizon T to get c_U, and
 surround both points with balls of radius 1/4.  The initial guess splits
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .formulation import Formulation
-from .integrate import DEFAULT_CONFIG, IntegrationFailure
+from .integrate import IntegrationFailure
 from .shooting import Ellipsoid, ProblemInstance, ShootingVector
 from .sqp import RunReport, SqpConfig, Termination, run
 from .systems import benchmark1, benchmark2, benchmark3
@@ -62,33 +66,35 @@ def make_system(name, dim):
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """One benchmark sweep: a system family crossed with segment counts."""
+    """One benchmark sweep: a system family crossed with segment counts.
+
+    Construction is the one validity check of a problem: every dim must
+    build the system and every segment count must be at least one.  An
+    empty ``segment_counts`` is a sweep with no cells.
+    """
 
     system: str
     dims: tuple
     segment_counts: tuple
     formulation: Formulation
-    hessian_variant: str = "full"
-    kkt_method: str = "ppcg"
     horizon: float = 5.0
     radius: float = 0.25
     eps4: float = 1e-4
-    max_iter: int = 400
 
     def __post_init__(self):
         if self.system not in SYSTEM_NAMES:
             raise ValueError(f"unknown system {self.system!r}")
+        for dim in self.dims:
+            try:
+                make_system(self.system, dim)
+            except ValueError as exc:
+                raise ValueError(f"dim {dim} is invalid for {self.system}: {exc}") from None
+        if any(count < 1 for count in self.segment_counts):
+            raise ValueError(f"segments must be at least 1, got {self.segment_counts}")
         for name in ("horizon", "radius", "eps4"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and positive")
-
-    def sqp_config(self):
-        return SqpConfig(
-            hessian_variant=self.hessian_variant,
-            kkt_method=self.kkt_method,
-            max_iter=self.max_iter,
-        )
 
 
 @dataclass(frozen=True)
@@ -126,13 +132,11 @@ def perturbation(dim):
     return 0.5 * np.array([(-1.0) ** k for k in range(1, dim + 1)])
 
 
-def generate_instance(spec, dim, n_segments=None, cfg=None):
+def generate_instance(spec, dim, n_segments):
     """Instance with init ball at ones(n) and unsafe ball at its flow image."""
     system = make_system(spec.system, dim)
     c_init = np.ones(system.dim)
-    c_unsafe = integrate.flow(system, c_init, spec.horizon, cfg)
-    if n_segments is None:
-        n_segments = spec.segment_counts[0] if spec.segment_counts else 1
+    c_unsafe = integrate.flow(system, c_init, spec.horizon)
     return ProblemInstance(
         system,
         Ellipsoid.ball(c_init, spec.radius),
@@ -204,11 +208,12 @@ def _solve_cell(spec, sqp_cfg, dim, n_segments):
 
 
 def run_table(spec, sqp=None):
-    """All (n, N) cells of the sweep, in deterministic row-major order.
+    """All (n, N) cells of the sweep, in deterministic row-major order,
+    each solved with ``sqp`` (default :class:`SqpConfig`).
 
     Per-cell failures become "F" rows; they never abort the table.
     """
-    sqp_cfg = sqp or spec.sqp_config()
+    sqp_cfg = sqp or SqpConfig()
     return [
         _solve_cell(spec, sqp_cfg, dim, count)
         for dim in spec.dims
@@ -228,7 +233,7 @@ def emit_csv(rows, sink):
         writer.writerow([row.n, row.N, row.nit, row.status])
 
 
-def dump_trajectory(instance, vec, sink, cfg=None, samples_per_segment=50):
+def dump_trajectory(instance, vec, sink, samples_per_segment=50):
     """Plot-ready dump: `t x1 ... xn` per line, '#' lines between segments.
 
     Each segment is sampled at equally spaced times by chained short
@@ -237,13 +242,12 @@ def dump_trajectory(instance, vec, sink, cfg=None, samples_per_segment=50):
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", newline="") as handle:
-            dump_trajectory(instance, vec, handle, cfg, samples_per_segment)
+            dump_trajectory(instance, vec, handle, samples_per_segment)
         return
-    cfg = cfg or DEFAULT_CONFIG
     steps = vec.times / samples_per_segment
     samples = [np.asarray(vec.states, dtype=float)]
     for _ in range(samples_per_segment):
-        samples.append(integrate.flow(instance.system, samples[-1], steps, cfg))
+        samples.append(integrate.flow(instance.system, samples[-1], steps))
     offset = 0.0
     for index, (length, step) in enumerate(zip(vec.times, steps)):
         sink.write(f"# segment {index + 1}\n")

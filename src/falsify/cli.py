@@ -2,31 +2,32 @@
 
 Configuration comes from an INI file with sections [problem],
 [formulation], [sqp], [output]; a handful of flags override the most
-commonly swept fields.  Formulations are addressed by their short names
-("eq5" ... "eq13").  Exit codes: 0 success (for `solve`: converged and
-verified), 1 converged but unverified, 2 failure, 64 configuration error.
+commonly swept fields.  [problem] and [formulation] resolve to one
+BenchSpec, [sqp] to one SqpConfig.  Formulations are addressed by their
+short names ("eq5" ... "eq13").  Exit codes: 0 success (for `solve`:
+converged and verified), 1 converged but unverified, 2 failure, 64
+configuration error.
 """
 
 import argparse
 import configparser
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .bench import (
-    SYSTEM_NAMES,
     BenchSpec,
     dump_trajectory,
     emit_csv,
     generate_instance,
     initial_guess,
-    make_system,
     run_table,
     verify,
 )
@@ -83,16 +84,11 @@ _KNOWN_KEYS = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration for one CLI invocation."""
+    """Fully resolved configuration for one CLI invocation: the problem,
+    the solver settings and where the outputs go."""
 
-    system: str = "benchmark2"
-    dims: tuple = (3,)
-    segments: tuple = (5,)
-    horizon: float = 5.0
-    radius: float = 0.25
-    eps4: float = 1e-4
-    formulation: Formulation = field(default_factory=lambda: Formulation.by_name("eq8"))
-    sqp: SqpConfig = field(default_factory=SqpConfig)
+    spec: BenchSpec
+    sqp: SqpConfig
     report_path: Path = Path("report.json")
     table_path: Path = Path("table.csv")
     trace_path: Path = None
@@ -135,33 +131,38 @@ def load_config(args):
             return _convert(section, key, parser.get(section, key), kind)
         return default
 
-    cfg = RunConfig()
-    cfg.system = fetch("problem", "system", cfg.system)
-    if cfg.system not in SYSTEM_NAMES:
-        raise ConfigError(f"unknown value for problem.system: {cfg.system!r}")
-    default_dim = 3 if cfg.system == "benchmark2" else 2
-    cfg.dims = fetch("problem", "dim", (default_dim,), tuple)
-    cfg.segments = fetch("problem", "segments", cfg.segments, tuple)
-    cfg.horizon = fetch("problem", "horizon", cfg.horizon, float)
-    cfg.radius = fetch("problem", "radius", cfg.radius, float)
-    cfg.eps4 = fetch("problem", "eps4", cfg.eps4, float)
-
     name = args.formulation or fetch("formulation", "name", None)
     parts = {
         key: fetch("formulation", key, None)
         for key in ("objective", "regularizer", "constraints")
     }
     try:
-        if name is not None:
-            cfg.formulation = Formulation.by_name(name)
-        elif any(value is not None for value in parts.values()):
-            cfg.formulation = Formulation.experimental(
+        if name is None and any(value is not None for value in parts.values()):
+            formulation = Formulation.experimental(
                 parts["objective"] or "zero",
                 parts["regularizer"] or "none",
                 parts["constraints"] or "none",
             )
+        else:
+            formulation = Formulation.by_name(name or "eq8")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+    # one BenchSpec is the whole [problem]: its construction rejects every
+    # value no instance can be built from, before any solve
+    system = fetch("problem", "system", "benchmark2")
+    try:
+        spec = BenchSpec(
+            system,
+            fetch("problem", "dim", (3 if system == "benchmark2" else 2,), tuple),
+            fetch("problem", "segments", (5,), tuple),
+            formulation,
+            horizon=fetch("problem", "horizon", BenchSpec.horizon, float),
+            radius=fetch("problem", "radius", BenchSpec.radius, float),
+            eps4=fetch("problem", "eps4", BenchSpec.eps4, float),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid [problem] value: {exc}") from exc
 
     kwargs = {"sqp": {}, "integrator": {}}
     flags = {"hessian": args.hessian, "kkt": args.kkt}
@@ -173,51 +174,26 @@ def load_config(args):
     try:
         if kwargs["integrator"]:
             kwargs["sqp"]["integrator"] = IntegratorConfig(**kwargs["integrator"])
-        cfg.sqp = SqpConfig(**kwargs["sqp"])
+        sqp = SqpConfig(**kwargs["sqp"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # reject [problem] values no instance can be built from before any solve
-    try:
-        _bench_spec(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [problem] value: {exc}") from exc
-    for dim in cfg.dims:
-        try:
-            make_system(cfg.system, dim)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for problem.dim: {exc}") from exc
-    if min(cfg.segments) < 1:
-        raise ConfigError("invalid value for problem.segments: need at least one segment")
-
-    cfg.report_path = Path(fetch("output", "report", cfg.report_path))
-    cfg.table_path = Path(fetch("output", "table", cfg.table_path))
     trace = args.trace or fetch("output", "trace", None)
     dump = args.dump_trajectory or fetch("output", "dump_trajectory", None)
-    cfg.trace_path = Path(trace) if trace else None
-    cfg.dump_path = Path(dump) if dump else None
-    return cfg
-
-
-def _single_cell(cfg):
-    if len(cfg.dims) != 1 or len(cfg.segments) != 1:
-        raise ConfigError("solve/check need exactly one problem.dim and one problem.segments value")
-    return cfg.dims[0], cfg.segments[0]
-
-
-def _bench_spec(cfg):
-    return BenchSpec(
-        cfg.system,
-        cfg.dims,
-        cfg.segments,
-        cfg.formulation,
-        hessian_variant=cfg.sqp.hessian_variant,
-        kkt_method=cfg.sqp.kkt_method,
-        horizon=cfg.horizon,
-        radius=cfg.radius,
-        eps4=cfg.eps4,
-        max_iter=cfg.sqp.max_iter,
+    return RunConfig(
+        spec,
+        sqp,
+        report_path=Path(fetch("output", "report", RunConfig.report_path)),
+        table_path=Path(fetch("output", "table", RunConfig.table_path)),
+        trace_path=Path(trace) if trace else None,
+        dump_path=Path(dump) if dump else None,
     )
+
+
+def _single_cell(spec):
+    if len(spec.dims) != 1 or len(spec.segment_counts) != 1:
+        raise ConfigError("solve/check need exactly one problem.dim and one problem.segments value")
+    return spec.dims[0], spec.segment_counts[0]
 
 
 def _write_trace(report, path):
@@ -233,49 +209,57 @@ def _write_trace(report, path):
             )
 
 
+def _number(value):
+    """``value`` as a JSON number; non-finite values become null."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _write_report(cfg, dim, n_segments, report, checked, path):
     vec = report.final_X
+    form = cfg.spec.formulation
     payload = {
-        "system": cfg.system,
+        "system": cfg.spec.system,
         "dim": dim,
         "segments": n_segments,
-        "formulation": cfg.formulation.name,
-        "objective_kind": cfg.formulation.objective,
-        "regularizer": cfg.formulation.regularizer,
-        "constraints": cfg.formulation.constraints,
+        "formulation": form.name,
+        "objective_kind": form.objective,
+        "regularizer": form.regularizer,
+        "constraints": form.constraints,
         "hessian": cfg.sqp.hessian_variant,
         "kkt": cfg.sqp.kkt_method,
         "nit": report.nit,
         "termination": report.termination.value,
-        "final_objective": report.final_objective,
-        "final_constraint_norm": report.final_constraint_norm,
+        "final_objective": _number(report.final_objective),
+        "final_constraint_norm": _number(report.final_constraint_norm),
         "verified": checked.ok if checked else False,
         "verify_reasons": list(checked.reasons) if checked else ["integration_failure"],
-        "init_distance": checked.init_distance if checked else None,
-        "unsafe_distance": checked.unsafe_distance if checked else None,
+        "init_distance": _number(checked.init_distance) if checked else None,
+        "unsafe_distance": _number(checked.unsafe_distance) if checked else None,
         "final_times": [float(t) for t in vec.times],
         "final_states": [[float(v) for v in row] for row in vec.states],
     }
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with open(path, "w", newline="") as sink:
         sink.write(f"# falsify report {stamp}\n")
-        sink.write(json.dumps(payload, indent=2, sort_keys=True))
+        sink.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
         sink.write("\n")
 
 
 def cmd_solve(cfg):
-    dim, n_segments = _single_cell(cfg)
+    spec = cfg.spec
+    dim, n_segments = _single_cell(spec)
     try:
-        instance = generate_instance(_bench_spec(cfg), dim, n_segments)
-        guess = initial_guess(instance, n_segments, cfg.horizon)
+        instance = generate_instance(spec, dim, n_segments)
+        guess = initial_guess(instance, n_segments, spec.horizon)
     except IntegrationFailure as exc:
         print(f"instance generation failed: {exc}", file=sys.stderr)
         return 2
-    logger.info("solving %s dim=%d N=%d with %s", cfg.system, dim, n_segments, cfg.formulation.name)
-    report = run(cfg.formulation, instance, guess, cfg.sqp)
+    logger.info("solving %s dim=%d N=%d with %s", spec.system, dim, n_segments, spec.formulation.name)
+    report = run(spec.formulation, instance, guess, cfg.sqp)
     checked = None
     if report.termination is not Termination.INTEGRATION_FAILURE:
-        checked = verify(instance, report.final_X, cfg.eps4)
+        checked = verify(instance, report.final_X, spec.eps4)
     _write_report(cfg, dim, n_segments, report, checked, cfg.report_path)
     if cfg.trace_path:
         _write_trace(report, cfg.trace_path)
@@ -283,7 +267,7 @@ def cmd_solve(cfg):
         dump_trajectory(instance, report.final_X, cfg.dump_path)
     verdict = "verified" if checked and checked.ok else "not verified"
     print(
-        f"{cfg.formulation.name} on {cfg.system} (n={dim}, N={n_segments}): "
+        f"{spec.formulation.name} on {spec.system} (n={dim}, N={n_segments}): "
         f"{report.termination.value} after {report.nit} iterations, {verdict}"
     )
     print(f"report written to {cfg.report_path}")
@@ -293,8 +277,7 @@ def cmd_solve(cfg):
 
 
 def cmd_bench(cfg):
-    spec = _bench_spec(cfg)
-    rows = run_table(spec, sqp=cfg.sqp)
+    rows = run_table(cfg.spec, sqp=cfg.sqp)
     emit_csv(rows, cfg.table_path)
     emit_csv(rows, sys.stdout)
     print(f"table written to {cfg.table_path}")
@@ -303,11 +286,11 @@ def cmd_bench(cfg):
 
 def cmd_check(cfg):
     """Derivative, rank, and solver cross-checks on the configured instance."""
-    dim, n_segments = _single_cell(cfg)
-    spec = _bench_spec(cfg)
+    spec = cfg.spec
+    dim, n_segments = _single_cell(spec)
     instance = generate_instance(spec, dim, n_segments)
-    guess = initial_guess(instance, n_segments, cfg.horizon)
-    form = cfg.formulation
+    guess = initial_guess(instance, n_segments, spec.horizon)
+    form = spec.formulation
     n = instance.system.dim
     tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
     flat = pack(guess)

@@ -22,7 +22,6 @@ degeneracy diagnostics).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -320,16 +319,11 @@ def lagrangian_gradient(form, instance, vec, lam, flows, *, grad_f=None, jac=Non
     return grad + jac @ lam.flat
 
 
-def lagrangian_gradient_direct(
-    form, instance, vec, lam, flows, matching_residuals: Optional[np.ndarray] = None
-):
+def lagrangian_gradient_direct(form, instance, vec, lam, flows):
     """Closed-form Lagrangian gradient for the six regularized formulations.
 
     Independent of :func:`lagrangian_gradient` (no Jacobian assembly); the
-    two must agree.  ``matching_residuals`` overrides the gap vectors
-    x0_{i+1} - end_state_i where the closed form uses them, which isolates
-    the duration rows for degeneracy diagnostics: with zero residuals the
-    eq10/eq13 duration rows collapse to the bare regularizer gradient.
+    two must agree.
     """
     key = (form.objective, form.regularizer, form.constraints)
     if key not in _DIRECT_FORMS:
@@ -339,14 +333,10 @@ def lagrangian_gradient_direct(
     init_mult, unsafe_mult, inner_kind = _DIRECT_FORMS[key]
     n, big_n = vec.dim, vec.n_segments
 
-    gaps = _gaps(vec, flows)
-    if matching_residuals is not None:
-        gaps = np.asarray(matching_residuals, dtype=float).reshape(big_n - 1, n)
-
     if inner_kind == "multiplier":
         inner = lam.matching if big_n > 1 else np.zeros((0, n))
     else:
-        inner = gaps
+        inner = _gaps(vec, flows)
 
     if init_mult == "lam":
         lam_init = lam.boundary[0]

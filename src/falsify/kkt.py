@@ -21,7 +21,6 @@ singularity test reads and the solve.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,8 +107,6 @@ class KktSolution:
     d_lambda: np.ndarray
     residual_norm: float
     cg_iterations: int
-    #: bottom-block residual norms per CG iteration (PPCG only)
-    constraint_residuals: Optional[tuple] = None
 
 
 def _saddle_csc(system):
@@ -195,7 +192,6 @@ def solve_ppcg(system, tol=1e-10, max_iter=None):
         max_iter = 2 * system.m1
     projector = _ConstraintProjector(system.jac)
     x = projector.constraint_point(system.rhs_bottom)
-    constraint_history = []
 
     r = system.hess.matvec(x) - system.rhs_top
     g, v = projector.project(r)
@@ -218,15 +214,6 @@ def solve_ppcg(system, tol=1e-10, max_iter=None):
         p = -g_new + (rg_new / rg) * p
         g, rg = g_new, rg_new
         iterations += 1
-        constraint_history.append(
-            float(np.linalg.norm(projector.jac_t @ x - system.rhs_bottom))
-        )
 
     d_lam = -v
-    return KktSolution(
-        x,
-        d_lam,
-        system.residual(x, d_lam),
-        iterations,
-        tuple(constraint_history),
-    )
+    return KktSolution(x, d_lam, system.residual(x, d_lam), iterations)

@@ -21,6 +21,7 @@ from falsify.bench import (
 from falsify.formulation import Formulation
 from falsify.integrate import flow
 from falsify.shooting import ShootingVector
+from falsify.sqp import SqpConfig
 from falsify.systems import benchmark3
 
 from oracles import TIGHT, scipy_flow
@@ -156,8 +157,7 @@ def test_run_table_rows_and_order():
 def test_run_table_flags_unverified_rows():
     # an immediate S2 stop leaves the perturbed guess, which fails the
     # boundary checks: digit overridden to F with the reasons recorded
-    spec = small_spec(max_iter=0)
-    rows = run_table(spec)
+    rows = run_table(small_spec(), SqpConfig(max_iter=0))
     assert rows[0].status == "F"
     assert "init_boundary" in rows[0].reasons
 
@@ -197,6 +197,12 @@ def test_spec_validation():
         small_spec(radius=0.0)
     with pytest.raises(ValueError):
         small_spec(eps4=-1.0)
+    with pytest.raises(ValueError, match="dim"):
+        small_spec(system="benchmark3", dims=(3,))
+    with pytest.raises(ValueError, match="dim"):
+        small_spec(system="benchmark2", dims=(4,))
+    with pytest.raises(ValueError, match="segments"):
+        small_spec(segment_counts=(5, 0))
     for name in ("horizon", "radius", "eps4"):
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=name):

@@ -78,6 +78,22 @@ def test_solve_exit_two_on_iteration_budget(tmp_path, monkeypatch):
     assert payload["termination"] == "S2_maxit"
 
 
+def test_failure_report_is_strict_json(tmp_path, monkeypatch):
+    """An integrator budget of one step fails at the initial point; the
+    report's non-finite values are written as null, not NaN or Infinity."""
+    monkeypatch.chdir(tmp_path)
+    config = write(tmp_path / "cfg.ini", "[sqp]\nmax_steps = 1\n")
+    assert run_cli("solve", "--config", config) == 2
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    body = "\n".join((tmp_path / "report.json").read_text().splitlines()[1:])
+    payload = json.loads(body, parse_constant=reject)
+    assert payload["termination"] == "IntegrationFailure"
+    assert payload["final_objective"] is None
+
+
 def test_unknown_config_key_names_the_key(tmp_path, capsys):
     config = write(tmp_path / "bad.ini", "[problem]\nsegmants = 5\n")
     assert run_cli("solve", "--config", config) == 64

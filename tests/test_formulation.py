@@ -337,18 +337,18 @@ def test_lagrangian_gradient_direct_rejects_unsupported_combo():
 def test_zeroed_matching_residuals_isolate_duration_rows():
     """With the gap vectors nulled, only the regularizer remains in the
     duration rows of the closed-form gradient (except the last segment's,
-    which keeps its boundary coupling)."""
+    which keeps its boundary coupling).  Starts moved onto the previous
+    segment's end state, with the same flows, give gaps that are exactly 0."""
     instance = benchmark2_instance(n_segments=5)
     rng = np.random.default_rng(47)
     vec = random_vector_near_guess(instance, rng)
     flows = flows_for(instance, vec)
+    matched = ShootingVector(np.concatenate([vec.states[:1], flows.end_state[:-1]]), vec.times)
     for name in ("eq10", "eq13"):
         form = Formulation.by_name(name)
         m2 = constraint_dim(form.constraints, 3, 5)
         lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 5)
-        grad = lagrangian_gradient_direct(
-            form, instance, vec, lam, flows, matching_residuals=np.zeros((4, 3))
-        )
+        grad = lagrangian_gradient_direct(form, instance, matched, lam, flows)
         t_rows = [i * 4 + 3 for i in range(5)]
         np.testing.assert_array_equal(grad[t_rows[:-1]], vec.times[:-1])
 

@@ -1,17 +1,21 @@
-"""The benchmark's tracer swaps library names for timed wrappers at run time.
+"""The benchmark's tracer swaps library names for timed wrappers at run time,
+and its workloads build their inputs from library calls.
 
-A refactor that renames or removes one of those names breaks `--trace 1`
-without failing any library test; this module catches that.  It imports
-`perfbench/tracing.py` as it stands and changes nothing there.
+A refactor that renames or removes one of those names, or changes one of
+those signatures, breaks the benchmark without failing any library test;
+this module catches that.  It imports `perfbench/tracing.py` and
+`perfbench/workloads.py` as they stand and changes nothing there.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import falsify.integrate
 import falsify.sqp
-from falsify.bench import initial_guess
+from falsify.bench import BenchSpec, generate_instance, initial_guess
 from falsify.formulation import Formulation
 from falsify.hessian import HessianApprox, init_identity
 from falsify.sqp import SqpConfig
@@ -57,3 +61,23 @@ def test_traced_run_records_every_patched_call(monkeypatch):
     ):
         assert tracer.calls[name] > 0, name
     assert tracer.counts["sqp.trial_evals"] == tracer.calls["shooting.evaluate_segments"] - 1
+
+
+def test_workload_inputs_are_the_stock_instance(monkeypatch):
+    """Seed-0 inputs go through `make_system`, `perturbation` and
+    `initial_guess(..., u=...)`; the stock instance they must equal goes
+    through `BenchSpec(system, dims, segs, form).horizon` and
+    `generate_instance(spec, dim, N)`."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    (cell,) = workloads.WORKLOADS["smoke"].cells
+    ours = workloads.make_inputs(cell, 0, 0)
+    spec = BenchSpec(cell.system, (cell.dim,), (cell.n_segments,), ours.formulation)
+    stock = generate_instance(spec, cell.dim, cell.n_segments)
+    guess = initial_guess(stock, cell.n_segments, spec.horizon)
+    np.testing.assert_array_equal(ours.instance.init.center, stock.init.center)
+    np.testing.assert_array_equal(ours.instance.unsafe_set.center, stock.unsafe_set.center)
+    np.testing.assert_array_equal(ours.guess.states, guess.states)
+    np.testing.assert_array_equal(ours.guess.times, guess.times)
+    assert ours.config == SqpConfig()
