@@ -338,7 +338,7 @@ def cmd_check(cfg):
         )
 
     lam = Multipliers(kind, rng.standard_normal(m2), n, n_segments)
-    assembled = lagrangian_gradient(form, instance, guess, lam, flows, jac=jac)
+    assembled = lagrangian_gradient(analytic, jac, lam)
     try:
         direct = lagrangian_gradient_direct(form, instance, guess, lam, flows)
         record(

@@ -310,13 +310,11 @@ def constraint_jacobian(kind, instance, vec, flows):
 # Lagrangian gradient, two paths
 
 
-def lagrangian_gradient(form, instance, vec, lam, flows, *, grad_f=None, jac=None):
-    """objective gradient + B lambda (the authoritative path); ``grad_f`` and
-    ``jac``, when given, are the objective gradient and B at this point."""
-    grad = objective_gradient(form, instance, vec, flows) if grad_f is None else grad_f
-    if jac is None:
-        jac = constraint_jacobian(form.constraints, instance, vec, flows)
-    return grad + jac @ lam.flat
+def lagrangian_gradient(grad_f, jac, lam):
+    """objective gradient + B lambda (the authoritative path), from the
+    objective gradient ``grad_f`` and the constraint Jacobian ``jac`` at one
+    point."""
+    return grad_f + jac @ lam.flat
 
 
 def lagrangian_gradient_direct(form, instance, vec, lam, flows):

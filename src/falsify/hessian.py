@@ -75,8 +75,12 @@ class HessianApprox:
         return self.mat.copy()
 
     def _windows(self):
-        """Index ranges the structured updates operate on."""
+        """Index ranges the updates operate on: the whole matrix for ``full``,
+        the N diagonal blocks for ``blockdiag``, the overlapping pairs of
+        blocks for ``banded``."""
         width = self.n + 1
+        if self.variant == "full":
+            return [slice(0, self.dim)]
         if self.variant == "blockdiag":
             return [slice(i * width, (i + 1) * width) for i in range(self.n_segments)]
         if self.n_segments == 1:
@@ -96,14 +100,10 @@ class HessianApprox:
         if s.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError(f"s and y must have packed length {self.dim}")
 
-        if self.variant == "full":
-            if not _bfgs_inplace(self.mat, s, y):
-                self.skip_count += 1
-            return self
-
-        if self.variant == "blockdiag":
+        if self.variant != "banded":
             for window in self._windows():
-                # two-slice indexing is a view, so the update lands in place
+                # disjoint windows; two-slice indexing is a view, so each
+                # update lands in place
                 if not _bfgs_inplace(self.mat[window, window], s[window], y[window]):
                     self.skip_count += 1
             return self

@@ -14,14 +14,15 @@ Independent initial-value problems run in lockstep: ``flow`` and
 ``flow_with_sensitivity`` accept a batch of B start states (the rows of
 ``x0``) with one duration each, and a single stepping loop advances every
 lane at once.  Each lane keeps its own time, step size, controller state and
-outcome and leaves the batch when it reaches its end time.  All arithmetic
-is elementwise per lane, so a lane's result is bitwise the same whatever
-else shares its batch.  Systems marked ``vectorized`` evaluate the whole
-batch in one call; other systems are called lane by lane, and a batch of one
-lane calls the system on its single state.  Each stage derivative is written
-straight into the step's (B, 7, m) stage buffer, the sensitivity block
-through ``np.matmul(..., out=...)``, so a stage allocates no augmented array
-of its own.
+outcome, and leaves the batch when it reaches its end time or fails; a
+failing lane does not stop the others.  All arithmetic is elementwise per
+lane, so a lane's result is bitwise the same whatever else shares its batch.
+A system marked ``vectorized`` is called once on a batch of two or more
+lanes; otherwise, and on a batch of one lane, it is called once per lane on
+that lane's single state.  Each stage derivative is written straight into
+the step's (B, 7, m) stage buffer, the sensitivity block through
+``np.matmul(..., out=...)``, so a stage allocates no augmented array of its
+own.
 """
 
 import math
@@ -166,8 +167,9 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
     ``fun(t, y, out)`` maps lane times (B,) and states (B, m) to derivatives
     and writes them into ``out``, a (B, m) view of the step's stage buffer;
     its return value is ignored.  Returns the end states and a status code
-    per lane.  When a lane fails, the lanes after it are dropped, since
-    callers report only the lowest failing lane; the lanes before it run on.
+    per lane.  A lane leaves the batch when it reaches its end time, when
+    its step size underflows or when the step budget runs out, with the
+    state and status it had then; the other lanes run on.
 
     Stage sums are one matrix-vector product per lane, and step-size
     control is scalar arithmetic per lane (numpy's vectorized power rounds
@@ -189,38 +191,32 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
     )
     err_prev = np.full(lanes.size, 1e-4)
 
-    def keep(index):
-        return [a[index] for a in (lanes, y, k0, t, t_end, direction, h, err_prev)]
-
     # every lane still in the batch has taken exactly `steps` steps
     steps = 0
     while True:
         left = (t_end - t) * direction  # time left, > 0 while a lane runs
         running = left > 0.0
-        if not running.all():
-            y_end[lanes[~running]] = y[~running]
-            lanes, y, k0, t, t_end, direction, h, err_prev = keep(running)
-            left = left[running]
-            if not lanes.size:
-                return y_end, status
+        size = np.abs(h)
+        tiny = size < 1e-15 * np.maximum(np.abs(t), 1.0)
         if steps >= max_steps:
-            status[lanes[0]] = _TOO_MANY_STEPS
-            return y_end, status
-        steps += 1
-        # h and the time left share the sign `direction`: clip h to the end
-        span = np.minimum(np.abs(h), left)
-        h = direction * span
-        tiny = span < 1e-15 * np.maximum(np.abs(t), 1.0)
-        if tiny.any():
+            status[lanes[running]] = _TOO_MANY_STEPS
+            running[:] = False
+        elif tiny.any():
             # only a step the controller chose can underflow; a step cut to
             # the end time is taken however short it is
-            tiny &= span < left
-            if tiny.any():
-                first = int(np.argmax(tiny))
-                status[lanes[first]] = _STEP_UNDERFLOW
-                lanes, y, k0, t, t_end, direction, h, err_prev = keep(slice(first))
-                if not lanes.size:
-                    return y_end, status
+            tiny &= size < left
+            status[lanes[tiny]] = _STEP_UNDERFLOW
+            running &= ~tiny
+        if not running.all():
+            y_end[lanes[~running]] = y[~running]
+            lanes, y, k0, t, t_end, direction, err_prev, left, size = (
+                a[running] for a in (lanes, y, k0, t, t_end, direction, err_prev, left, size)
+            )
+            if not lanes.size:
+                return y_end, status
+        steps += 1
+        # h and the time left share the sign `direction`: clip h to the end
+        h = direction * np.minimum(size, left)
 
         hc = h[:, None]
         nodes = t + np.multiply.outer(_C, h)
@@ -248,26 +244,34 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
         h = h * factor
 
 
-def _lane_functions(system):
-    """``system.rhs`` and ``system.state_jacobian`` over a batch of lanes.
+def _lanewise(system, stage):
+    """``stage(t, x, out)`` run over a batch of lanes.
 
-    Each maps lane times (B,) and states (B, n) to an array with a leading
-    lane axis.  A vectorized system's own functions do that and are returned
-    unchanged, to be called directly; other systems get an adapter that
-    calls them once per lane.  A batch of one lane is better served by a
-    call on its single state (see the stage functions of :func:`flow` and
-    :func:`flow_with_sensitivity`).
+    A vectorized system's stage runs once on a batch of two or more lanes:
+    times (B,), states (B, m) and ``out`` (B, m).  Otherwise it runs once
+    per lane on a time scalar, a state (m,) and that lane's row of ``out``,
+    so a single state runs on numpy scalars, not length-1 arrays.
     """
-    if system.vectorized:
-        return system.rhs, system.state_jacobian
+    vectorized = system.vectorized
 
-    def over_lanes(fn):
-        def batched(t, x):
-            return np.array([fn(ti, xi) for ti, xi in zip(t, x)], dtype=float)
+    def run(t, y, out):
+        if vectorized and len(y) > 1:
+            stage(t, y, out)
+        else:
+            for lane in range(len(y)):
+                stage(t[lane], y[lane], out[lane])
 
-        return batched
+    return run
 
-    return over_lanes(system.rhs), over_lanes(system.state_jacobian)
+
+def _lanewise_rhs(system):
+    """f(t, x) written into ``out`` over a batch of lanes: the stage of
+    :func:`flow`, and the end-point derivative of :func:`flow_with_sensitivity`."""
+
+    def stage(t, x, out):
+        out[...] = system.rhs(t, x)
+
+    return _lanewise(system, stage)
 
 
 def _as_batch(system, x0, duration):
@@ -310,15 +314,8 @@ def flow(system, x0, duration, cfg=None):
     """
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
-    rhs, _ = _lane_functions(system)
-
-    def stage(t, x, out):
-        if len(x) == 1:  # a single state runs on numpy scalars, not length-1 arrays
-            out[0] = system.rhs(t[0], x[0])
-        else:
-            out[...] = rhs(t, x)
-
-    return _integrate(system, stage, xs, ts, cfg or DEFAULT_CONFIG).reshape(x0.shape)
+    z_end = _integrate(system, _lanewise_rhs(system), xs, ts, cfg or DEFAULT_CONFIG)
+    return z_end.reshape(x0.shape)
 
 
 def flow_with_sensitivity(system, x0, duration, cfg=None):
@@ -332,28 +329,25 @@ def flow_with_sensitivity(system, x0, duration, cfg=None):
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
     n = system.dim
-    rhs, jac = _lane_functions(system)
 
     def augmented(t, z, out):
-        f, df = rhs, jac
-        if len(z) == 1:  # a single state runs on numpy scalars, not length-1 arrays
-            f, df, t, z, out = system.rhs, system.state_jacobian, t[0], z[0], out[0]
         x = z[..., :n]
         shape = z.shape[:-1] + (n, n)
-        out[..., :n] = f(t, x)
+        out[..., :n] = system.rhs(t, x)
         # out's last axis is contiguous, so the reshape is a view into it
-        np.matmul(df(t, x), z[..., n:].reshape(shape), out=out[..., n:].reshape(shape))
+        np.matmul(
+            system.state_jacobian(t, x),
+            z[..., n:].reshape(shape),
+            out=out[..., n:].reshape(shape),
+        )
 
     identity = np.broadcast_to(np.eye(n).ravel(), (len(xs), n * n))
-    z_end = _integrate(
-        system, augmented, np.concatenate([xs, identity], axis=1), ts, cfg or DEFAULT_CONFIG
-    )
+    z0 = np.concatenate([xs, identity], axis=1)
+    z_end = _integrate(system, _lanewise(system, augmented), z0, ts, cfg or DEFAULT_CONFIG)
     end_state = z_end[:, :n]
-    result = FlowResult(
-        end_state,
-        z_end[:, n:].reshape(len(xs), n, n),
-        np.ascontiguousarray(rhs(ts, end_state), dtype=float),
-    )
+    end_derivative = np.empty((len(xs), n))
+    _lanewise_rhs(system)(ts, end_state, end_derivative)
+    result = FlowResult(end_state, z_end[:, n:].reshape(len(xs), n, n), end_derivative)
     if x0.ndim == 1:
         return FlowResult(
             result.end_state[0], result.sensitivity[0], result.end_derivative[0]

@@ -281,8 +281,7 @@ def _linearize(formulation, instance, point, lam):
     vec, flows = point.vec, point.flows
     grad_f = objective_gradient(formulation, instance, vec, flows)
     jac = constraint_jacobian(formulation.constraints, instance, vec, flows)
-    grad_l = lagrangian_gradient(formulation, instance, vec, lam, flows, grad_f=grad_f, jac=jac)
-    return grad_f, jac, grad_l
+    return grad_f, jac, lagrangian_gradient(grad_f, jac, lam)
 
 
 def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
@@ -358,9 +357,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
 
         lam_new = lam.replace(lam.flat + alpha * d_lam)
         # quasi-Newton data: both gradients at the updated multipliers
-        grad_old = lagrangian_gradient(
-            formulation, instance, point.vec, lam_new, point.flows, grad_f=grad_f, jac=jac
-        )
+        grad_old = lagrangian_gradient(grad_f, jac, lam_new)
         point, lam = trials[-1], lam_new
         grad_f, jac, grad_l = _linearize(formulation, instance, point, lam)
         hess.update(alpha * d_x, grad_l - grad_old)

@@ -22,10 +22,11 @@ class OdeSystem:
     they also accept a batch: times of shape (...) and states of shape
     (..., n), giving float arrays of shape (..., n) and (..., n, n), each
     lane computed exactly as a single call would.  The integrator calls them
-    on the batch directly and hands the Jacobians to ``np.matmul`` as they
-    are, so they should be C-contiguous: numpy may round a product with a
-    strided operand differently, and a batched lane would then no longer be
-    bitwise equal to a single call.  Other systems are called once per lane.
+    directly on a batch of two or more lanes and hands the Jacobians to
+    ``np.matmul`` as they are, so they should be C-contiguous: numpy may
+    round a product with a strided operand differently, and a batched lane
+    would then no longer be bitwise equal to a single call.  Other systems,
+    and any system on a batch of one lane, are called once per lane.
     """
 
     dim: int

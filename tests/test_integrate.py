@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+import falsify.integrate as integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -275,6 +277,63 @@ def test_non_vectorized_system_is_called_per_lane():
         single = flow_with_sensitivity(reference, x0[i], durations[i])
         np.testing.assert_array_equal(batch.end_state[i], single.end_state)
         np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
+
+
+def test_one_lane_integrations_call_a_vectorized_system_on_single_states():
+    reference = benchmark2()
+    shapes = []
+
+    def spy(fn):
+        def wrapped(t, x):
+            shapes.append(np.shape(t))
+            return fn(t, x)
+
+        return wrapped
+
+    system = OdeSystem(
+        3, spy(reference.rhs), spy(reference.state_jacobian), "spy benchmark2", vectorized=True
+    )
+    flow(system, np.ones(3), 1.0)
+    flow_with_sensitivity(system, np.ones(3), 1.0)
+    flow_with_sensitivity(system, np.ones((1, 3)), np.ones(1))
+    assert shapes and set(shapes) == {()}
+
+
+def _rk45_lanes(system, x0, durations, max_steps):
+    """Statuses and end states of ``integrate._rk45`` on ``system``'s rhs."""
+    rhs = integrate._lanewise_rhs(system)
+    return integrate._rk45(rhs, x0, durations, 1e-9, 1e-9, max_steps)
+
+
+def test_lane_outcomes_are_independent():
+    """A lane that fails leaves the batch on its own; the others run on and
+    end exactly as they would alone."""
+    system = benchmark2()
+    x0 = np.array([[0.1, 0.1, -0.1], [0.0, 0.0, 50.0], [-0.1, 0.05, -0.1]])
+    durations = np.array([200.0, 1.0, 200.0])
+    end, status = _rk45_lanes(system, x0, durations, 100_000)
+    assert status.tolist() == [integrate._OK, integrate._STEP_UNDERFLOW, integrate._OK]
+    for i in range(len(x0)):
+        alone_end, alone_status = _rk45_lanes(system, x0[i : i + 1], durations[i : i + 1], 100_000)
+        assert status[i] == alone_status[0]
+        assert end[i].tobytes() == alone_end[0].tobytes()
+    assert np.all(end[[0, 2]] != x0[[0, 2]])
+
+
+def test_every_running_lane_exhausts_the_step_budget():
+    """When the budget runs out, every lane still running fails with its own
+    status; zero-duration and finished lanes keep theirs."""
+    system = benchmark2()
+    x0 = np.array([[0.1, 0.1, -0.1], [0.3, 0.2, 0.1], [-0.1, 0.05, -0.1], [0.2, 0.0, 0.0]])
+    durations = np.array([200.0, 0.0, -200.0, 1e-3])
+    end, status = _rk45_lanes(system, x0, durations, 20)
+    too_many, ok = integrate._TOO_MANY_STEPS, integrate._OK
+    assert status.tolist() == [too_many, ok, too_many, ok]
+    assert end[1].tobytes() == x0[1].tobytes()
+    for i in range(len(x0)):
+        alone_end, alone_status = _rk45_lanes(system, x0[i : i + 1], durations[i : i + 1], 20)
+        assert status[i] == alone_status[0]
+        assert end[i].tobytes() == alone_end[0].tobytes()
 
 
 def test_batch_shape_validation():

@@ -9,12 +9,14 @@ this module catches that.  It imports `perfbench/tracing.py` and
 
 import importlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 import falsify.integrate
 import falsify.sqp
+from falsify import run
 from falsify.bench import BenchSpec, generate_instance, initial_guess
 from falsify.formulation import Formulation
 from falsify.hessian import HessianApprox, init_identity
@@ -61,6 +63,34 @@ def test_traced_run_records_every_patched_call(monkeypatch):
     ):
         assert tracer.calls[name] > 0, name
     assert tracer.counts["sqp.trial_evals"] == tracer.calls["shooting.evaluate_segments"] - 1
+
+
+def test_traced_smoke_cell_matches_the_plain_run(monkeypatch):
+    """The traced pass solves on `counting_system`, a non-vectorized copy of
+    the system, so the integrator calls it once per lane; the benchmark fails
+    a run whose traced and plain passes differ."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    (cell,) = workloads.WORKLOADS["smoke"].cells
+    item = workloads.make_inputs(cell, 0, 0)
+    plain = run(item.formulation, item.instance, item.guess, item.config)
+    tracer = tracing.Tracer()
+    counted = tracing.counting_system(item.instance, tracer)
+    assert not counted.system.vectorized
+    with tracing.installed(tracer):
+        traced = run(item.formulation, counted, item.guess, item.config)
+    assert traced.nit == plain.nit > 0
+    assert traced.final_X.states.tobytes() == plain.final_X.states.tobytes()
+    assert traced.final_X.times.tobytes() == plain.final_X.times.tobytes()
+    assert len(traced.trace) == len(plain.trace)
+    for ours, theirs in zip(traced.trace, plain.trace):
+        for field in fields(ours):
+            a, b = getattr(ours, field.name), getattr(theirs, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+    assert tracer.counts["systems.rhs.calls"] > 0
+    assert tracer.counts["systems.jac.calls"] > 0
 
 
 def test_workload_inputs_are_the_stock_instance(monkeypatch):

@@ -11,6 +11,7 @@ from falsify.formulation import (
     Formulation,
     Multipliers,
     constraint_dim,
+    constraint_jacobian,
     constraint_value,
     objective_gradient,
     objective_value,
@@ -296,7 +297,9 @@ def test_s1_tolerances_hold_at_the_reported_point():
     assert report.final_constraint_norm < cfg.eps2
     flows = evaluate_segments(instance, report.final_X, cfg.integrator)
     grad = lagrangian_gradient(
-        form, instance, report.final_X, report.final_multipliers, flows
+        objective_gradient(form, instance, report.final_X, flows),
+        constraint_jacobian(form.constraints, instance, report.final_X, flows),
+        report.final_multipliers,
     )
     assert np.linalg.norm(grad) < cfg.eps1
     c_val = constraint_value(form.constraints, instance, report.final_X, flows)
