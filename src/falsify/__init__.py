@@ -17,7 +17,7 @@ from .bench import (
     run_table,
     verify,
 )
-from .formulation import FORMULATION_NAMES, Formulation, Multipliers
+from .formulation import FORMULATION_NAMES, Formulation
 from .hessian import HessianApprox, init_identity
 from .integrate import (
     FlowResult,

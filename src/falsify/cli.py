@@ -34,7 +34,6 @@ from .bench import (
 from .formulation import (
     FORMULATION_NAMES,
     Formulation,
-    Multipliers,
     constraint_dim,
     constraint_jacobian,
     constraint_value,
@@ -337,7 +336,7 @@ def cmd_check(cfg):
             ("constraint_rank", f"sigma_min={sigma_min:.3e} threshold=1.0e-10", sigma_min > 1e-10)
         )
 
-    lam = Multipliers(kind, rng.standard_normal(m2), n, n_segments)
+    lam = rng.standard_normal(m2)
     assembled = lagrangian_gradient(analytic, jac, lam)
     try:
         direct = lagrangian_gradient_direct(form, instance, guess, lam, flows)

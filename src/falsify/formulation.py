@@ -15,10 +15,18 @@ first start state and the final end state to the set centers;
 ``boundary`` pins the first/last states to the two ellipsoid boundaries, and
 ``matching_boundary`` does both.
 
+The Lagrange multipliers are one float per column of the constraint
+Jacobian B, in its column order:
+
+    matching           [lam_1 .. lam_{N-1}]         (one n-vector per joint)
+    matching_boundary  [lam_init, lam_1 .. lam_{N-1}, lam_unsafe]
+    boundary           [lam_init, lam_unsafe]
+    none               []
+
 Two independent code paths produce the Lagrangian gradient: the generic
 ``objective_gradient + B @ lambda`` (authoritative) and per-formulation
 closed forms (:func:`lagrangian_gradient_direct`, used as an oracle and for
-degeneracy diagnostics).
+degeneracy diagnostics), the one reader of the layout above.
 """
 
 from dataclasses import dataclass
@@ -29,7 +37,6 @@ import scipy.sparse as sp
 __all__ = [
     "Formulation",
     "FORMULATION_NAMES",
-    "Multipliers",
     "constraint_dim",
     "objective_value",
     "objective_gradient",
@@ -101,56 +108,6 @@ def constraint_dim(kind, n, n_segments):
     if kind == "boundary":
         return 2
     return 0
-
-
-@dataclass(frozen=True)
-class Multipliers:
-    """Lagrange multipliers in the column order of the constraint Jacobian.
-
-    matching           -> [lam_1 .. lam_{N-1}]         (one n-vector per joint)
-    matching_boundary  -> [lam_init, lam_1 .. lam_{N-1}, lam_unsafe]
-    boundary           -> [lam_init, lam_unsafe]
-    none               -> []
-    """
-
-    kind: str
-    flat: np.ndarray
-    n: int
-    n_segments: int
-
-    def __post_init__(self):
-        flat = np.asarray(self.flat, dtype=float)
-        object.__setattr__(self, "flat", flat)
-        expected = constraint_dim(self.kind, self.n, self.n_segments)
-        if flat.shape != (expected,):
-            raise ValueError(
-                f"multiplier vector for {self.kind!r} must have length {expected}"
-            )
-
-    @classmethod
-    def zeros(cls, kind, n, n_segments):
-        return cls(kind, np.zeros(constraint_dim(kind, n, n_segments)), n, n_segments)
-
-    def replace(self, flat):
-        return Multipliers(self.kind, flat, self.n, self.n_segments)
-
-    @property
-    def matching(self):
-        """Joint multipliers as an (N-1, n) array, where present."""
-        if self.kind == "matching":
-            return self.flat.reshape(self.n_segments - 1, self.n)
-        if self.kind == "matching_boundary":
-            return self.flat[1:-1].reshape(self.n_segments - 1, self.n)
-        raise AttributeError(f"{self.kind!r} constraints carry no joint multipliers")
-
-    @property
-    def boundary(self):
-        """(lam_init, lam_unsafe) scalars, where present."""
-        if self.kind == "boundary":
-            return float(self.flat[0]), float(self.flat[1])
-        if self.kind == "matching_boundary":
-            return float(self.flat[0]), float(self.flat[-1])
-        raise AttributeError(f"{self.kind!r} constraints carry no boundary multipliers")
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +190,7 @@ def objective_gradient(form, instance, vec, flows):
 
 
 def constraint_value(kind, instance, vec, flows):
-    """Active constraint vector; the matching_boundary order is
-    [initial-boundary row, matching blocks, unsafe-boundary row]."""
+    """Active constraint vector, one row per column of B (module docstring)."""
     parts = []
     if kind in ("matching_boundary", "boundary"):
         parts.append([0.5 * (instance.init.quadratic(vec.states[0]) - 1.0)])
@@ -313,37 +269,38 @@ def constraint_jacobian(kind, instance, vec, flows):
 def lagrangian_gradient(grad_f, jac, lam):
     """objective gradient + B lambda (the authoritative path), from the
     objective gradient ``grad_f`` and the constraint Jacobian ``jac`` at one
-    point."""
-    return grad_f + jac @ lam.flat
+    point; ``lam`` holds one multiplier per column of ``jac``."""
+    return grad_f + jac @ lam
 
 
 def lagrangian_gradient_direct(form, instance, vec, lam, flows):
     """Closed-form Lagrangian gradient for the six regularized formulations.
 
     Independent of :func:`lagrangian_gradient` (no Jacobian assembly); the
-    two must agree.
+    two must agree.  Of ``lam``, in B's column order, the boundary
+    multipliers are the first and last entries and the joint multipliers
+    the (N-1, n) block between them; a wrong length raises ``ValueError``.
     """
     key = (form.objective, form.regularizer, form.constraints)
-    if key not in _DIRECT_FORMS:
-        raise ValueError(
-            f"no closed form for {key}; available: {sorted(_DIRECT_FORMS)}"
-        )
-    init_mult, unsafe_mult, inner_kind = _DIRECT_FORMS[key]
+    if key not in _CLOSED_FORMS:
+        raise ValueError(f"no closed form for {key}; available: {sorted(_CLOSED_FORMS)}")
+    kind = form.constraints
     n, big_n = vec.dim, vec.n_segments
+    m2 = constraint_dim(kind, n, big_n)
+    if np.shape(lam) != (m2,):
+        raise ValueError(f"multiplier vector for {kind!r} must have length {m2}")
 
-    if inner_kind == "multiplier":
-        inner = lam.matching if big_n > 1 else np.zeros((0, n))
+    # without boundary constraints the boundary terms are objective terms;
+    # without matching constraints the gaps stand in for the joint multipliers
+    if kind in ("matching_boundary", "boundary"):
+        lam_init, lam_unsafe = lam[0], lam[-1]
+    else:
+        lam_init = lam_unsafe = 1.0
+    if kind in ("matching", "matching_boundary"):
+        joints = lam[1:-1] if kind == "matching_boundary" else lam
+        inner = joints.reshape(big_n - 1, n)
     else:
         inner = _gaps(vec, flows)
-
-    if init_mult == "lam":
-        lam_init = lam.boundary[0]
-    else:
-        lam_init = 1.0
-    if unsafe_mult == "lam":
-        lam_unsafe = lam.boundary[1]
-    else:
-        lam_unsafe = 1.0
 
     init_vec = instance.init.shape @ (vec.states[0] - instance.init.center)
     w = instance.unsafe_set.shape @ (flows.end_state[-1] - instance.unsafe_set.center)
@@ -368,14 +325,5 @@ def lagrangian_gradient_direct(form, instance, vec, lam, flows):
     return grad.ravel()
 
 
-# (init term coefficient, unsafe term coefficient, inner vectors) per combo;
-# "lam" marks a Lagrange multiplier, "one" a plain objective term, and the
-# inner vectors are joint multipliers or the matching gaps themselves.
-_DIRECT_FORMS = {
-    ("zero", "total_squared", "matching_boundary"): ("lam", "lam", "multiplier"),
-    ("endpoint_distance", "total_squared", "matching"): ("one", "one", "multiplier"),
-    ("matching_gap", "total_squared", "boundary"): ("lam", "lam", "gap"),
-    ("matching_gap", "successive_difference", "boundary"): ("lam", "lam", "gap"),
-    ("matching_gap", "mean_deviation", "boundary"): ("lam", "lam", "gap"),
-    ("combined", "total_squared", "none"): ("one", "one", "gap"),
-}
+# (objective, regularizer, constraints) of the regularized eq8 ... eq13
+_CLOSED_FORMS = {combo for combo in _NAMED.values() if combo[1] != "none"}

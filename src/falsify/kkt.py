@@ -36,6 +36,8 @@ __all__ = [
     "solve_ppcg",
 ]
 
+PPCG_TOL = 1e-10  # stopping tolerance, relative to the initial projected residual
+
 
 class SingularSystem(Exception):
     """Direct factorization detected rank deficiency beyond tolerance."""
@@ -179,14 +181,15 @@ class _ConstraintProjector:
         return x
 
 
-def solve_ppcg(system, tol=1e-10, max_iter=None):
+def solve_ppcg(system, max_iter=None):
     """Projected preconditioned CG with the constraint preconditioner.
 
     Requires the Hessian approximation to be positive definite on the null
     space of B^T; a non-positive curvature pivot raises :class:`Breakdown`
     (callers fall back to :func:`solve_direct`).  With m2 = 0 the projector
-    is the identity and this is plain CG on H d_x = rhs_top.  ``tol`` is
-    relative to the initial projected residual.
+    is the identity and this is plain CG on H d_x = rhs_top.  It stops at
+    :data:`PPCG_TOL` relative to the initial projected residual, or after
+    ``max_iter`` iterations (default 2 m1).
     """
     if max_iter is None:
         max_iter = 2 * system.m1
@@ -196,7 +199,7 @@ def solve_ppcg(system, tol=1e-10, max_iter=None):
     r = system.hess.matvec(x) - system.rhs_top
     g, v = projector.project(r)
     rg = float(r @ g)
-    target = tol * max(1.0, np.sqrt(abs(rg)))
+    target = PPCG_TOL * max(1.0, np.sqrt(abs(rg)))
     p = -g
     iterations = 0
     while np.sqrt(abs(rg)) > target and iterations < max_iter:

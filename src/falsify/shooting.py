@@ -198,8 +198,8 @@ def evaluate_segments(instance, vec, cfg=None):
     Returns one :class:`FlowResult` whose fields carry a leading segment
     axis: ``end_state`` (N, n), ``sensitivity`` (N, n, n) and
     ``end_derivative`` (N, n), row i computed from (x0_i, t_i).  Raises
-    :class:`IntegrationFailure` carrying the 1-based index of the first
-    failing segment in its ``segment`` attribute.
+    :class:`IntegrationFailure` whose message names the first failing
+    segment (1-based) and whose ``lane`` is its 0-based index.
     """
     return evaluate_many(instance, [vec], cfg)[0]
 
@@ -210,7 +210,7 @@ def evaluate_many(instance, vecs, cfg=None):
     The segments of all vectors are integrated in one lockstep batch, so
     each vector's flows equal those of its own :func:`evaluate_segments`
     call.  A failure names the first failing segment of the first vector
-    that fails.
+    that fails; its ``lane`` is that segment's index in the whole batch.
     """
     n_seg = instance.n_segments
     for vec in vecs:
@@ -225,9 +225,7 @@ def evaluate_many(instance, vecs, cfg=None):
         where = f"segment {segment + 1}"
         if len(vecs) > 1:
             where = f"vector {vector + 1}, {where}"
-        failure = IntegrationFailure(f"{where}: {exc}", exc.lane)
-        failure.segment = segment + 1
-        raise failure from exc
+        raise IntegrationFailure(f"{where}: {exc}", exc.lane) from exc
     n = instance.dim
     fields = (
         batch.end_state.reshape(-1, n_seg, n),

@@ -4,23 +4,25 @@ Each iteration linearizes the constraints, solves the saddle-point system
 for a primal-dual step, backtracks on an augmented-Lagrangian merit
 function until the sufficient-decrease test holds, then applies the common
 step length to both the shooting vector and the multipliers and refreshes
-the quasi-Newton Hessian.  Every shooting vector the run evaluates, the
-initial point and each trial, is integrated and given its F + R and c
-once; the accepted trial becomes the next iterate as it is, and only grad
-F, B and grad L are built on top of it.  Termination causes mirror the
-stopping criteria S1 (converged), S2 (iteration budget), S3 (step length
-underflow), plus an integration failure at the incumbent point.
+the quasi-Newton Hessian.  The multipliers are one float per column of the
+constraint Jacobian B, starting at zero.  Every shooting vector the run
+evaluates, the initial point and each trial, is integrated and given its
+F + R and c once; the accepted trial becomes the next iterate as it is,
+and only grad F, B and grad L are built on top of it.  Termination causes
+mirror the stopping criteria S1 (converged), S2 (iteration budget), S3
+(step length underflow), plus an integration failure at the incumbent
+point.
 """
 
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .formulation import (
-    Multipliers,
+    constraint_dim,
     constraint_jacobian,
     constraint_value,
     lagrangian_gradient,
@@ -28,7 +30,7 @@ from .formulation import (
     objective_value,
 )
 from .hessian import VARIANTS, init_identity
-from .integrate import DEFAULT_CONFIG, FlowResult, IntegrationFailure, IntegratorConfig
+from .integrate import FlowResult, IntegrationFailure, IntegratorConfig
 from .kkt import (
     Breakdown,
     KktSolution,
@@ -47,8 +49,6 @@ __all__ = [
     "TraceRecord",
     "RunReport",
     "StepTooSmall",
-    "merit",
-    "merit_derivative_at_zero",
     "line_search",
     "run",
 ]
@@ -124,23 +124,25 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class RunReport:
+    """Outcome of :func:`run`, with one final multiplier per column of B."""
+
     nit: int
     termination: Termination
     final_X: object
     final_objective: float
     final_constraint_norm: float
-    trace: tuple = ()
-    #: multipliers at the final iterate, for diagnostics and warm restarts
-    final_multipliers: Optional[Multipliers] = None
+    trace: tuple
+    #: multipliers at the final iterate, for diagnostics
+    final_multipliers: np.ndarray
 
 
-def _merit_value(objective, lam_new_flat, c_val, omega):
+def _merit_value(objective, lam_full, c_val, omega):
     """F + (lam+d_lam)^T c + (omega/2)||c||^2, added in that order.
 
     Every merit value of a run, m(0) included, goes through here, so the
     sufficient-decrease test compares sums rounded the same way.
     """
-    value = objective + float(lam_new_flat @ c_val)
+    value = objective + float(lam_full @ c_val)
     return value + 0.5 * omega * float(c_val @ c_val)
 
 
@@ -164,7 +166,7 @@ def _evaluate(formulation, instance, vec, cfg):
     )
 
 
-def _trial(formulation, instance, base_flat, d_x, alpha, lam_new_flat, omega, cfg):
+def _trial(formulation, instance, base_flat, d_x, alpha, lam_full, omega, cfg):
     """(m(alpha), point) at the trial vector base + alpha d_x.
 
     Integration failure at the trial point yields (+inf, None): the step is
@@ -175,43 +177,14 @@ def _trial(formulation, instance, base_flat, d_x, alpha, lam_new_flat, omega, cf
         point = _evaluate(formulation, instance, vec, cfg)
     except IntegrationFailure:
         return math.inf, None
-    return _merit_value(point.objective, lam_new_flat, point.c_val, omega), point
+    return _merit_value(point.objective, lam_full, point.c_val, omega), point
 
 
-def _merit_slope(grad_f, jac, c_val, lam_new_flat, d_x, omega):
+def _merit_slope(grad_f, jac, c_val, lam_full, d_x, omega):
     """m'(0) = d_x^T grad F + d_x^T B(lam+d_lam) + omega d_x^T B c, added in that order."""
     slope = float(d_x @ grad_f)
-    slope += float(d_x @ (jac @ lam_new_flat))
+    slope += float(d_x @ (jac @ lam_full))
     return slope + omega * float(d_x @ (jac @ c_val))
-
-
-def merit(formulation, instance, vec, lam, d_x, d_lam, alpha, omega, cfg=None):
-    """Merit value m(alpha) = F + (lam+d_lam)^T c + (omega/2)||c||^2 at the trial point.
-
-    Returns +inf when the trial point fails to integrate.
-    """
-    value, _ = _trial(
-        formulation, instance, pack(vec), d_x, alpha, lam.flat + d_lam, omega,
-        cfg or DEFAULT_CONFIG,
-    )
-    return value
-
-
-def merit_derivative_at_zero(
-    formulation, instance, vec, lam, d_x, d_lam, omega, flows=None, cfg=None
-):
-    """Directional derivative m'(0) = d_x^T (grad F + B(lam+d_lam)) + omega d_x^T B c."""
-    if flows is None:
-        flows = evaluate_segments(instance, vec, cfg or DEFAULT_CONFIG)
-    kind = formulation.constraints
-    return _merit_slope(
-        objective_gradient(formulation, instance, vec, flows),
-        constraint_jacobian(kind, instance, vec, flows),
-        constraint_value(kind, instance, vec, flows),
-        lam.flat + d_lam,
-        d_x,
-        omega,
-    )
 
 
 def line_search(
@@ -299,7 +272,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     :class:`~falsify.kkt.SingularSystem`.
     """
     cfg = cfg or SqpConfig()
-    lam = Multipliers.zeros(formulation.constraints, instance.system.dim, instance.n_segments)
+    lam = np.zeros(constraint_dim(formulation.constraints, instance.dim, instance.n_segments))
     hess = init_identity(cfg.hessian_variant, instance.system.dim, instance.n_segments)
     try:
         point = _evaluate(formulation, instance, X_init, cfg.integrator)
@@ -326,16 +299,16 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         solution, alpha_start, rung = _solve_step(system, cfg.kkt_method)
         d_x, d_lam = solution.d_x, solution.d_lambda
 
-        lam_new_flat = lam.flat + d_lam
+        lam_full = lam + d_lam
         flat = pack(point.vec)
-        merit_zero = _merit_value(point.objective, lam_new_flat, point.c_val, cfg.omega)
-        slope = _merit_slope(grad_f, jac, point.c_val, lam_new_flat, d_x, cfg.omega)
+        merit_zero = _merit_value(point.objective, lam_full, point.c_val, cfg.omega)
+        slope = _merit_slope(grad_f, jac, point.c_val, lam_full, d_x, cfg.omega)
         # line_search accepts the last alpha it evaluates
         trials = []
 
         def evaluate(alpha):
             value, trial = _trial(
-                formulation, instance, flat, d_x, alpha, lam_new_flat, cfg.omega,
+                formulation, instance, flat, d_x, alpha, lam_full, cfg.omega,
                 cfg.integrator,
             )
             trials.append(trial)
@@ -355,7 +328,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
             )
         )
 
-        lam_new = lam.replace(lam.flat + alpha * d_lam)
+        lam_new = lam + alpha * d_lam
         # quasi-Newton data: both gradients at the updated multipliers
         grad_old = lagrangian_gradient(grad_f, jac, lam_new)
         point, lam = trials[-1], lam_new

@@ -1,0 +1,102 @@
+"""Bitwise fingerprint of the solver's iterates on the benchmark's cells.
+
+    python3 tests/iterate_digest.py ROOT [--seeds 0-7] [--workloads a,b]
+
+Solves every cell of the chosen workloads (by default those that
+ROOT/BENCHMARK.json measures) for every seed, with the inputs of
+ROOT/perfbench/workloads.make_inputs and the library in ROOT/src, and
+prints the cell count and one sha256 per workload.  A hash covers, for each
+cell and seed: nit, termination, final objective, constraint norm, final
+shooting vector, multiplier values, every field of every TraceRecord and
+the verify result.  Running it on two checkouts, one process each, shows
+whether a change keeps the iterates bitwise unchanged.  Nothing is written
+into ROOT.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+
+
+def parse_seeds(text):
+    """"0-7" or "0,3,5-6" as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def feed(h, *values):
+    """Add each value to ``h`` by its bits, whatever its Python number type."""
+    for value in values:
+        if isinstance(value, str):
+            h.update(value.encode() + b"\0")
+        elif isinstance(value, tuple):
+            feed(h, len(value), *value)
+        else:
+            h.update(np.asarray(value, dtype=float).tobytes())
+
+
+def feed_cell(h, item, run, verify, eps4):
+    feed(h, item.cell.name)
+    try:
+        report = run(item.formulation, item.instance, item.guess, item.config)
+        checked = verify(item.instance, report.final_X, eps4)
+    except Exception as exc:  # a raising cell is part of the fingerprint
+        feed(h, "exception", type(exc).__name__, str(exc))
+        return
+    final = report.final_X
+    feed(
+        h,
+        report.nit,
+        report.termination.value,
+        report.final_objective,
+        report.final_constraint_norm,
+        final.states,
+        final.times,
+        getattr(report.final_multipliers, "flat", report.final_multipliers),
+    )
+    for record in report.trace:
+        feed(h, *(getattr(record, f.name) for f in fields(record)))
+    feed(h, checked.ok, checked.reasons, checked.init_distance, checked.unsafe_distance)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", type=Path, help="checkout whose src/ and perfbench/ to use")
+    parser.add_argument("--seeds", default="0-7", help='seed list, e.g. "0-7" or "0,2"')
+    parser.add_argument("--workloads", help="comma-separated names (default: BENCHMARK.json's)")
+    args = parser.parse_args(argv)
+
+    root = args.root.resolve()
+    if args.workloads:
+        names = args.workloads.split(",")
+    else:
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        names = [w["name"] for w in spec["workloads"]]
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "perfbench"))
+    import workloads  # puts root/src first on sys.path and checks it won
+
+    from falsify import run, verify
+
+    cells = 0
+    for name in names:
+        h = hashlib.sha256()
+        for seed in parse_seeds(args.seeds):
+            for item in workloads.workload_inputs(workloads.WORKLOADS[name], seed):
+                feed_cell(h, item, run, verify, workloads.EPS4)
+                cells += 1
+        print(f"{name} {h.hexdigest()}", flush=True)
+    print(f"cells {cells}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

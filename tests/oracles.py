@@ -5,7 +5,10 @@ derivative or assembly code: finite differences drive the gradient checks,
 scipy's integrators provide reference flows, and the rotation benchmark has
 an explicit matrix-exponential solution.  The dense LDL^T KKT solve as
 three separate passes, and the conditioning and dump diagnostics the tests
-use, live here too.  Tolerance constants match the acceptance thresholds.
+use, live here too.  The one helper that calls into the solver,
+:func:`merit_slope`, does so on purpose: the merit tests check the m'(0)
+that the line search uses.  Tolerance constants match the acceptance
+thresholds.
 """
 
 import numpy as np
@@ -13,9 +16,18 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
+from falsify import sqp
+from falsify.formulation import constraint_jacobian, constraint_value, objective_gradient
 from falsify.integrate import DEFAULT_CONFIG, IntegratorConfig
 from falsify.kkt import KktSolution, SingularSystem
-from falsify.shooting import Ellipsoid, ProblemInstance, ShootingVector, evaluate_many, unpack
+from falsify.shooting import (
+    Ellipsoid,
+    ProblemInstance,
+    ShootingVector,
+    evaluate_many,
+    evaluate_segments,
+    unpack,
+)
 from falsify.systems import benchmark2, benchmark3, rotation_matrix
 
 # finite differences need flows far more accurate than the default solver
@@ -142,6 +154,22 @@ def random_flat_near_guess(instance, rng, scale=0.3, horizon=5.0):
 
 def unpack_flat(instance, flat):
     return unpack(np.asarray(flat, dtype=float), instance.system.dim, instance.n_segments)
+
+
+def merit_slope(form, instance, vec, lam_full, d_x, omega, cfg):
+    """The solver's own m'(0) at ``vec`` for the multipliers after a full
+    step, ``lam_full`` = lam + d_lam; the merit values come from
+    ``sqp._trial``."""
+    flows = evaluate_segments(instance, vec, cfg)
+    kind = form.constraints
+    return sqp._merit_slope(
+        objective_gradient(form, instance, vec, flows),
+        constraint_jacobian(kind, instance, vec, flows),
+        constraint_value(kind, instance, vec, flows),
+        lam_full,
+        d_x,
+        omega,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from oracles import (
     TIGHT,
     benchmark2_instance,
     benchmark3_instance,
+    merit_slope,
     random_flat_near_guess,
     random_vector_near_guess,
     relative_error,
@@ -31,7 +32,6 @@ from falsify.bench import BenchSpec, generate_instance, initial_guess, run_table
 from falsify.formulation import (
     FORMULATION_NAMES,
     Formulation,
-    Multipliers,
     constraint_dim,
     constraint_jacobian,
     constraint_value,
@@ -49,14 +49,9 @@ from falsify.shooting import (
     ShootingVector,
     evaluate_many,
     evaluate_segments,
+    pack,
 )
-from falsify.sqp import (
-    SqpConfig,
-    Termination,
-    merit,
-    merit_derivative_at_zero,
-    run,
-)
+from falsify.sqp import SqpConfig, Termination, _trial, run
 from falsify.systems import benchmark2, benchmark3
 
 
@@ -108,7 +103,7 @@ def test_derivative_consistency():
         assert np.array_equal(batched.sensitivity, single.sensitivity)
         pairs = list(zip(perturbed, pert_flows))
         cache = list(zip(pairs[0::2], pairs[1::2]))
-        lam_flat = {kind: rng.standard_normal(constraint_dim(kind, n, n_seg)) for kind in kinds}
+        lams = {kind: rng.standard_normal(constraint_dim(kind, n, n_seg)) for kind in kinds}
 
         for name in FORMULATION_NAMES:
             form = Formulation.by_name(name)
@@ -133,13 +128,11 @@ def test_derivative_consistency():
                 worst["jacobian"] = max(
                     worst["jacobian"], relative_error(jac_fd, jac.toarray())
                 )
-                lam = Multipliers(kind, lam_flat[kind], n, n_seg)
-            else:
-                lam = Multipliers.zeros(kind, n, n_seg)
+            lam = lams.get(kind, np.zeros(0))
 
             # central differences are linear, so the FD Lagrangian gradient
             # is exactly grad_fd + jac_fd @ lam without extra integrations
-            lag_fd = grad_fd + (jac_fd @ lam.flat if m2 else 0.0)
+            lag_fd = grad_fd + jac_fd @ lam
             lag = lagrangian_gradient(grad, jac, lam)
             worst["lagrangian"] = max(worst["lagrangian"], relative_error(lag_fd, lag))
             if name in direct_forms:
@@ -427,12 +420,12 @@ def test_merit_line_search_contract():
         form = Formulation.by_name(name)
         m2 = constraint_dim(form.constraints, 3, 5)
         vec = random_vector_near_guess(instance, rng, scale=0.2)
-        lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 5)
+        lam = rng.standard_normal(m2)
         d_x = rng.standard_normal(20)
-        d_lam = rng.standard_normal(m2)
-        slope = merit_derivative_at_zero(form, instance, vec, lam, d_x, d_lam, 1.0, cfg=TIGHT)
-        plus = merit(form, instance, vec, lam, d_x, d_lam, FD_STEP, 1.0, cfg=TIGHT)
-        minus = merit(form, instance, vec, lam, d_x, d_lam, -FD_STEP, 1.0, cfg=TIGHT)
+        lam_full = lam + rng.standard_normal(m2)
+        slope = merit_slope(form, instance, vec, lam_full, d_x, 1.0, TIGHT)
+        plus, _ = _trial(form, instance, pack(vec), d_x, FD_STEP, lam_full, 1.0, TIGHT)
+        minus, _ = _trial(form, instance, pack(vec), d_x, -FD_STEP, lam_full, 1.0, TIGHT)
         fd_slope = (plus - minus) / (2.0 * FD_STEP)
         worst_slope = max(worst_slope, abs(slope - fd_slope) / max(1.0, abs(fd_slope)))
 
@@ -530,7 +523,7 @@ def test_duration_gradient_degeneracy():
         for _ in range(5):
             vec = random_vector_near_guess(instance, rng, scale=0.3)
             flows = evaluate_segments(instance, vec)
-            lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 5)
+            lam = rng.standard_normal(m2)
             # the same flows from starts that match them: every gap is exactly 0
             matched = ShootingVector(
                 np.concatenate([vec.states[:1], flows.end_state[:-1]]), vec.times

@@ -6,7 +6,6 @@ import pytest
 from falsify.formulation import (
     FORMULATION_NAMES,
     Formulation,
-    Multipliers,
     constraint_dim,
     constraint_jacobian,
     constraint_value,
@@ -73,18 +72,6 @@ def test_constraint_dimensions():
     assert constraint_dim("matching_boundary", n, big_n) == 14
     assert constraint_dim("boundary", n, big_n) == 2
     assert constraint_dim("none", n, big_n) == 0
-
-
-def test_multiplier_layout():
-    lam = Multipliers("matching_boundary", np.arange(14.0), 3, 5)
-    assert lam.boundary == (0.0, 13.0)
-    np.testing.assert_array_equal(lam.matching, np.arange(1.0, 13.0).reshape(4, 3))
-    both = Multipliers("boundary", np.array([2.0, 5.0]), 3, 5)
-    assert both.boundary == (2.0, 5.0)
-    with pytest.raises(AttributeError):
-        both.matching
-    with pytest.raises(ValueError):
-        Multipliers("matching", np.zeros(5), 3, 5)
 
 
 def test_regularizer_hand_values():
@@ -264,7 +251,7 @@ def test_matching_jacobian_block_structure():
 
 
 def dense_constraint_jacobian(kind, instance, vec, flows):
-    """B written entry by entry from the column order of Multipliers."""
+    """B written entry by entry in the multipliers' column order."""
     n, big_n = vec.dim, vec.n_segments
     jac = np.zeros((big_n * (n + 1), constraint_dim(kind, n, big_n)))
     col = 0
@@ -311,7 +298,7 @@ def test_lagrangian_gradient_closed_forms_agree():
         vec = random_vector_near_guess(instance, rng)
         flows = flows_for(instance, vec)
         m2 = constraint_dim(form.constraints, 3, 5)
-        lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 5)
+        lam = rng.standard_normal(m2)
         assembled = lagrangian_gradient(
             objective_gradient(form, instance, vec, flows),
             constraint_jacobian(form.constraints, instance, vec, flows),
@@ -326,9 +313,22 @@ def test_lagrangian_gradient_direct_rejects_unsupported_combo():
     form = Formulation.by_name("eq5")
     vec = initial_guess(instance, 3, u=np.zeros(3), cfg=TIGHT)
     flows = flows_for(instance, vec)
-    lam = Multipliers.zeros("matching", 3, 3)
+    lam = np.zeros(constraint_dim("matching", 3, 3))
     with pytest.raises(ValueError):
         lagrangian_gradient_direct(form, instance, vec, lam, flows)
+
+
+def test_lagrangian_gradient_direct_rejects_wrong_multiplier_length():
+    instance = benchmark2_instance(n_segments=3)
+    vec = initial_guess(instance, 3, u=np.zeros(3), cfg=TIGHT)
+    flows = flows_for(instance, vec)
+    for name in ("eq8", "eq9", "eq10", "eq13"):
+        form = Formulation.by_name(name)
+        m2 = constraint_dim(form.constraints, 3, 3)
+        lagrangian_gradient_direct(form, instance, vec, np.zeros(m2), flows)
+        for wrong in (np.zeros(m2 + 1), np.zeros((1, m2))):
+            with pytest.raises(ValueError, match=f"length {m2}"):
+                lagrangian_gradient_direct(form, instance, vec, wrong, flows)
 
 
 def test_zeroed_matching_residuals_isolate_duration_rows():
@@ -344,7 +344,7 @@ def test_zeroed_matching_residuals_isolate_duration_rows():
     for name in ("eq10", "eq13"):
         form = Formulation.by_name(name)
         m2 = constraint_dim(form.constraints, 3, 5)
-        lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 5)
+        lam = rng.standard_normal(m2)
         grad = lagrangian_gradient_direct(form, instance, matched, lam, flows)
         t_rows = [i * 4 + 3 for i in range(5)]
         np.testing.assert_array_equal(grad[t_rows[:-1]], vec.times[:-1])
@@ -358,7 +358,7 @@ def test_lagrangian_gradient_matches_finite_differences():
     vec = random_vector_near_guess(instance, rng)
     flat = np.column_stack([vec.states, vec.times]).ravel()
     m2 = constraint_dim(form.constraints, 3, 4)
-    lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 4)
+    lam = rng.standard_normal(m2)
 
     flows_at = fd_flows(instance, flat)
 
@@ -366,7 +366,7 @@ def test_lagrangian_gradient_matches_finite_differences():
         v = unpack_flat(instance, z)
         flows = flows_at[z.tobytes()]
         return objective_value(form, instance, v, flows) + float(
-            lam.flat @ constraint_value(form.constraints, instance, v, flows)
+            lam @ constraint_value(form.constraints, instance, v, flows)
         )
 
     flows = flows_for(instance, vec)

@@ -193,7 +193,7 @@ def test_evaluate_segments_reports_failing_segment():
     vec = ShootingVector(np.array([[0.1], [2.0]]), np.array([1.0, 3.0]))
     with pytest.raises(IntegrationFailure, match="segment 2") as info:
         evaluate_segments(instance, vec)
-    assert info.value.segment == 2
+    assert info.value.lane == 1
 
 
 def test_evaluate_segments_reports_lowest_of_several_failures():
@@ -210,7 +210,7 @@ def test_evaluate_segments_reports_lowest_of_several_failures():
     vec = ShootingVector(np.array([[0.1], [2.0], [5.0], [0.1]]), np.array([1.0, 3.0, 3.0, 1.0]))
     with pytest.raises(IntegrationFailure, match="segment 2") as info:
         evaluate_segments(instance, vec)
-    assert info.value.segment == 2
+    assert info.value.lane == 1
     with pytest.raises(IntegrationFailure) as single:
         flow_with_sensitivity(blowup, np.array([2.0]), 3.0)
     assert str(info.value) == f"segment 2: {single.value}"

@@ -9,7 +9,6 @@ import falsify.sqp
 from falsify.bench import generate_instance, initial_guess
 from falsify.formulation import (
     Formulation,
-    Multipliers,
     constraint_dim,
     constraint_jacobian,
     constraint_value,
@@ -17,12 +16,13 @@ from falsify.formulation import (
     objective_value,
 )
 from falsify.hessian import HessianApprox
-from falsify.integrate import IntegratorConfig
+from falsify.integrate import DEFAULT_CONFIG, IntegratorConfig
 from falsify.shooting import (
     Ellipsoid,
     ProblemInstance,
     ShootingVector,
     evaluate_segments,
+    pack,
 )
 from falsify.kkt import SaddleSystem, SingularSystem
 from falsify.sqp import (
@@ -31,14 +31,19 @@ from falsify.sqp import (
     StepTooSmall,
     Termination,
     _solve_step,
+    _trial,
     line_search,
-    merit,
-    merit_derivative_at_zero,
     run,
 )
 from falsify.systems import OdeSystem
 
-from oracles import TIGHT, benchmark2_instance, random_vector_near_guess, unpack_flat
+from oracles import (
+    TIGHT,
+    benchmark2_instance,
+    merit_slope,
+    random_vector_near_guess,
+    unpack_flat,
+)
 
 TIGHT_SQP = SqpConfig(integrator=IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12))
 
@@ -50,17 +55,17 @@ def test_merit_at_zero_matches_formula():
     vec = random_vector_near_guess(instance, rng)
     flows = evaluate_segments(instance, vec, TIGHT)
     m2 = constraint_dim(form.constraints, 3, 4)
-    lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 4)
+    lam = rng.standard_normal(m2)
     d_lam = rng.standard_normal(m2)
     omega = 1.0
     c_val = constraint_value(form.constraints, instance, vec, flows)
     expected = (
         objective_value(form, instance, vec, flows)
-        + (lam.flat + d_lam) @ c_val
+        + (lam + d_lam) @ c_val
         + 0.5 * omega * (c_val @ c_val)
     )
     zero_step = np.zeros(vec.n_segments * 4)
-    value = merit(form, instance, vec, lam, zero_step, d_lam, 0.0, omega, TIGHT)
+    value, _ = _trial(form, instance, pack(vec), zero_step, 0.0, lam + d_lam, omega, TIGHT)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -69,9 +74,8 @@ def test_merit_reduces_to_objective_when_unconstrained():
     rng = np.random.default_rng(307)
     form = Formulation.by_name("eq13")
     vec = random_vector_near_guess(instance, rng)
-    lam = Multipliers.zeros("none", 3, 3)
     d_x = 0.01 * rng.standard_normal(12)
-    value = merit(form, instance, vec, lam, d_x, np.zeros(0), 1.0, 1.0, TIGHT)
+    value, _ = _trial(form, instance, pack(vec), d_x, 1.0, np.zeros(0), 1.0, TIGHT)
     trial = unpack_flat(instance, np.column_stack([vec.states, vec.times]).ravel() + d_x)
     expected = objective_value(
         form, instance, trial, evaluate_segments(instance, trial, TIGHT)
@@ -81,7 +85,7 @@ def test_merit_reduces_to_objective_when_unconstrained():
 
 @pytest.mark.parametrize("name", ["eq8", "eq13"])
 def test_recorded_merit_zero_is_the_merit_at_alpha_zero(name):
-    """m(0) of the first step is bitwise the public merit at alpha = 0."""
+    """m(0) of the first step is bitwise the solver's merit at alpha = 0."""
     instance = benchmark2_instance(n_segments=4)
     guess = initial_guess(instance, 4)
     form = Formulation.by_name(name)
@@ -93,10 +97,10 @@ def test_recorded_merit_zero_is_the_merit_at_alpha_zero(name):
         kkt_observer=lambda system: steps.append(_solve_step(system, cfg.kkt_method)),
     )
     solution, _, _ = steps[0]
-    lam = Multipliers.zeros(form.constraints, 3, 4)
-    value = merit(
-        form, instance, guess, lam, solution.d_x, solution.d_lambda,
-        alpha=0.0, omega=cfg.omega, cfg=cfg.integrator,
+    lam = np.zeros(constraint_dim(form.constraints, 3, 4))
+    value, _ = _trial(
+        form, instance, pack(guess), solution.d_x, 0.0, lam + solution.d_lambda,
+        cfg.omega, cfg.integrator,
     )
     assert value == report.trace[0].merit_zero
 
@@ -112,10 +116,10 @@ def test_kept_observer_system_re_solves_to_the_recorded_merit():
     report = run(form, instance, guess, cfg, kkt_observer=seen.append)
     assert report.nit == 1 and len(seen) == 1
     solution, _, _ = _solve_step(seen[0], cfg.kkt_method)
-    lam = Multipliers.zeros(form.constraints, 3, 4)
-    value = merit(
-        form, instance, guess, lam, solution.d_x, solution.d_lambda,
-        alpha=0.0, omega=cfg.omega, cfg=cfg.integrator,
+    lam = np.zeros(constraint_dim(form.constraints, 3, 4))
+    value, _ = _trial(
+        form, instance, pack(guess), solution.d_x, 0.0, lam + solution.d_lambda,
+        cfg.omega, cfg.integrator,
     )
     assert value == report.trace[0].merit_zero
 
@@ -132,10 +136,10 @@ def test_merit_is_infinite_when_the_trial_point_blows_up():
     )
     vec = ShootingVector(np.array([[0.1]]), np.array([1.0]))
     form = Formulation.by_name("eq13")
-    lam = Multipliers.zeros("none", 1, 1)
     # step pushes the start state to 2.1 for 1 time unit: finite-time blowup
     d_x = np.array([2.0, 0.0])
-    assert merit(form, instance, vec, lam, d_x, np.zeros(0), 1.0, 1.0) == np.inf
+    value, _ = _trial(form, instance, pack(vec), d_x, 1.0, np.zeros(0), 1.0, DEFAULT_CONFIG)
+    assert value == np.inf
 
 
 def test_merit_derivative_matches_finite_differences():
@@ -145,15 +149,13 @@ def test_merit_derivative_matches_finite_differences():
         form = Formulation.by_name(name)
         vec = random_vector_near_guess(instance, rng)
         m2 = constraint_dim(form.constraints, 3, 4)
-        lam = Multipliers(form.constraints, rng.standard_normal(m2), 3, 4)
+        lam = rng.standard_normal(m2)
         d_x = 0.1 * rng.standard_normal(16)
-        d_lam = rng.standard_normal(m2)
-        analytic = merit_derivative_at_zero(
-            form, instance, vec, lam, d_x, d_lam, 1.0, cfg=TIGHT
-        )
+        lam_full = lam + rng.standard_normal(m2)
+        analytic = merit_slope(form, instance, vec, lam_full, d_x, 1.0, TIGHT)
         h = 1e-6
-        plus = merit(form, instance, vec, lam, d_x, d_lam, h, 1.0, TIGHT)
-        minus = merit(form, instance, vec, lam, d_x, d_lam, -h, 1.0, TIGHT)
+        plus, _ = _trial(form, instance, pack(vec), d_x, h, lam_full, 1.0, TIGHT)
+        minus, _ = _trial(form, instance, pack(vec), d_x, -h, lam_full, 1.0, TIGHT)
         fd = (plus - minus) / (2.0 * h)
         assert analytic == pytest.approx(fd, rel=1e-5), name
 
@@ -162,10 +164,7 @@ def test_merit_derivative_zero_step_is_zero():
     instance = benchmark2_instance(n_segments=3)
     form = Formulation.by_name("eq9")
     vec = initial_guess(instance, 3, cfg=TIGHT)
-    lam = Multipliers.zeros(form.constraints, 3, 3)
-    value = merit_derivative_at_zero(
-        form, instance, vec, lam, np.zeros(12), np.zeros(6), 1.0, cfg=TIGHT
-    )
+    value = merit_slope(form, instance, vec, np.zeros(6), np.zeros(12), 1.0, TIGHT)
     assert value == 0.0
 
 
@@ -176,10 +175,7 @@ def test_merit_derivative_unconstrained_is_gradient_projection():
     vec = random_vector_near_guess(instance, rng)
     flows = evaluate_segments(instance, vec, TIGHT)
     d_x = rng.standard_normal(12)
-    lam = Multipliers.zeros("none", 3, 3)
-    value = merit_derivative_at_zero(
-        form, instance, vec, lam, d_x, np.zeros(0), 1.0, flows=flows
-    )
+    value = merit_slope(form, instance, vec, np.zeros(0), d_x, 1.0, TIGHT)
     expected = d_x @ objective_gradient(form, instance, vec, flows)
     assert value == pytest.approx(expected, rel=1e-14)
 
@@ -304,6 +300,17 @@ def test_s1_tolerances_hold_at_the_reported_point():
     assert np.linalg.norm(grad) < cfg.eps1
     c_val = constraint_value(form.constraints, instance, report.final_X, flows)
     assert np.linalg.norm(c_val) < cfg.eps2
+
+
+@pytest.mark.parametrize("name, m2", [("eq8", 14), ("eq13", 0)])
+def test_final_multipliers_are_one_float_per_column_of_b(name, m2):
+    instance = benchmark2_instance(n_segments=5)
+    form = Formulation.by_name(name)
+    assert constraint_dim(form.constraints, 3, 5) == m2
+    report = run(form, instance, initial_guess(instance, 5), SqpConfig(max_iter=3))
+    lam = report.final_multipliers
+    assert isinstance(lam, np.ndarray)
+    assert lam.dtype == np.float64 and lam.shape == (m2,)
 
 
 def test_runs_are_deterministic():
@@ -453,7 +460,7 @@ def test_each_shooting_vector_is_evaluated_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["eq8", "eq13"])
 def test_recorded_merit_slope_is_the_public_derivative(name):
-    """m'(0) of the first step is bitwise the public merit_derivative_at_zero."""
+    """m'(0) of the first step is bitwise the solver's _merit_slope."""
     instance = benchmark2_instance(n_segments=4)
     guess = initial_guess(instance, 4)
     form = Formulation.by_name(name)
@@ -461,10 +468,10 @@ def test_recorded_merit_slope_is_the_public_derivative(name):
     seen = []
     report = run(form, instance, guess, cfg, kkt_observer=seen.append)
     solution, _, _ = _solve_step(seen[0], cfg.kkt_method)
-    lam = Multipliers.zeros(form.constraints, 3, 4)
-    slope = merit_derivative_at_zero(
-        form, instance, guess, lam, solution.d_x, solution.d_lambda, cfg.omega,
-        cfg=cfg.integrator,
+    lam = np.zeros(constraint_dim(form.constraints, 3, 4))
+    slope = merit_slope(
+        form, instance, guess, lam + solution.d_lambda, solution.d_x, cfg.omega,
+        cfg.integrator,
     )
     assert slope == report.trace[0].merit_slope
 
