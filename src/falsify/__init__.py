@@ -28,6 +28,7 @@ from .integrate import (
 )
 from .kkt import KktSolution, SaddleSystem, solve_direct, solve_ppcg
 from .shooting import (
+    DegenerateInstance,
     Ellipsoid,
     ProblemInstance,
     ShootingVector,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .formulation import Formulation
 from .integrate import IntegrationFailure
-from .shooting import Ellipsoid, ProblemInstance, ShootingVector
+from .shooting import DegenerateInstance, Ellipsoid, ProblemInstance, ShootingVector
 from .sqp import RunReport, SqpConfig, Termination, run
 from .systems import benchmark1, benchmark2, benchmark3
 from . import integrate
@@ -198,6 +198,8 @@ def _solve_cell(spec, sqp_cfg, dim, n_segments):
         guess = initial_guess(instance, n_segments, spec.horizon)
     except IntegrationFailure:
         return BenchRow(dim, n_segments, 0, "F", ("integration_failure",))
+    except DegenerateInstance:
+        return BenchRow(dim, n_segments, 0, "F", ("degenerate_instance",))
     report = run(spec.formulation, instance, guess, sqp_cfg)
     if report.termination is Termination.INTEGRATION_FAILURE:
         return BenchRow(dim, n_segments, report.nit, "F", ("integration_failure",), report)

@@ -45,7 +45,7 @@ from .formulation import (
 from .hessian import VARIANTS, init_identity
 from .integrate import IntegrationFailure, IntegratorConfig
 from .kkt import Breakdown, SaddleSystem, SingularSystem, solve_direct, solve_ppcg
-from .shooting import evaluate_many, evaluate_segments, pack, unpack
+from .shooting import DegenerateInstance, evaluate_many, evaluate_segments, pack, unpack
 from .sqp import KKT_METHODS, SqpConfig, Termination, run
 
 logger = logging.getLogger("falsify")
@@ -179,7 +179,7 @@ def load_config(args):
 
     trace = args.trace or fetch("output", "trace", None)
     dump = args.dump_trajectory or fetch("output", "dump_trajectory", None)
-    return RunConfig(
+    cfg = RunConfig(
         spec,
         sqp,
         report_path=Path(fetch("output", "report", RunConfig.report_path)),
@@ -187,12 +187,33 @@ def load_config(args):
         trace_path=Path(trace) if trace else None,
         dump_path=Path(dump) if dump else None,
     )
+    # an output that cannot be written must stop the run before its solve
+    outputs = {
+        "report": cfg.report_path,
+        "table": cfg.table_path,
+        "trace": cfg.trace_path,
+        "dump_trajectory": cfg.dump_path,
+    }
+    for key, path in outputs.items():
+        if path is not None and (path.is_dir() or not path.parent.is_dir()):
+            raise ConfigError(
+                f"invalid value for output.{key}: {str(path)!r} is not a file in an existing directory"
+            )
+    return cfg
 
 
-def _single_cell(spec):
+def _cell_instance(spec):
+    """(instance, initial guess) of the one configured cell, or None once the
+    reason no instance could be built is printed."""
     if len(spec.dims) != 1 or len(spec.segment_counts) != 1:
         raise ConfigError("solve/check need exactly one problem.dim and one problem.segments value")
-    return spec.dims[0], spec.segment_counts[0]
+    n_segments = spec.segment_counts[0]
+    try:
+        instance = generate_instance(spec, spec.dims[0], n_segments)
+        return instance, initial_guess(instance, n_segments, spec.horizon)
+    except (IntegrationFailure, DegenerateInstance) as exc:
+        print(f"instance generation failed: {exc}", file=sys.stderr)
+        return None
 
 
 def _write_trace(report, path):
@@ -247,13 +268,11 @@ def _write_report(cfg, dim, n_segments, report, checked, path):
 
 def cmd_solve(cfg):
     spec = cfg.spec
-    dim, n_segments = _single_cell(spec)
-    try:
-        instance = generate_instance(spec, dim, n_segments)
-        guess = initial_guess(instance, n_segments, spec.horizon)
-    except IntegrationFailure as exc:
-        print(f"instance generation failed: {exc}", file=sys.stderr)
+    cell = _cell_instance(spec)
+    if cell is None:
         return 2
+    instance, guess = cell
+    dim, n_segments = instance.dim, instance.n_segments
     logger.info("solving %s dim=%d N=%d with %s", spec.system, dim, n_segments, spec.formulation.name)
     report = run(spec.formulation, instance, guess, cfg.sqp)
     checked = None
@@ -286,11 +305,12 @@ def cmd_bench(cfg):
 def cmd_check(cfg):
     """Derivative, rank, and solver cross-checks on the configured instance."""
     spec = cfg.spec
-    dim, n_segments = _single_cell(spec)
-    instance = generate_instance(spec, dim, n_segments)
-    guess = initial_guess(instance, n_segments, spec.horizon)
+    cell = _cell_instance(spec)
+    if cell is None:
+        return 2
+    instance, guess = cell
     form = spec.formulation
-    n = instance.system.dim
+    n, n_segments = instance.dim, instance.n_segments
     tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
     flat = pack(guess)
     kind = form.constraints
@@ -385,8 +405,12 @@ def main(argv=None):
     parser.add_argument("--dump-trajectory", help="write the final trajectory samples to this file")
     args = parser.parse_args(argv)
 
-    level = os.environ.get("FALSIFY_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
+    # a level name resolves to an int; anything else (BASIC_FORMAT is a format
+    # string) falls back to WARNING
+    level = getattr(logging, os.environ.get("FALSIFY_LOG", "warning").upper(), None)
+    if not isinstance(level, int):
+        level = logging.WARNING
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
     try:
         cfg = load_config(args)

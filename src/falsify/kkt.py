@@ -76,13 +76,7 @@ class SaddleSystem:
         return self.rhs_bottom.shape[0]
 
     def dense_matrix(self):
-        m1, m2 = self.m1, self.m2
-        mat = np.zeros((m1 + m2, m1 + m2))
-        mat[:m1, :m1] = self.hess.dense_copy()
-        b_dense = self.jac.toarray()
-        mat[:m1, m1:] = b_dense
-        mat[m1:, :m1] = b_dense.T
-        return mat
+        return _saddle_csc(self).toarray()
 
     def rhs(self):
         return np.concatenate([self.rhs_top, self.rhs_bottom])

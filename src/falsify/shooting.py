@@ -19,6 +19,7 @@ from .integrate import FlowResult, IntegrationFailure, flow_with_sensitivity
 __all__ = [
     "Ellipsoid",
     "ShootingVector",
+    "DegenerateInstance",
     "ProblemInstance",
     "pack",
     "unpack",
@@ -115,53 +116,36 @@ def unpack(flat, n, n_segments):
 def _min_quadratic_over_ellipsoid(inner, quad):
     """Exact min of quad.quadratic(v) over v in the ``inner`` ellipsoid.
 
-    Cholesky-transform the inner set to the unit ball and solve the
-    resulting trust-region subproblem through its secular equation.
+    In the coordinates w of the inner set's unit ball, v = inner.center +
+    basis @ w, the quadratic has the positive definite Hessian ``mat`` and
+    its free minimizer w(0) = -mat^{-1} g is the unsafe center.  If that
+    center lies in the inner set the minimum is 0.  Otherwise the minimizer
+    is w(mu) = -(mat + mu I)^{-1} g with |w(mu)| = 1; |w(mu)| decreases in
+    mu and |w(|g|)| < 1, so the secular equation has its one root in
+    (0, |g|] (More & Sorensen 1983, without the indefinite hard case).
     """
-    chol = np.linalg.cholesky(inner.shape)
-    basis = np.linalg.inv(chol.T)  # v = inner.center + basis @ w, |w| <= 1
+    if inner.quadratic(quad.center) <= 1.0:
+        return 0.0
+    basis = np.linalg.inv(np.linalg.cholesky(inner.shape).T)
     mat = basis.T @ quad.shape @ basis
     g = basis.T @ quad.shape @ (inner.center - quad.center)
-    q0 = quad.quadratic(inner.center)
-
-    def value(w):
-        return float(w @ mat @ w + 2.0 * g @ w + q0)
-
-    try:
-        w_free = np.linalg.solve(mat, -g)
-    except np.linalg.LinAlgError:
-        w_free = None
-    if w_free is not None and w_free @ w_free <= 1.0:
-        return value(w_free)
-
-    # boundary solution: w(mu) = -(mat + mu I)^{-1} g with |w(mu)| = 1
     eigval, eigvec = np.linalg.eigh(mat)
     gt = eigvec.T @ g
-    if float(g @ g) < 1e-30:
-        # gradient vanishes at the inner center: boundary minimum is the
-        # smallest curvature direction
-        return float(eigval.min()) + q0
-
-    def radius_excess(mu):
+    lo, hi = 0.0, float(np.sqrt(g @ g))
+    mu = 0.5 * hi
+    while lo < mu < hi:  # bisect until the bracket can no longer shrink
         w = gt / (eigval + mu)
-        return float(w @ w) - 1.0
-
-    # radius_excess decreases monotonically in mu: bisect its sign change
-    lo = max(0.0, -eigval.min()) + 1e-14
-    hi = max(lo * 2, 1.0)
-    while radius_excess(hi) > 0:
-        hi *= 2.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # the bracket is as narrow as floats allow
-            break
-        if radius_excess(mid) > 0:
-            lo = mid
+        if w @ w > 1.0:
+            lo = mu
         else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
+            hi = mu
+        mu = 0.5 * (lo + hi)
     w = eigvec @ (-gt / (eigval + mu))
-    return value(w)
+    return float(w @ mat @ w + 2.0 * g @ w + quad.quadratic(inner.center))
+
+
+class DegenerateInstance(ValueError):
+    """The initial and unsafe sets share their center: there is nothing to reach."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +164,7 @@ class ProblemInstance:
         if self.n_segments < 1:
             raise ValueError("need at least one segment")
         if np.array_equal(self.init.center, self.unsafe_set.center):
-            raise ValueError("initial and unsafe centers must be distinct")
+            raise DegenerateInstance("initial and unsafe centers must be distinct")
         if _min_quadratic_over_ellipsoid(self.init, self.unsafe_set) <= 1.0:
             warnings.warn(
                 "initial and unsafe sets overlap; the problem assumes they are disjoint",

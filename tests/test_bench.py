@@ -162,6 +162,16 @@ def test_run_table_flags_unverified_rows():
     assert "init_boundary" in rows[0].reasons
 
 
+def test_run_table_flags_degenerate_instances():
+    # a negligible horizon maps the initial center onto itself: each cell
+    # becomes an F row instead of aborting the table
+    rows = run_table(small_spec(horizon=1e-300, segment_counts=(5, 10)))
+    assert [(row.N, row.nit, row.status, row.reasons) for row in rows] == [
+        (5, 0, "F", ("degenerate_instance",)),
+        (10, 0, "F", ("degenerate_instance",)),
+    ]
+
+
 def test_run_table_empty_segment_list():
     assert run_table(small_spec(segment_counts=())) == []
 

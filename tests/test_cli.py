@@ -1,6 +1,10 @@
 """Tests for the command-line interface: config handling, commands, outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +255,77 @@ def test_log_env_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("FALSIFY_LOG", "debug")
     assert run_cli("solve") == 0
+
+
+def test_unusable_log_level_falls_back_to_warning(tmp_path):
+    """FALSIFY_LOG names a logging attribute that is no level (a format
+    string): the run goes on at WARNING and still reports the bad key."""
+    config = write(tmp_path / "bad.ini", "[problem]\nsegmants = 5\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, FALSIFY_LOG="basic_format", PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "falsify.cli", "solve", "--config", config],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert done.returncode == 64, done.stderr
+    assert "segmants" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_degenerate_instance_is_a_reported_failure(tmp_path, monkeypatch, capsys, command):
+    """A negligible horizon puts the unsafe center on the initial one: no
+    instance exists, which is a failure (exit 2), not an unverified solve."""
+    monkeypatch.chdir(tmp_path)
+    config = write(tmp_path / "cfg.ini", "[problem]\nhorizon = 1e-300\n")
+    assert run_cli(command, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("instance generation failed:")
+    assert "distinct" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_bench_writes_an_f_row_for_a_degenerate_instance(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = write(
+        tmp_path / "cfg.ini",
+        "[problem]\nhorizon = 1e-300\nsegments = 2,3\n[output]\ntable = out.csv\n",
+    )
+    assert run_cli("bench", "--config", config) == 0
+    assert (tmp_path / "out.csv").read_text().splitlines() == ["n,N,NIT,S", "3,2,0,F", "3,3,0,F"]
+    assert "out.csv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["solve", "--config", "report.ini"], "output.report"),
+        (["bench", "--config", "table.ini"], "output.table"),
+        (["solve", "--config", "dump.ini"], "output.dump_trajectory"),
+        (["solve", "--config", "empty.ini"], "output.report"),
+        (["solve", "--trace", "missing/trace.txt"], "output.trace"),
+        (["solve", "--dump-trajectory", "missing/dump.txt"], "output.dump_trajectory"),
+    ],
+    ids=["report", "table", "dump", "empty-report", "trace-flag", "dump-flag"],
+)
+def test_unwritable_output_path_rejected(tmp_path, monkeypatch, capsys, argv, key):
+    """Every output path is checked before the solve, not written after it:
+    a path in a missing directory, or one that names a directory (an empty
+    value names the working directory)."""
+    monkeypatch.chdir(tmp_path)
+    configs = {
+        "report": "report = missing/out.json",
+        "table": "table = missing/out.csv",
+        "dump": "dump_trajectory = missing/out.txt",
+        "empty": "report =",
+    }
+    for name, line in configs.items():
+        write(tmp_path / f"{name}.ini", f"[output]\n{line}\n")
+    assert run_cli(*argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert key in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"{name}.ini" for name in configs)

@@ -120,6 +120,40 @@ def test_disjoint_sets_do_not_warn(recwarn):
     assert not [w for w in recwarn if "overlap" in str(w.message)]
 
 
+def test_unsafe_center_inside_the_initial_set_is_an_overlap_of_value_zero():
+    system = benchmark2()
+    init = Ellipsoid(np.ones(3), np.diag([16.0, 4.0, 1.0]))
+    unsafe = Ellipsoid.ball(np.ones(3) + [0.0, 0.0, 0.9], 0.01)  # distinct center, inside init
+    assert _min_quadratic_over_ellipsoid(init, unsafe) == 0.0
+    with pytest.warns(UserWarning, match="overlap"):
+        ProblemInstance(system, init, unsafe, 3)
+
+
+def test_overlap_minimum_is_below_every_sampled_inner_point():
+    """Root-finder-free bound: the minimum over the inner set never exceeds
+    the quadratic at a point of that set.  The pairs mix interior cases
+    (unsafe center inside the inner set) with boundary cases."""
+    rng = np.random.default_rng(31)
+    interior = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        shapes = []
+        for _ in range(2):
+            root = rng.standard_normal((n, n))
+            shapes.append(root @ root.T + 10 ** rng.uniform(-8, 1) * np.eye(n))
+        inner = Ellipsoid(rng.standard_normal(n), shapes[0])
+        direction = rng.standard_normal(n)
+        quad = Ellipsoid(inner.center + rng.uniform(0.0, 4.0) * direction / np.linalg.norm(direction), shapes[1])
+        interior += inner.quadratic(quad.center) <= 1.0
+        # points strictly inside the inner set: v = center + basis @ w, |w| < 1
+        basis = np.linalg.inv(np.linalg.cholesky(inner.shape).T)
+        w = rng.standard_normal((50, n))
+        w *= rng.uniform(0.0, 1.0, (50, 1)) ** (1.0 / n) / np.linalg.norm(w, axis=1, keepdims=True)
+        sampled = min(quad.quadratic(v) for v in inner.center + w @ basis.T)
+        assert _min_quadratic_over_ellipsoid(inner, quad) <= sampled
+    assert interior >= 20
+
+
 def _brentq_min_quadratic(inner, quad):
     """Boundary minimum of quad over the inner ellipsoid, root found by brentq."""
     basis = np.linalg.inv(np.linalg.cholesky(inner.shape).T)
