@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -217,16 +217,15 @@ def _cell_instance(spec):
 
 
 def _write_trace(report, path):
+    """JSON Lines: every ``TraceRecord`` field of each iteration, with
+    non-finite floats as null."""
     with open(path, "w", newline="") as sink:
-        sink.write(
-            "# iter objective constraint_norm gradient_norm alpha merit cg_iterations kkt_rung\n"
-        )
         for rec in report.trace:
-            sink.write(
-                f"{rec.iteration} {rec.objective:.17g} {rec.constraint_norm:.17g} "
-                f"{rec.gradient_norm:.17g} {rec.alpha:.17g} {rec.merit:.17g} {rec.cg_iterations} "
-                f"{rec.kkt_rung}\n"
-            )
+            row = {
+                key: _number(value) if isinstance(value, float) else value
+                for key, value in asdict(rec).items()
+            }
+            sink.write(json.dumps(row, allow_nan=False) + "\n")
 
 
 def _number(value):

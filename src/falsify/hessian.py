@@ -1,6 +1,6 @@
 """Quasi-Newton approximations of the Lagrangian Hessian.
 
-Three variants on the same rank-two update
+Two variants on the same rank-two update
 
     H_new = H - (H s s^T H) / (s^T H s) + (y y^T) / (y^T s),
 
@@ -9,15 +9,10 @@ skipped (and counted) whenever the curvature condition y^T s > 0 fails:
 * ``full``      -- dense update on the whole packed vector;
 * ``blockdiag`` -- independent updates on the N diagonal blocks of size
                    (n+1), matching the per-segment separability of the
-                   matching/boundary constrained formulations;
-* ``banded``    -- updates on overlapping 2(n+1) windows that slide one
-                   segment at a time (consecutive segment pairs, the
-                   coupling pattern of the successive-difference
-                   regularizer), averaged on the overlap and projected
-                   back to the band.
+                   matching/boundary constrained formulations.
 
 Storage is a dense symmetric matrix with exact zeros outside the variant's
-pattern; the structured variants never touch entries outside their pattern.
+pattern; ``blockdiag`` never touches entries outside its blocks.
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +21,7 @@ import numpy as np
 
 __all__ = ["HessianApprox", "init_identity", "VARIANTS"]
 
-VARIANTS = ("full", "blockdiag", "banded")
+VARIANTS = ("full", "blockdiag")
 
 
 def _bfgs_inplace(mat, s, y):
@@ -75,51 +70,28 @@ class HessianApprox:
         return self.mat.copy()
 
     def _windows(self):
-        """Index ranges the updates operate on: the whole matrix for ``full``,
-        the N diagonal blocks for ``blockdiag``, the overlapping pairs of
-        blocks for ``banded``."""
-        width = self.n + 1
+        """Disjoint index ranges the updates operate on: the whole matrix for
+        ``full``, the N diagonal blocks for ``blockdiag``."""
         if self.variant == "full":
             return [slice(0, self.dim)]
-        if self.variant == "blockdiag":
-            return [slice(i * width, (i + 1) * width) for i in range(self.n_segments)]
-        if self.n_segments == 1:
-            return [slice(0, width)]
-        return [
-            slice(i * width, (i + 2) * width) for i in range(self.n_segments - 1)
-        ]
+        width = self.n + 1
+        return [slice(i * width, (i + 1) * width) for i in range(self.n_segments)]
 
     def update(self, s, y):
         """BFGS update with step s = X_new - X and gradient difference y.
 
         Returns self; increments ``skip_count`` once per skipped update
-        (per block/window for the structured variants).
+        (per block for ``blockdiag``).
         """
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
         if s.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError(f"s and y must have packed length {self.dim}")
 
-        if self.variant != "banded":
-            for window in self._windows():
-                # disjoint windows; two-slice indexing is a view, so each
-                # update lands in place
-                if not _bfgs_inplace(self.mat[window, window], s[window], y[window]):
-                    self.skip_count += 1
-            return self
-
-        # banded: update each overlapping window of the *current* matrix,
-        # average the overlapped entries, then project onto the band.
-        acc = np.zeros_like(self.mat)
-        count = np.zeros_like(self.mat)
         for window in self._windows():
-            block = self.mat[window, window].copy()
-            if not _bfgs_inplace(block, s[window], y[window]):
+            # two-slice indexing is a view, so each update lands in place
+            if not _bfgs_inplace(self.mat[window, window], s[window], y[window]):
                 self.skip_count += 1
-            acc[window, window] += block
-            count[window, window] += 1.0
-        covered = count > 0
-        self.mat[covered] = acc[covered] / count[covered]
         return self
 
 

@@ -101,7 +101,6 @@ class SaddleSystem:
 class KktSolution:
     d_x: np.ndarray
     d_lambda: np.ndarray
-    residual_norm: float
     cg_iterations: int
 
 
@@ -138,7 +137,7 @@ def solve_direct(system):
         raise SingularSystem(
             f"direct solve residual {residual:.2e} exceeds tolerance; system near-singular"
         )
-    return KktSolution(d_x, d_lam, residual, 0)
+    return KktSolution(d_x, d_lam, 0)
 
 
 class _ConstraintProjector:
@@ -212,5 +211,4 @@ def solve_ppcg(system, max_iter=None):
         g, rg = g_new, rg_new
         iterations += 1
 
-    d_lam = -v
-    return KktSolution(x, d_lam, system.residual(x, d_lam), iterations)
+    return KktSolution(x, -v, iterations)

@@ -236,13 +236,9 @@ def _solve_step(system, method):
     try:
         return solve_direct(system), 1.0, "direct"
     except SingularSystem:
-        dense = system.dense_matrix()
-        rhs = system.rhs()
-        sol, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
+        sol, *_ = np.linalg.lstsq(system.dense_matrix(), system.rhs(), rcond=None)
         m1 = system.m1
-        d_x, d_lam = sol[:m1], sol[m1:]
-        residual = float(np.linalg.norm(dense @ sol - rhs))
-        return KktSolution(d_x, d_lam, residual, 0), 0.5, "lstsq"
+        return KktSolution(sol[:m1], sol[m1:], 0), 0.5, "lstsq"
 
 
 def _linearize(formulation, instance, point, lam):

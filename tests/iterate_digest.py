@@ -1,6 +1,6 @@
 """Bitwise fingerprint of the solver's iterates on the benchmark's cells.
 
-    python3 tests/iterate_digest.py ROOT [--seeds 0-7] [--workloads a,b]
+    python3 tests/iterate_digest.py ROOT [--seeds 0-7] [--workloads a,b] [--cells]
 
 Solves every cell of the chosen workloads (by default those that
 ROOT/BENCHMARK.json measures) for every seed, with the inputs of
@@ -9,7 +9,10 @@ prints the cell count and one sha256 per workload.  A hash covers, for each
 cell and seed: nit, termination, final objective, constraint norm, final
 shooting vector, multiplier values, every field of every TraceRecord and
 the verify result.  Running it on two checkouts, one process each, shows
-whether a change keeps the iterates bitwise unchanged.  Nothing is written
+whether a change keeps the iterates bitwise unchanged.  ``--cells`` also
+prints, before each workload's line, one line per cell and seed:
+``workload seed cell-name nit termination`` and the first 12 hex digits of
+that cell's own hash, so a mismatch names its cell.  Nothing is written
 into ROOT.
 """
 
@@ -43,14 +46,26 @@ def feed(h, *values):
             h.update(np.asarray(value, dtype=float).tobytes())
 
 
+class Tee:
+    """Feeds the same bytes to several hashes."""
+
+    def __init__(self, *hashes):
+        self.hashes = hashes
+
+    def update(self, data):
+        for h in self.hashes:
+            h.update(data)
+
+
 def feed_cell(h, item, run, verify, eps4):
+    """Feed one cell's solve to ``h``; returns its "nit termination" text."""
     feed(h, item.cell.name)
     try:
         report = run(item.formulation, item.instance, item.guess, item.config)
         checked = verify(item.instance, report.final_X, eps4)
     except Exception as exc:  # a raising cell is part of the fingerprint
         feed(h, "exception", type(exc).__name__, str(exc))
-        return
+        return f"- {type(exc).__name__}"
     final = report.final_X
     feed(
         h,
@@ -60,11 +75,12 @@ def feed_cell(h, item, run, verify, eps4):
         report.final_constraint_norm,
         final.states,
         final.times,
-        getattr(report.final_multipliers, "flat", report.final_multipliers),
+        report.final_multipliers,
     )
     for record in report.trace:
         feed(h, *(getattr(record, f.name) for f in fields(record)))
     feed(h, checked.ok, checked.reasons, checked.init_distance, checked.unsafe_distance)
+    return f"{report.nit} {report.termination.value}"
 
 
 def main(argv=None):
@@ -72,6 +88,7 @@ def main(argv=None):
     parser.add_argument("root", type=Path, help="checkout whose src/ and perfbench/ to use")
     parser.add_argument("--seeds", default="0-7", help='seed list, e.g. "0-7" or "0,2"')
     parser.add_argument("--workloads", help="comma-separated names (default: BENCHMARK.json's)")
+    parser.add_argument("--cells", action="store_true", help="also print one line per cell")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
@@ -91,7 +108,10 @@ def main(argv=None):
         h = hashlib.sha256()
         for seed in parse_seeds(args.seeds):
             for item in workloads.workload_inputs(workloads.WORKLOADS[name], seed):
-                feed_cell(h, item, run, verify, workloads.EPS4)
+                cell_h = hashlib.sha256()
+                outcome = feed_cell(Tee(h, cell_h), item, run, verify, workloads.EPS4)
+                if args.cells:
+                    print(f"{name} {seed} {item.cell.name} {outcome} {cell_h.hexdigest()[:12]}")
                 cells += 1
         print(f"{name} {h.hexdigest()}", flush=True)
     print(f"cells {cells}")

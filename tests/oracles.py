@@ -365,7 +365,7 @@ def direct_three_pass(system):
         raise SingularSystem(
             f"direct solve residual {residual:.2e} exceeds tolerance; system near-singular"
         )
-    return KktSolution(d_x, d_lam, residual, 0)
+    return KktSolution(d_x, d_lam, 0)
 
 
 class RankDeficient(Exception):

@@ -311,7 +311,7 @@ def _reference_bfgs(mat, s, y):
 def _block_curved_pair(rng, n, n_segments):
     """Step and gradient difference whose curvature is block-aligned.
 
-    The structured variants assume the true Hessian shares their sparsity;
+    The block-diagonal variant assumes the true Hessian shares its sparsity;
     drawing y = M s with a block-diagonal SPD map M reflects that and keeps
     every restricted update well defined.
     """
@@ -341,29 +341,24 @@ def test_structured_bfgs():
         denom = np.maximum(1.0, np.abs(expected))
         worst_formula = max(worst_formula, float((err / denom).max()))
 
-    # structured variants: exact zero pattern and SPD blocks at every step
-    block_mask = np.kron(np.eye(n_seg, dtype=bool), np.ones((width, width), dtype=bool))
-    band_mask = np.kron(
-        np.abs(np.subtract.outer(np.arange(n_seg), np.arange(n_seg))) <= 1,
-        np.ones((width, width), dtype=bool),
-    )
+    # block-diagonal variant: exact zero pattern and SPD blocks at every step
+    mask = np.kron(np.eye(n_seg, dtype=bool), np.ones((width, width), dtype=bool))
     structure_ok = spd_ok = True
-    for variant, mask in (("blockdiag", block_mask), ("banded", band_mask)):
-        approx = init_identity(variant, n, n_seg)
-        for _ in range(50):
-            s, y = _block_curved_pair(rng, n, n_seg)
-            approx.update(s, y)
-            dense = approx.dense_copy()
-            if np.any(dense[~mask] != 0.0):
-                structure_ok = False
-            for i in range(n_seg):
-                block = dense[i * width : (i + 1) * width, i * width : (i + 1) * width]
-                if np.linalg.eigvalsh(block).min() <= 0.0:
-                    spd_ok = False
+    approx = init_identity("blockdiag", n, n_seg)
+    for _ in range(50):
+        s, y = _block_curved_pair(rng, n, n_seg)
+        approx.update(s, y)
+        dense = approx.dense_copy()
+        if np.any(dense[~mask] != 0.0):
+            structure_ok = False
+        for i in range(n_seg):
+            block = dense[i * width : (i + 1) * width, i * width : (i + 1) * width]
+            if np.linalg.eigvalsh(block).min() <= 0.0:
+                spd_ok = False
 
     # non-positive curvature leaves every variant bitwise unchanged
     skip_ok = True
-    for variant in ("full", "blockdiag", "banded"):
+    for variant in ("full", "blockdiag"):
         approx = init_identity(variant, n, n_seg)
         s, y = _block_curved_pair(rng, n, n_seg)
         approx.update(s, y)
@@ -399,7 +394,7 @@ def test_merit_line_search_contract():
         ("eq8", 5, "full"),
         ("eq9", 10, "full"),
         ("eq5", 5, "full"),
-        ("eq11", 20, "banded"),
+        ("eq11", 20, "full"),
         ("eq13", 5, "full"),
     )
     for name, n_segments, variant in runs:
@@ -492,7 +487,7 @@ def test_end_to_end_success_patterns():
     # the gap-objective formulation with difference regularization degrades
     # at high segment counts: the run completes and verification flags it
     spec = BenchSpec("benchmark2", (3,), (20,), Formulation.by_name("eq11"))
-    (row,) = run_table(spec, SqpConfig(hessian_variant="banded"))
+    (row,) = run_table(spec)
     if row.status != "F":
         ok = False
         details.append(f"benchmark2 eq11 N=20 -> {row.status}, expected F")

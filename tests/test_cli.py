@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from falsify.cli import main
+from falsify.sqp import TraceRecord
 
 
 def run_cli(*argv):
@@ -127,6 +129,12 @@ def test_invalid_sqp_value_rejected(tmp_path, capsys):
     config = write(tmp_path / "bad.ini", "[sqp]\ndelta = 2.0\n")
     assert run_cli("solve", "--config", config) == 64
     assert "delta" in capsys.readouterr().err
+    config = write(tmp_path / "banded.ini", "[sqp]\nhessian = banded\n")
+    assert run_cli("solve", "--config", config) == 64
+    assert "banded" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--hessian", "banded")
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
@@ -202,14 +210,13 @@ def test_trace_and_dump_outputs(tmp_path, monkeypatch):
         str(tmp_path / "dump.txt"),
     )
     assert code == 0
-    trace_lines = (tmp_path / "trace.txt").read_text().splitlines()
-    assert trace_lines[0].startswith("#")
-    assert len(trace_lines) > 1
-    first = trace_lines[1].split()
-    assert len(first) == 8
-    assert first[0] == "0"
-    assert trace_lines[0].split()[-1] == "kkt_rung"
-    assert first[-1] in ("ppcg", "direct", "lstsq")
+    records = [json.loads(line) for line in (tmp_path / "trace.txt").read_text().splitlines()]
+    report = json.loads("\n".join((tmp_path / "report.json").read_text().splitlines()[1:]))
+    assert len(records) == report["nit"] > 0
+    assert [record["iteration"] for record in records] == list(range(len(records)))
+    for record in records:
+        assert list(record) == [field.name for field in fields(TraceRecord)]
+        assert record["kkt_rung"] in ("ppcg", "direct", "lstsq")
     dump_lines = (tmp_path / "dump.txt").read_text().splitlines()
     assert any(line.startswith("# segment") for line in dump_lines)
     sample = [line for line in dump_lines if not line.startswith("#")][0]

@@ -1,4 +1,4 @@
-"""Tests for the full, block-diagonal, and banded quasi-Newton updates."""
+"""Tests for the full and block-diagonal quasi-Newton updates."""
 
 import numpy as np
 import pytest
@@ -26,6 +26,8 @@ def test_init_identity_shapes():
     np.testing.assert_array_equal(h.mat, np.eye(20))
     with pytest.raises(ValueError):
         init_identity("diagonal", 3, 5)
+    with pytest.raises(ValueError):
+        init_identity("banded", 3, 5)
     with pytest.raises(ValueError):
         init_identity("full", 0, 5)
 
@@ -64,7 +66,7 @@ def test_full_update_preserves_positive_definiteness():
 
 def test_negative_curvature_skips_bitwise():
     rng = np.random.default_rng(109)
-    for variant in ("full", "blockdiag", "banded"):
+    for variant in ("full", "blockdiag"):
         h = init_identity(variant, 2, 3)
         s, y = curved_pair(rng, h.dim)
         h.update(s, y)
@@ -134,74 +136,9 @@ def test_blockdiag_blocks_stay_positive_definite():
             assert np.linalg.eigvalsh(h.mat[rows, rows]).min() > 0.0
 
 
-def test_banded_bandwidth_is_exact():
-    rng = np.random.default_rng(137)
-    n, n_seg = 2, 5
-    width = n + 1
-    h = init_identity("banded", n, n_seg)
-    rows, cols = np.indices((h.dim, h.dim))
-    block_row, block_col = rows // width, cols // width
-    outside = np.abs(block_row - block_col) > 1
-    for _ in range(20):
-        s, y = curved_pair(rng, h.dim)
-        h.update(s, y)
-        assert np.all(h.mat[outside] == 0.0)
-        np.testing.assert_allclose(h.mat, h.mat.T, rtol=0.0, atol=1e-12)
-
-
-def test_banded_single_window_equals_full():
-    """With two segments there is exactly one window: banded == full."""
-    rng = np.random.default_rng(139)
-    n, n_seg = 2, 2
-    banded = init_identity("banded", n, n_seg)
-    full = init_identity("full", n, n_seg)
-    for _ in range(10):
-        s, y = curved_pair(rng, banded.dim)
-        banded.update(s, y)
-        full.update(s, y)
-        np.testing.assert_allclose(banded.mat, full.mat, rtol=1e-14)
-
-
-def test_banded_one_segment_reduces_to_single_block():
-    banded = init_identity("banded", 3, 1)
-    block = init_identity("blockdiag", 3, 1)
-    rng = np.random.default_rng(149)
-    for _ in range(5):
-        s, y = curved_pair(rng, banded.dim)
-        banded.update(s, y)
-        block.update(s, y)
-        np.testing.assert_allclose(banded.mat, block.mat, rtol=1e-14)
-
-
-def test_banded_overlap_averages_window_updates():
-    """Middle blocks are the mean of the two overlapping window updates."""
-    rng = np.random.default_rng(151)
-    n, n_seg = 1, 3
-    width = n + 1
-    h = init_identity("banded", n, n_seg)
-    s, y = curved_pair(rng, h.dim)
-    windows = [slice(0, 2 * width), slice(width, 3 * width)]
-    updated = []
-    for window in windows:
-        block = np.eye(2 * width)
-        si, yi = s[window], y[window]
-        if yi @ si > 0:
-            block = reference_bfgs(block, si, yi)
-        updated.append(block)
-    h.update(s, y)
-    mid = slice(width, 2 * width)
-    expected_mid = 0.5 * (
-        updated[0][width : 2 * width, width : 2 * width]
-        + updated[1][0:width, 0:width]
-    )
-    np.testing.assert_allclose(h.mat[mid, mid], expected_mid, rtol=1e-14)
-    # non-overlapped corners come from their single window untouched
-    np.testing.assert_allclose(h.mat[0:width, 0:width], updated[0][0:width, 0:width], rtol=1e-14)
-
-
 def test_matvec_matches_dense():
     rng = np.random.default_rng(157)
-    for variant in ("full", "blockdiag", "banded"):
+    for variant in ("full", "blockdiag"):
         h = init_identity(variant, 2, 4)
         for _ in range(5):
             s, y = curved_pair(rng, h.dim)

@@ -25,3 +25,12 @@ def test_smoke_digest_is_reproducible():
     assert re.fullmatch(r"smoke [0-9a-f]{64}", lines[0])
     assert lines[1] == "cells 1"
     assert digest("--seeds", "0", "--workloads", "smoke") == lines
+
+
+def test_cells_flag_names_each_cell():
+    lines = digest("--seeds", "0", "--workloads", "smoke", "--cells")
+    assert len(lines) == 3
+    assert re.fullmatch(
+        r"smoke 0 benchmark2-n3-N5-eq8-full-ppcg \d+ S\d_\w+ [0-9a-f]{12}", lines[0]
+    )
+    assert lines[1:] == digest("--seeds", "0", "--workloads", "smoke")

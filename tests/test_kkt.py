@@ -52,7 +52,7 @@ def test_hand_example():
         sol = solve(system)
         np.testing.assert_allclose(sol.d_x, [0.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(sol.d_lambda, [1.0], atol=1e-14)
-        assert sol.residual_norm < 1e-12
+        assert system.residual(sol.d_x, sol.d_lambda) < 1e-12
 
 
 def test_ppcg_matches_direct_on_random_systems():
@@ -133,7 +133,8 @@ def assert_agrees_with_the_three_pass_oracle(system):
     solution."""
     ours, oracle = solve_direct(system), direct_three_pass(system)
     tolerance = 1e-10 * (1.0 + np.linalg.norm(system.rhs()))
-    assert ours.residual_norm < tolerance and oracle.residual_norm < tolerance
+    assert system.residual(ours.d_x, ours.d_lambda) < tolerance
+    assert system.residual(oracle.d_x, oracle.d_lambda) < tolerance
     found = np.concatenate([ours.d_x, ours.d_lambda])
     expected = np.concatenate([oracle.d_x, oracle.d_lambda])
     kappa = np.linalg.cond(system.dense_matrix())
@@ -167,7 +168,7 @@ def structured_saddle_systems(draw, definite=None):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     block = np.arange(m1) // (n + 1)
-    reach = {"full": n_segments, "blockdiag": 0, "banded": 1}[variant]
+    reach = {"full": n_segments, "blockdiag": 0}[variant]
     a = rng.standard_normal((m1, m1))
     hess = (a + a.T) * (np.abs(block[:, None] - block[None, :]) <= reach)
     signs = np.ones(m1) if definite else rng.choice([-1.0, 1.0], m1)
