@@ -322,10 +322,14 @@ def cmd_check(cfg):
 
     flows = evaluate_segments(instance, guess, tight)
     # every central-difference point, integrated in one batch and shared by
-    # the gradient and the Jacobian check
+    # the gradient and the Jacobian check; a failing point ends the check
     steps = 1e-4 * np.eye(flat.size)
     points = [unpack(p, n, n_segments) for p in np.concatenate([flat + steps, flat - steps])]
-    pairs = list(zip(points, evaluate_many(instance, points, tight)))
+    outcomes = evaluate_many(instance, points, tight)
+    for outcome in outcomes:
+        if isinstance(outcome, IntegrationFailure):
+            raise outcome
+    pairs = list(zip(points, outcomes))
     plus, minus = pairs[: flat.size], pairs[flat.size :]
 
     analytic = objective_gradient(form, instance, guess, flows)

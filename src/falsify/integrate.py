@@ -15,8 +15,10 @@ Independent initial-value problems run in lockstep: ``flow`` and
 ``x0``) with one duration each, and a single stepping loop advances every
 lane at once.  Each lane keeps its own time, step size, controller state and
 outcome, and leaves the batch when it reaches its end time or fails; a
-failing lane does not stop the others.  All arithmetic is elementwise per
-lane, so a lane's result is bitwise the same whatever else shares its batch.
+failing lane does not stop the others, and ``flow_with_sensitivity(...,
+per_lane=True)`` returns each lane's outcome instead of raising for the
+first failure.  All arithmetic is elementwise per lane, so a lane's result
+is bitwise the same whatever else shares its batch.
 A system marked ``vectorized`` is called once on a batch of two or more
 lanes; otherwise, and on a batch of one lane, it is called once per lane on
 that lane's single state.  Each stage derivative is written straight into
@@ -50,8 +52,9 @@ _EXP_PREV = 0.4 / 5.0
 class IntegrationFailure(Exception):
     """The adaptive stepper could not reach the requested end time.
 
-    ``lane`` is the index of the lowest failing lane of a batched call (0
-    for a single initial-value problem).
+    ``lane`` is the index of the failing lane in a batched call (0 for a
+    single initial-value problem); a raising batched call reports its
+    lowest failing lane.
     """
 
     def __init__(self, message, lane=0):
@@ -289,10 +292,12 @@ def _as_batch(system, x0, duration):
 
 
 def _integrate(system, fun, z0, duration, cfg):
+    """End states of every lane, and an :class:`IntegrationFailure` for each
+    lane that failed, keyed by lane."""
     z_end, status = _rk45(fun, z0, duration, cfg.rel_tol, cfg.abs_tol, cfg.max_steps)
     bad = (status != _OK) | ~np.all(np.isfinite(z_end), axis=1)
-    if bad.any():
-        lane = int(np.argmax(bad))
+    failures = {}
+    for lane in np.flatnonzero(bad).tolist():
         if status[lane] != _OK:
             message = (
                 _STATUS_MESSAGES[int(status[lane])].format(max_steps=cfg.max_steps)
@@ -300,8 +305,8 @@ def _integrate(system, fun, z0, duration, cfg):
             )
         else:
             message = f"non-finite state while integrating '{system.label}'"
-        raise IntegrationFailure(message, lane)
-    return z_end
+        failures[lane] = IntegrationFailure(message, lane)
+    return z_end, failures
 
 
 def flow(system, x0, duration, cfg=None):
@@ -314,17 +319,24 @@ def flow(system, x0, duration, cfg=None):
     """
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
-    z_end = _integrate(system, _lanewise_rhs(system), xs, ts, cfg or DEFAULT_CONFIG)
+    z_end, failures = _integrate(system, _lanewise_rhs(system), xs, ts, cfg or DEFAULT_CONFIG)
+    if failures:
+        raise failures[min(failures)]
     return z_end.reshape(x0.shape)
 
 
-def flow_with_sensitivity(system, x0, duration, cfg=None):
+def flow_with_sensitivity(system, x0, duration, cfg=None, *, per_lane=False):
     """Flow plus the sensitivity matrix S = d(end state)/d(x0).
 
     Integrates the augmented state/variational system in one pass and
     returns a :class:`FlowResult`; ``end_derivative`` is the right-hand side
     evaluated at the end point.  Batched like :func:`flow`: for ``x0`` of
-    shape (B, n) every field gains a leading lane axis.
+    shape (B, n) every field gains a leading lane axis, and a failing lane
+    raises :class:`IntegrationFailure` for the lowest one.  With
+    ``per_lane`` set nothing raises: the call returns ``(result,
+    failures)``, where ``failures`` maps each failing lane to its
+    :class:`IntegrationFailure` and that lane's entries of ``result`` are
+    NaN, while every other lane holds its own flow.
     """
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
@@ -343,13 +355,23 @@ def flow_with_sensitivity(system, x0, duration, cfg=None):
 
     identity = np.broadcast_to(np.eye(n).ravel(), (len(xs), n * n))
     z0 = np.concatenate([xs, identity], axis=1)
-    z_end = _integrate(system, _lanewise(system, augmented), z0, ts, cfg or DEFAULT_CONFIG)
+    z_end, failures = _integrate(
+        system, _lanewise(system, augmented), z0, ts, cfg or DEFAULT_CONFIG
+    )
+    if failures and not per_lane:
+        raise failures[min(failures)]
+    failed = list(failures)
+    # a failed lane's end state may not be finite: the end-point rhs reads
+    # its start state instead, and that lane's row is NaN afterwards
+    z_end[failed] = z0[failed]
     end_state = z_end[:, :n]
     end_derivative = np.empty((len(xs), n))
     _lanewise_rhs(system)(ts, end_state, end_derivative)
+    z_end[failed] = np.nan
+    end_derivative[failed] = np.nan
     result = FlowResult(end_state, z_end[:, n:].reshape(len(xs), n, n), end_derivative)
     if x0.ndim == 1:
-        return FlowResult(
+        result = FlowResult(
             result.end_state[0], result.sensitivity[0], result.end_derivative[0]
         )
-    return result
+    return (result, failures) if per_lane else result

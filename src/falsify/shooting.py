@@ -185,16 +185,23 @@ def evaluate_segments(instance, vec, cfg=None):
     :class:`IntegrationFailure` whose message names the first failing
     segment (1-based) and whose ``lane`` is its 0-based index.
     """
-    return evaluate_many(instance, [vec], cfg)[0]
+    (flows,) = evaluate_many(instance, [vec], cfg)
+    if isinstance(flows, IntegrationFailure):
+        raise flows
+    return flows
 
 
 def evaluate_many(instance, vecs, cfg=None):
-    """:func:`evaluate_segments` of each shooting vector in ``vecs``, as a list.
+    """The segment flows of each shooting vector in ``vecs``: one outcome each.
 
     The segments of all vectors are integrated in one lockstep batch, so
     each vector's flows equal those of its own :func:`evaluate_segments`
-    call.  A failure names the first failing segment of the first vector
-    that fails; its ``lane`` is that segment's index in the whole batch.
+    call.  A vector's outcome is its :class:`FlowResult`, or, when one of
+    its segments fails, an :class:`IntegrationFailure`, returned rather than
+    raised, so the other vectors keep their flows.  Its message names the
+    vector (when there are several) and its first failing segment, as in
+    "vector 2, segment 3: ...", and its ``lane`` is that segment's index in
+    the whole batch.
     """
     n_seg = instance.n_segments
     for vec in vecs:
@@ -202,18 +209,21 @@ def evaluate_many(instance, vecs, cfg=None):
             raise ValueError("shooting vector does not match the problem instance")
     states = np.concatenate([vec.states for vec in vecs])
     times = np.concatenate([vec.times for vec in vecs])
-    try:
-        batch = flow_with_sensitivity(instance.system, states, times, cfg)
-    except IntegrationFailure as exc:
-        vector, segment = divmod(exc.lane, n_seg)
-        where = f"segment {segment + 1}"
-        if len(vecs) > 1:
-            where = f"vector {vector + 1}, {where}"
-        raise IntegrationFailure(f"{where}: {exc}", exc.lane) from exc
+    batch, failures = flow_with_sensitivity(
+        instance.system, states, times, cfg, per_lane=True
+    )
     n = instance.dim
     fields = (
         batch.end_state.reshape(-1, n_seg, n),
         batch.sensitivity.reshape(-1, n_seg, n, n),
         batch.end_derivative.reshape(-1, n_seg, n),
     )
-    return [FlowResult(*vector) for vector in zip(*fields)]
+    outcomes = [FlowResult(*vector) for vector in zip(*fields)]
+    # highest lane first, so each vector keeps its first failing segment
+    for lane in sorted(failures, reverse=True):
+        vector, segment = divmod(lane, n_seg)
+        where = f"segment {segment + 1}"
+        if len(vecs) > 1:
+            where = f"vector {vector + 1}, {where}"
+        outcomes[vector] = IntegrationFailure(f"{where}: {failures[lane]}", lane)
+    return outcomes

@@ -12,7 +12,18 @@ and only grad F, B and grad L are built on top of it.  Termination causes
 mirror the stopping criteria S1 (converged), S2 (iteration budget), S3
 (step length underflow), plus an integration failure at the incumbent
 point.
-"""
+
+Backtracking is speculative: the trial vectors for the next k step lengths
+alpha, alpha*beta, ... are integrated in one lockstep batch, and the line
+search reads their merit values in order, computing F + R and c only for
+the step lengths it tests.  k starts at the previous iteration's trial count
+(1 on the first) and doubles for each further batch of the same search, up
+to 8; no step length below eps3 is integrated.  A lane whose integration
+fails reads m = +inf while the other lanes keep their flows.  The ladder
+runs only on vectorized systems whose augmented state per vector, (n + n^2)
+N floats, is at most 1000 wide; elsewhere k is always 1.  Every lane is
+bitwise the lane a one-at-a-time search would integrate, so the iterates do
+not depend on k."""
 
 import enum
 import math
@@ -40,7 +51,7 @@ from .kkt import (
     solve_direct,
     solve_ppcg,
 )
-from .shooting import ShootingVector, evaluate_segments, pack, unpack
+from .shooting import ShootingVector, evaluate_many, evaluate_segments, pack, unpack
 
 __all__ = [
     "KKT_METHODS",
@@ -54,6 +65,12 @@ __all__ = [
 ]
 
 KKT_METHODS = ("ppcg", "direct")
+# Speculative backtracking integrates at most _LADDER_LANES trial vectors in
+# one batch, and only when a vector's augmented state, (n + n^2) N floats, is
+# at most _LADDER_WIDTH wide: past that, and on systems called once per lane,
+# extra lanes cost about as much as integrating them one after another.
+_LADDER_LANES = 8
+_LADDER_WIDTH = 1000
 
 
 class StepTooSmall(Exception):
@@ -155,9 +172,8 @@ class _Point(NamedTuple):
     c_val: np.ndarray
 
 
-def _evaluate(formulation, instance, vec, cfg):
-    """The :class:`_Point` at ``vec``; raises :class:`IntegrationFailure`."""
-    flows = evaluate_segments(instance, vec, cfg)
+def _point(formulation, instance, vec, flows):
+    """The :class:`_Point` of ``vec`` with its integrated ``flows``."""
     return _Point(
         vec,
         flows,
@@ -166,18 +182,62 @@ def _evaluate(formulation, instance, vec, cfg):
     )
 
 
-def _trial(formulation, instance, base_flat, d_x, alpha, lam_full, omega, cfg):
-    """(m(alpha), point) at the trial vector base + alpha d_x.
+def _ladder_cap(system, n_segments):
+    """Most trial vectors one batch of :func:`run` integrates on ``system``
+    with ``n_segments`` segments: 1 where the ladder does not pay."""
+    n = system.dim
+    if system.vectorized and (n + n * n) * n_segments <= _LADDER_WIDTH:
+        return _LADDER_LANES
+    return 1
+
+
+def _ladder(alpha, count, backtrack_factor, eps3):
+    """Up to ``count`` step lengths from ``alpha`` on, each the last times
+    ``backtrack_factor`` as :func:`line_search` forms them, none below ``eps3``."""
+    alphas = []
+    while len(alphas) < count and alpha >= eps3:
+        alphas.append(alpha)
+        alpha *= backtrack_factor
+    return alphas
+
+
+def _trial_flows(instance, base_flat, d_x, alphas, cfg):
+    """(vector, flows) at base + alpha d_x for each of ``alphas``, integrated
+    in one batch.
+
+    ``flows`` is the vector's :class:`FlowResult`, or its
+    :class:`IntegrationFailure` when a segment failed; a failing vector
+    does not stop the others.  One alpha goes through
+    :func:`evaluate_segments`, several through one :func:`evaluate_many`.
+    """
+    n, n_segments = instance.system.dim, instance.n_segments
+    vecs = [unpack(base_flat + alpha * d_x, n, n_segments) for alpha in alphas]
+    if len(vecs) > 1:
+        return list(zip(vecs, evaluate_many(instance, vecs, cfg)))
+    try:
+        flows = evaluate_segments(instance, vecs[0], cfg)
+    except IntegrationFailure as exc:
+        flows = exc
+    return [(vecs[0], flows)]
+
+
+def _trial_merit(formulation, instance, vec, flows, lam_full, omega):
+    """(m, point) of an integrated trial vector.
 
     Integration failure at the trial point yields (+inf, None): the step is
     simply rejected, and the incumbent is never touched here.
     """
-    vec = unpack(base_flat + alpha * d_x, instance.system.dim, instance.n_segments)
-    try:
-        point = _evaluate(formulation, instance, vec, cfg)
-    except IntegrationFailure:
+    if isinstance(flows, IntegrationFailure):
         return math.inf, None
+    point = _point(formulation, instance, vec, flows)
     return _merit_value(point.objective, lam_full, point.c_val, omega), point
+
+
+def _trial(formulation, instance, base_flat, d_x, alpha, lam_full, omega, cfg):
+    """(m(alpha), point) at the trial vector base + alpha d_x: the one-alpha
+    case of :func:`run`'s batched trials."""
+    ((vec, flows),) = _trial_flows(instance, base_flat, d_x, [alpha], cfg)
+    return _trial_merit(formulation, instance, vec, flows, lam_full, omega)
 
 
 def _merit_slope(grad_f, jac, c_val, lam_full, d_x, omega):
@@ -261,21 +321,26 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     solver cross-check suites).  Its ``hess`` is a copy of the run's Hessian
     approximation, so a kept system still describes the step it produced
     after later BFGS updates; without an observer nothing is copied.  Two
-    runs with identical inputs produce identical traces.  Each shooting
-    vector is evaluated once: the accepted trial point, with its flows, F
-    and c, becomes the next iterate, and B is built once per accepted
-    point.  A saddle system that is not finite raises
+    runs with identical inputs produce identical traces, whether or not the
+    backtracking ladder batches their trials.  Each shooting vector is
+    integrated once and evaluated at most once: the accepted trial point,
+    with its flows, F and c, becomes the next iterate, and B is built once
+    per accepted point.  A saddle system that is not finite raises
     :class:`~falsify.kkt.SingularSystem`.
     """
     cfg = cfg or SqpConfig()
     lam = np.zeros(constraint_dim(formulation.constraints, instance.dim, instance.n_segments))
     hess = init_identity(cfg.hessian_variant, instance.system.dim, instance.n_segments)
     try:
-        point = _evaluate(formulation, instance, X_init, cfg.integrator)
+        flows = evaluate_segments(instance, X_init, cfg.integrator)
     except IntegrationFailure:
         return RunReport(0, Termination.INTEGRATION_FAILURE, X_init, math.nan, math.nan, (), lam)
+    point = _point(formulation, instance, X_init, flows)
     grad_f, jac, grad_l = _linearize(formulation, instance, point, lam)
     trace = []
+    cap = _ladder_cap(instance.system, instance.n_segments)
+    # lanes of an iteration's first batch: the previous iteration's trial count
+    width = 1
 
     def report(cause):
         return RunReport(it, cause, point.vec, point.objective, cnorm, tuple(trace), lam)
@@ -301,12 +366,18 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         slope = _merit_slope(grad_f, jac, point.c_val, lam_full, d_x, cfg.omega)
         # line_search accepts the last alpha it evaluates
         trials = []
+        # (vector, flows) of every integrated alpha; a batch is integrated
+        # when line_search asks for an alpha no earlier batch holds
+        ladder = {}
+        lanes = min(width, cap)
 
         def evaluate(alpha):
-            value, trial = _trial(
-                formulation, instance, flat, d_x, alpha, lam_full, cfg.omega,
-                cfg.integrator,
-            )
+            nonlocal lanes
+            if alpha not in ladder:
+                alphas = _ladder(alpha, lanes, cfg.backtrack_factor, cfg.eps3)
+                ladder.update(zip(alphas, _trial_flows(instance, flat, d_x, alphas, cfg.integrator)))
+                lanes = min(2 * lanes, cap)
+            value, trial = _trial_merit(formulation, instance, *ladder[alpha], lam_full, cfg.omega)
             trials.append(trial)
             return value
 
@@ -327,7 +398,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         lam_new = lam + alpha * d_lam
         # quasi-Newton data: both gradients at the updated multipliers
         grad_old = lagrangian_gradient(grad_f, jac, lam_new)
-        point, lam = trials[-1], lam_new
+        point, lam, width = trials[-1], lam_new, len(trials)
         grad_f, jac, grad_l = _linearize(formulation, instance, point, lam)
         hess.update(alpha * d_x, grad_l - grad_old)
         it += 1

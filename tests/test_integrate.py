@@ -320,6 +320,25 @@ def test_lane_outcomes_are_independent():
     assert np.all(end[[0, 2]] != x0[[0, 2]])
 
 
+def test_per_lane_sensitivities_return_each_lane_outcome():
+    """With per_lane set a failing lane is reported, not raised: its rows are
+    NaN and the other lanes keep the bits of their single calls."""
+    system = benchmark2()
+    x0 = np.array([[0.1, 0.1, -0.1], [0.0, 0.0, 50.0], [-0.1, 0.05, -0.1]])
+    durations = np.array([2.0, 1.0, 2.0])
+    result, failures = flow_with_sensitivity(system, x0, durations, per_lane=True)
+    assert list(failures) == [1] and failures[1].lane == 1
+    with pytest.raises(IntegrationFailure) as raised:
+        flow_with_sensitivity(system, x0, durations)
+    assert str(raised.value) == str(failures[1])
+    assert np.isnan(result.end_state[1]).all() and np.isnan(result.sensitivity[1]).all()
+    assert np.isnan(result.end_derivative[1]).all()
+    for i in (0, 2):
+        single = flow_with_sensitivity(system, x0[i], durations[i])
+        for field in ("end_state", "sensitivity", "end_derivative"):
+            assert getattr(result, field)[i].tobytes() == getattr(single, field).tobytes(), field
+
+
 def test_every_running_lane_exhausts_the_step_budget():
     """When the budget runs out, every lane still running fails with its own
     status; zero-duration and finished lanes keep theirs."""

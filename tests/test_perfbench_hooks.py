@@ -9,6 +9,7 @@ this module catches that.  It imports `perfbench/tracing.py` and
 
 import importlib
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from falsify import run
 from falsify.bench import BenchSpec, generate_instance, initial_guess
 from falsify.formulation import Formulation
 from falsify.hessian import HessianApprox, init_identity
+from falsify.shooting import pack
 from falsify.sqp import SqpConfig
 
 from oracles import benchmark2_instance
@@ -42,10 +44,35 @@ def test_every_name_the_tracer_patches_exists(monkeypatch):
 
 def test_traced_run_records_every_patched_call(monkeypatch):
     """A name bound at import instead of looked up at call time would leave
-    its span empty here while the run still succeeds."""
+    its span empty here while the run still succeeds.  Every alpha the line
+    search tests is integrated exactly once, through `sqp.evaluate_segments`
+    or in a ladder batch of `sqp.evaluate_many`; `sqp.trial_evals` counts
+    the alphas tested, not the lanes integrated."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     tracing = importlib.import_module("tracing")
+    integrated, tested, ladder = Counter(), [], []
+
+    def recording(name, record):
+        original = getattr(falsify.sqp, name)
+
+        def wrapped(*args, **kwargs):
+            record(*args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(falsify.sqp, name, wrapped)
+
+    def one(instance, vec, *_):
+        integrated[pack(vec).tobytes()] += 1
+
+    def many(instance, vecs, *_):
+        ladder.append(len(vecs))
+        integrated.update(pack(vec).tobytes() for vec in vecs)
+
+    recording("evaluate_segments", one)
+    recording("evaluate_many", many)
+    # F + R is computed once per vector the run uses: the start and each alpha tested
+    recording("objective_value", lambda form, instance, vec, *_: tested.append(pack(vec).tobytes()))
     instance = benchmark2_instance(n_segments=3)
     with tracing.installed(tracing.Tracer()) as tracer:
         report = falsify.sqp.run(
@@ -62,7 +89,10 @@ def test_traced_run_records_every_patched_call(monkeypatch):
         "sqp.line_search",
     ):
         assert tracer.calls[name] > 0, name
-    assert tracer.counts["sqp.trial_evals"] == tracer.calls["shooting.evaluate_segments"] - 1
+    assert ladder and min(ladder) > 1
+    assert tracer.counts["sqp.trial_evals"] == len(tested) - 1
+    assert all(integrated[vec] == 1 for vec in tested)
+    assert sum(integrated.values()) == tracer.calls["shooting.evaluate_segments"] + sum(ladder)
 
 
 def test_traced_smoke_cell_matches_the_plain_run(monkeypatch):

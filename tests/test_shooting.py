@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
-from falsify.integrate import IntegrationFailure, flow_with_sensitivity
+from falsify.integrate import IntegrationFailure, IntegratorConfig, flow_with_sensitivity
 from falsify.shooting import (
     Ellipsoid,
     ProblemInstance,
@@ -262,6 +262,33 @@ def test_evaluate_many_equals_evaluate_segments():
         np.testing.assert_array_equal(batched.end_state, single.end_state)
         np.testing.assert_array_equal(batched.sensitivity, single.sensitivity)
         np.testing.assert_array_equal(batched.end_derivative, single.end_derivative)
+
+
+def test_evaluate_many_fails_one_vector_and_keeps_the_others():
+    """A vector whose segment fails gets its IntegrationFailure as its
+    outcome; every other vector of the batch still gets the bits of its own
+    evaluate_segments call."""
+    instance = benchmark2_instance(n_segments=3)
+    rng = np.random.default_rng(11)
+    vecs = [
+        ShootingVector(instance.init.center + 0.2 * rng.standard_normal((3, 3)), rng.uniform(0.5, 2.0, 3))
+        for _ in range(3)
+    ]
+    # the longest segment runs out of steps; the others finish
+    vecs[1].times[2] = 100.0
+    cfg = IntegratorConfig(max_steps=200)
+    outcomes = evaluate_many(instance, vecs, cfg)
+    failure = outcomes[1]
+    assert isinstance(failure, IntegrationFailure)
+    assert failure.lane == 5
+    with pytest.raises(IntegrationFailure, match="step budget") as single:
+        evaluate_segments(instance, vecs[1], cfg)
+    assert str(single.value).startswith("segment 3: ")
+    assert str(failure) == f"vector 2, {single.value}"
+    for k in (0, 2):
+        alone = evaluate_segments(instance, vecs[k], cfg)
+        for field in ("end_state", "sensitivity", "end_derivative"):
+            assert getattr(outcomes[k], field).tobytes() == getattr(alone, field).tobytes(), field
 
 
 def test_evaluate_segments_rejects_mismatched_vector():

@@ -1,5 +1,8 @@
 """Tests for the merit function, line search, and the SQP driver."""
 
+import math
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,7 +19,7 @@ from falsify.formulation import (
     objective_value,
 )
 from falsify.hessian import HessianApprox
-from falsify.integrate import DEFAULT_CONFIG, IntegratorConfig
+from falsify.integrate import DEFAULT_CONFIG, IntegrationFailure, IntegratorConfig
 from falsify.shooting import (
     Ellipsoid,
     ProblemInstance,
@@ -528,3 +531,146 @@ def test_large_well_conditioned_system_solves_directly():
     solution, alpha_start, rung = _solve_step(system, "direct")
     assert rung == "direct" and alpha_start == 1.0
     assert system.residual(solution.d_x, solution.d_lambda) < 1e-10
+
+
+def bench_cell(system_name, dim, n_segments, name):
+    """Instance, initial guess and formulation of one `falsify bench` cell."""
+    spec = BenchSpec(system_name, (dim,), (n_segments,), Formulation.by_name(name))
+    instance = generate_instance(spec, dim, n_segments)
+    return instance, initial_guess(instance, n_segments, spec.horizon), spec.formulation
+
+
+def assert_same_run(ours, theirs):
+    """Both reports hold the same bits: every TraceRecord field, the final
+    vector and the multipliers."""
+    assert (ours.nit, ours.termination) == (theirs.nit, theirs.termination)
+    assert len(ours.trace) == len(theirs.trace)
+    for a, b in zip(ours.trace, theirs.trace):
+        for field in fields(a):
+            left, right = getattr(a, field.name), getattr(b, field.name)
+            assert np.asarray(left).tobytes() == np.asarray(right).tobytes(), field.name
+    for attr in ("states", "times"):
+        assert getattr(ours.final_X, attr).tobytes() == getattr(theirs.final_X, attr).tobytes()
+    assert ours.final_multipliers.tobytes() == theirs.final_multipliers.tobytes()
+    assert np.asarray(ours.final_objective).tobytes() == np.asarray(theirs.final_objective).tobytes()
+
+
+def ladder_batches(monkeypatch):
+    """The number of trial vectors of each batch `run` integrates through
+    `evaluate_many` from now on."""
+    sizes = []
+    original = falsify.sqp.evaluate_many
+
+    def recording(instance, vecs, cfg=None):
+        sizes.append(len(vecs))
+        return original(instance, vecs, cfg)
+
+    monkeypatch.setattr(falsify.sqp, "evaluate_many", recording)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        ("benchmark1", 4, 10, "eq5"),
+        ("benchmark2", 3, 10, "eq5"),
+        ("benchmark3", 4, 10, "eq5"),
+        ("benchmark3", 2, 5, "eq10"),
+    ],
+    ids=lambda cell: "-".join(map(str, cell)),
+)
+def test_speculative_ladder_keeps_iterates_bitwise(monkeypatch, cell):
+    """The backtrack workload's cells and the eq10 rotation solve give the
+    same bits with the alpha ladder as on a non-vectorized copy of the
+    system, which integrates one trial at a time."""
+    instance, guess, form = bench_cell(*cell)
+    assert instance.system.vectorized
+    sizes = ladder_batches(monkeypatch)
+    ladder = run(form, instance, guess, SqpConfig())
+    assert sizes and max(sizes) > 1
+    sizes.clear()
+    plain = replace(instance, system=replace(instance.system, vectorized=False))
+    one_at_a_time = run(form, plain, guess, SqpConfig())
+    assert not sizes
+    assert_same_run(ladder, one_at_a_time)
+
+
+def test_failing_ladder_lane_reads_inf_without_a_second_integration(monkeypatch):
+    """eq10 on the plain rotation with a 200-step integrator budget: in a
+    ladder batch the alpha = 1 trial runs out of steps while the shorter
+    trials finish.  m(1) reads +inf, no vector is integrated twice, and the
+    run is the one-alpha-at-a-time run."""
+    instance, guess, form = bench_cell("benchmark3", 2, 5, "eq10")
+    cfg = SqpConfig(max_iter=12, integrator=IntegratorConfig(max_steps=200))
+    searches = []  # per line search: {alpha: merit}
+    current = []  # the alpha being evaluated
+    first_failed = []  # (search, alpha) of each batch whose first lane alone failed
+    integrated = []  # packed bytes of every integrated vector
+
+    def recording_line_search(evaluate, *args):
+        values = {}
+        searches.append(values)
+
+        def recorded(alpha):
+            current[:] = [alpha]
+            values[alpha] = evaluate(alpha)
+            return values[alpha]
+
+        return line_search(recorded, *args)
+
+    evaluate_one, evaluate_many = falsify.sqp.evaluate_segments, falsify.sqp.evaluate_many
+
+    def recording_one(instance, vec, cfg=None):
+        integrated.append(pack(vec).tobytes())
+        return evaluate_one(instance, vec, cfg)
+
+    def recording_many(instance, vecs, cfg=None):
+        integrated.extend(pack(vec).tobytes() for vec in vecs)
+        outcomes = evaluate_many(instance, vecs, cfg)
+        failed = [isinstance(outcome, IntegrationFailure) for outcome in outcomes]
+        if failed[0] and not any(failed[1:]):
+            first_failed.append((len(searches) - 1, current[0]))
+        return outcomes
+
+    monkeypatch.setattr(falsify.sqp, "line_search", recording_line_search)
+    monkeypatch.setattr(falsify.sqp, "evaluate_segments", recording_one)
+    monkeypatch.setattr(falsify.sqp, "evaluate_many", recording_many)
+    ladder = run(form, instance, guess, cfg)
+    assert any(alpha == 1.0 for _, alpha in first_failed)
+    for search, alpha in first_failed:
+        assert searches[search][alpha] == math.inf
+    assert len(set(integrated)) == len(integrated)
+
+    monkeypatch.setattr(falsify.sqp, "_LADDER_LANES", 1)
+    assert_same_run(ladder, run(form, instance, guess, cfg))
+
+
+@pytest.mark.parametrize(
+    "cell, hessian, vectorized",
+    [
+        (("benchmark1", 4, 10, "eq5"), "full", False),
+        (("benchmark3", 20, 20, "eq8"), "blockdiag", True),
+    ],
+    ids=["non-vectorized", "wide"],
+)
+def test_ladder_is_gated_off(monkeypatch, cell, hessian, vectorized):
+    """A non-vectorized system, and a vector of (n + n^2) N = 8400 floats,
+    integrate one trial vector per batch although their searches backtrack."""
+    instance, guess, form = bench_cell(*cell)
+    instance = replace(instance, system=replace(instance.system, vectorized=vectorized))
+    sizes = ladder_batches(monkeypatch)
+    counts = []
+
+    def counting_line_search(evaluate, *args):
+        counts.append(0)
+
+        def counted(alpha):
+            counts[-1] += 1
+            return evaluate(alpha)
+
+        return line_search(counted, *args)
+
+    monkeypatch.setattr(falsify.sqp, "line_search", counting_line_search)
+    run(form, instance, guess, SqpConfig(max_iter=3, hessian_variant=hessian))
+    assert max(counts) > 1
+    assert not sizes
