@@ -44,7 +44,8 @@ class SingularSystem(Exception):
 
 
 class Breakdown(Exception):
-    """PPCG met non-positive curvature: the projected Hessian is indefinite."""
+    """PPCG met non-positive curvature (the projected Hessian is indefinite)
+    or produced a non-finite solution."""
 
 
 class PreconditionerSingular(Exception):
@@ -117,7 +118,8 @@ def solve_direct(system):
     pivoting serves both the singularity test and the solve.  Raises
     :class:`SingularSystem` when SuperLU finds the matrix exactly singular,
     when the magnitudes of U's diagonal reveal rank deficiency (relative
-    tolerance 1e-12), or when the residual check fails.
+    tolerance 1e-12), or when the residual check fails, a NaN residual
+    included.
     """
     rhs = system.rhs()
     try:
@@ -133,7 +135,8 @@ def solve_direct(system):
     m1 = system.m1
     d_x, d_lam = sol[:m1], sol[m1:]
     residual = system.residual(d_x, d_lam)
-    if residual >= 1e-10 * (1.0 + np.linalg.norm(rhs)):
+    # a NaN residual, from an overflowed solution, fails the test too
+    if not residual < 1e-10 * (1.0 + np.linalg.norm(rhs)):
         raise SingularSystem(
             f"direct solve residual {residual:.2e} exceeds tolerance; system near-singular"
         )
@@ -178,9 +181,10 @@ def solve_ppcg(system, max_iter=None):
     """Projected preconditioned CG with the constraint preconditioner.
 
     Requires the Hessian approximation to be positive definite on the null
-    space of B^T; a non-positive curvature pivot raises :class:`Breakdown`
-    (callers fall back to :func:`solve_direct`).  With m2 = 0 the projector
-    is the identity and this is plain CG on H d_x = rhs_top.  It stops at
+    space of B^T; a non-positive curvature pivot or a non-finite result
+    raises :class:`Breakdown` (callers fall back to :func:`solve_direct`).
+    With m2 = 0 the projector is the identity and this is plain CG on
+    H d_x = rhs_top.  It stops at
     :data:`PPCG_TOL` relative to the initial projected residual, or after
     ``max_iter`` iterations (default 2 m1).
     """
@@ -211,4 +215,6 @@ def solve_ppcg(system, max_iter=None):
         g, rg = g_new, rg_new
         iterations += 1
 
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise Breakdown(f"non-finite iterate after {iterations} iterations")
     return KktSolution(x, -v, iterations)

@@ -14,18 +14,20 @@ mirror the stopping criteria S1 (converged), S2 (iteration budget), S3
 point.
 
 Backtracking is speculative: the trial vectors for the next k step lengths
-alpha, alpha*beta, ... are integrated in one lockstep batch, and the line
-search reads their merit values in order, computing F + R and c only for
-the step lengths it tests.  k starts at the previous iteration's trial count
-(1 on the first) and doubles for each further batch of the same search, up
-to 8; no step length below eps3 is integrated.  A lane whose integration
-fails reads m = +inf while the other lanes keep their flows.  The ladder
-runs only on vectorized systems whose augmented state per vector, (n + n^2)
-N floats, is at most 1000 wide; elsewhere k is always 1.  Every lane is
-bitwise the lane a one-at-a-time search would integrate, so the iterates do
-not depend on k."""
+alpha, alpha*beta, ... are integrated in one lockstep batch, one
+:func:`~falsify.shooting.evaluate_many` call whatever k, 1 included, and
+the line search reads their merit values in order, computing F + R and c
+only for the step lengths it tests.  k starts at the previous iteration's
+trial count (1 on the first) and doubles for each further batch of the
+same search, up to 8; no step length below eps3 is integrated.  A lane
+whose integration fails reads m = +inf while the other lanes keep their
+flows.  The ladder runs only on vectorized systems whose augmented state
+per vector, (n + n^2) N floats, is at most 1000 wide; elsewhere k is
+always 1.  Every lane is bitwise the lane a one-at-a-time search would
+integrate, so the iterates do not depend on k."""
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -191,36 +193,6 @@ def _ladder_cap(system, n_segments):
     return 1
 
 
-def _ladder(alpha, count, backtrack_factor, eps3):
-    """Up to ``count`` step lengths from ``alpha`` on, each the last times
-    ``backtrack_factor`` as :func:`line_search` forms them, none below ``eps3``."""
-    alphas = []
-    while len(alphas) < count and alpha >= eps3:
-        alphas.append(alpha)
-        alpha *= backtrack_factor
-    return alphas
-
-
-def _trial_flows(instance, base_flat, d_x, alphas, cfg):
-    """(vector, flows) at base + alpha d_x for each of ``alphas``, integrated
-    in one batch.
-
-    ``flows`` is the vector's :class:`FlowResult`, or its
-    :class:`IntegrationFailure` when a segment failed; a failing vector
-    does not stop the others.  One alpha goes through
-    :func:`evaluate_segments`, several through one :func:`evaluate_many`.
-    """
-    n, n_segments = instance.system.dim, instance.n_segments
-    vecs = [unpack(base_flat + alpha * d_x, n, n_segments) for alpha in alphas]
-    if len(vecs) > 1:
-        return list(zip(vecs, evaluate_many(instance, vecs, cfg)))
-    try:
-        flows = evaluate_segments(instance, vecs[0], cfg)
-    except IntegrationFailure as exc:
-        flows = exc
-    return [(vecs[0], flows)]
-
-
 def _trial_merit(formulation, instance, vec, flows, lam_full, omega):
     """(m, point) of an integrated trial vector.
 
@@ -233,11 +205,13 @@ def _trial_merit(formulation, instance, vec, flows, lam_full, omega):
     return _merit_value(point.objective, lam_full, point.c_val, omega), point
 
 
-def _trial(formulation, instance, base_flat, d_x, alpha, lam_full, omega, cfg):
-    """(m(alpha), point) at the trial vector base + alpha d_x: the one-alpha
-    case of :func:`run`'s batched trials."""
-    ((vec, flows),) = _trial_flows(instance, base_flat, d_x, [alpha], cfg)
-    return _trial_merit(formulation, instance, vec, flows, lam_full, omega)
+def _step_lengths(alpha, backtrack_factor, eps3):
+    """alpha, alpha*beta, alpha*beta^2, ... with beta = ``backtrack_factor``,
+    as long as the step length is at least ``eps3``: the step lengths
+    :func:`line_search` tests, in its order."""
+    while alpha >= eps3:
+        yield alpha
+        alpha *= backtrack_factor
 
 
 def _merit_slope(grad_f, jac, c_val, lam_full, d_x, omega):
@@ -260,17 +234,16 @@ def line_search(
 
     ``evaluate`` maps alpha to the merit value (or +inf).  Accepts the first
     alpha in {alpha_start, alpha_start*beta, ...} with
-    m(alpha) - m(0) <= delta * alpha * m'(0); raises :class:`StepTooSmall`
-    when the slope is nonnegative or alpha falls below ``eps3``.
+    m(alpha) - m(0) <= delta * alpha * m'(0); raises :class:`StepTooSmall`,
+    before any evaluation when the slope is not finite and negative, or when
+    alpha falls below ``eps3``.
     """
-    if slope >= 0.0:
+    if not -math.inf < slope < 0.0:
         raise StepTooSmall(f"search direction is not a descent direction (m'(0)={slope:.3e})")
-    alpha = alpha_start
-    while alpha >= eps3:
+    for alpha in _step_lengths(alpha_start, backtrack_factor, eps3):
         value = evaluate(alpha)
         if value - merit_zero <= delta * alpha * slope:
             return alpha, value
-        alpha *= backtrack_factor
     raise StepTooSmall(f"step length fell below {eps3:.1e}")
 
 
@@ -338,7 +311,8 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     point = _point(formulation, instance, X_init, flows)
     grad_f, jac, grad_l = _linearize(formulation, instance, point, lam)
     trace = []
-    cap = _ladder_cap(instance.system, instance.n_segments)
+    n, n_segments = instance.system.dim, instance.n_segments
+    cap = _ladder_cap(instance.system, n_segments)
     # lanes of an iteration's first batch: the previous iteration's trial count
     width = 1
 
@@ -366,18 +340,21 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         slope = _merit_slope(grad_f, jac, point.c_val, lam_full, d_x, cfg.omega)
         # line_search accepts the last alpha it evaluates
         trials = []
-        # (vector, flows) of every integrated alpha; a batch is integrated
-        # when line_search asks for an alpha no earlier batch holds
-        ladder = {}
+        # (vector, flows) of the integrated step lengths line_search has not
+        # tested yet, in its order; a batch is integrated when none is left
+        pending = []
         lanes = min(width, cap)
 
         def evaluate(alpha):
             nonlocal lanes
-            if alpha not in ladder:
-                alphas = _ladder(alpha, lanes, cfg.backtrack_factor, cfg.eps3)
-                ladder.update(zip(alphas, _trial_flows(instance, flat, d_x, alphas, cfg.integrator)))
+            if not pending:
+                alphas = itertools.islice(
+                    _step_lengths(alpha, cfg.backtrack_factor, cfg.eps3), lanes
+                )
+                vecs = [unpack(flat + a * d_x, n, n_segments) for a in alphas]
+                pending.extend(zip(vecs, evaluate_many(instance, vecs, cfg.integrator)))
                 lanes = min(2 * lanes, cap)
-            value, trial = _trial_merit(formulation, instance, *ladder[alpha], lam_full, cfg.omega)
+            value, trial = _trial_merit(formulation, instance, *pending.pop(0), lam_full, cfg.omega)
             trials.append(trial)
             return value
 

@@ -5,9 +5,9 @@ derivative or assembly code: finite differences drive the gradient checks,
 scipy's integrators provide reference flows, and the rotation benchmark has
 an explicit matrix-exponential solution.  The dense LDL^T KKT solve as
 three separate passes, and the conditioning and dump diagnostics the tests
-use, live here too.  The one helper that calls into the solver,
-:func:`merit_slope`, does so on purpose: the merit tests check the m'(0)
-that the line search uses.  Tolerance constants match the acceptance
+use, live here too.  Two helpers call into the solver on purpose:
+:func:`trial` and :func:`merit_slope` give the merit tests the m(alpha) and
+m'(0) that the line search uses.  Tolerance constants match the acceptance
 thresholds.
 """
 
@@ -156,10 +156,19 @@ def unpack_flat(instance, flat):
     return unpack(np.asarray(flat, dtype=float), instance.system.dim, instance.n_segments)
 
 
+def trial(form, instance, base_flat, d_x, alpha, lam_full, omega, cfg):
+    """(m(alpha), point) at the trial vector base + alpha d_x, integrated in
+    a one-vector :func:`evaluate_many` batch and valued by the solver's own
+    ``sqp._trial_merit``, as the line search values each trial."""
+    vec = unpack_flat(instance, base_flat + alpha * d_x)
+    (flows,) = evaluate_many(instance, [vec], cfg)
+    return sqp._trial_merit(form, instance, vec, flows, lam_full, omega)
+
+
 def merit_slope(form, instance, vec, lam_full, d_x, omega, cfg):
     """The solver's own m'(0) at ``vec`` for the multipliers after a full
     step, ``lam_full`` = lam + d_lam; the merit values come from
-    ``sqp._trial``."""
+    :func:`trial`."""
     flows = evaluate_segments(instance, vec, cfg)
     kind = form.constraints
     return sqp._merit_slope(

@@ -25,6 +25,7 @@ from oracles import (
     random_vector_near_guess,
     relative_error,
     rotation_flow_matrix,
+    trial,
     unpack_flat,
 )
 
@@ -51,7 +52,7 @@ from falsify.shooting import (
     evaluate_segments,
     pack,
 )
-from falsify.sqp import SqpConfig, Termination, _trial, run
+from falsify.sqp import SqpConfig, Termination, run
 from falsify.systems import benchmark2, benchmark3
 
 
@@ -419,8 +420,8 @@ def test_merit_line_search_contract():
         d_x = rng.standard_normal(20)
         lam_full = lam + rng.standard_normal(m2)
         slope = merit_slope(form, instance, vec, lam_full, d_x, 1.0, TIGHT)
-        plus, _ = _trial(form, instance, pack(vec), d_x, FD_STEP, lam_full, 1.0, TIGHT)
-        minus, _ = _trial(form, instance, pack(vec), d_x, -FD_STEP, lam_full, 1.0, TIGHT)
+        plus, _ = trial(form, instance, pack(vec), d_x, FD_STEP, lam_full, 1.0, TIGHT)
+        minus, _ = trial(form, instance, pack(vec), d_x, -FD_STEP, lam_full, 1.0, TIGHT)
         fd_slope = (plus - minus) / (2.0 * FD_STEP)
         worst_slope = max(worst_slope, abs(slope - fd_slope) / max(1.0, abs(fd_slope)))
 

@@ -118,6 +118,16 @@ def test_breakdown_on_indefinite_reduced_hessian():
     np.testing.assert_allclose(sol.d_x, [0.0, -1.0], atol=1e-14)
 
 
+def test_direct_solve_that_overflows_is_singular():
+    """H = 1e-300 I passes the pivot test, but its solution 1e310 overflows
+    to inf and the residual reads NaN, which fails the residual check."""
+    system = SaddleSystem(
+        full_hessian(1e-300 * np.eye(2)), sp.csc_matrix((2, 0)), np.full(2, 1e10), np.zeros(0)
+    )
+    with pytest.raises(SingularSystem, match="residual nan"):
+        solve_direct(system)
+
+
 def random_indefinite_system(rng, m1, m2):
     a = rng.standard_normal((m1, m1))
     jac = sp.csc_matrix(rng.standard_normal((m1, m2)))

@@ -44,10 +44,10 @@ def test_every_name_the_tracer_patches_exists(monkeypatch):
 
 def test_traced_run_records_every_patched_call(monkeypatch):
     """A name bound at import instead of looked up at call time would leave
-    its span empty here while the run still succeeds.  Every alpha the line
-    search tests is integrated exactly once, through `sqp.evaluate_segments`
-    or in a ladder batch of `sqp.evaluate_many`; `sqp.trial_evals` counts
-    the alphas tested, not the lanes integrated."""
+    its span empty here while the run still succeeds.  The initial point is
+    integrated through `sqp.evaluate_segments`, and every alpha the line
+    search tests exactly once, in a ladder batch of `sqp.evaluate_many`;
+    `sqp.trial_evals` counts the alphas tested, not the lanes integrated."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     tracing = importlib.import_module("tracing")
@@ -89,7 +89,8 @@ def test_traced_run_records_every_patched_call(monkeypatch):
         "sqp.line_search",
     ):
         assert tracer.calls[name] > 0, name
-    assert ladder and min(ladder) > 1
+    assert ladder and max(ladder) > 1
+    assert tracer.calls["shooting.evaluate_segments"] == 1
     assert tracer.counts["sqp.trial_evals"] == len(tested) - 1
     assert all(integrated[vec] == 1 for vec in tested)
     assert sum(integrated.values()) == tracer.calls["shooting.evaluate_segments"] + sum(ladder)

@@ -27,14 +27,13 @@ from falsify.shooting import (
     evaluate_segments,
     pack,
 )
-from falsify.kkt import SaddleSystem, SingularSystem
+from falsify.kkt import Breakdown, SaddleSystem, SingularSystem, solve_ppcg
 from falsify.sqp import (
     RunReport,
     SqpConfig,
     StepTooSmall,
     Termination,
     _solve_step,
-    _trial,
     line_search,
     run,
 )
@@ -45,6 +44,7 @@ from oracles import (
     benchmark2_instance,
     merit_slope,
     random_vector_near_guess,
+    trial,
     unpack_flat,
 )
 
@@ -68,7 +68,7 @@ def test_merit_at_zero_matches_formula():
         + 0.5 * omega * (c_val @ c_val)
     )
     zero_step = np.zeros(vec.n_segments * 4)
-    value, _ = _trial(form, instance, pack(vec), zero_step, 0.0, lam + d_lam, omega, TIGHT)
+    value, _ = trial(form, instance, pack(vec), zero_step, 0.0, lam + d_lam, omega, TIGHT)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -78,10 +78,10 @@ def test_merit_reduces_to_objective_when_unconstrained():
     form = Formulation.by_name("eq13")
     vec = random_vector_near_guess(instance, rng)
     d_x = 0.01 * rng.standard_normal(12)
-    value, _ = _trial(form, instance, pack(vec), d_x, 1.0, np.zeros(0), 1.0, TIGHT)
-    trial = unpack_flat(instance, np.column_stack([vec.states, vec.times]).ravel() + d_x)
+    value, _ = trial(form, instance, pack(vec), d_x, 1.0, np.zeros(0), 1.0, TIGHT)
+    moved = unpack_flat(instance, np.column_stack([vec.states, vec.times]).ravel() + d_x)
     expected = objective_value(
-        form, instance, trial, evaluate_segments(instance, trial, TIGHT)
+        form, instance, moved, evaluate_segments(instance, moved, TIGHT)
     )
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -101,7 +101,7 @@ def test_recorded_merit_zero_is_the_merit_at_alpha_zero(name):
     )
     solution, _, _ = steps[0]
     lam = np.zeros(constraint_dim(form.constraints, 3, 4))
-    value, _ = _trial(
+    value, _ = trial(
         form, instance, pack(guess), solution.d_x, 0.0, lam + solution.d_lambda,
         cfg.omega, cfg.integrator,
     )
@@ -120,7 +120,7 @@ def test_kept_observer_system_re_solves_to_the_recorded_merit():
     assert report.nit == 1 and len(seen) == 1
     solution, _, _ = _solve_step(seen[0], cfg.kkt_method)
     lam = np.zeros(constraint_dim(form.constraints, 3, 4))
-    value, _ = _trial(
+    value, _ = trial(
         form, instance, pack(guess), solution.d_x, 0.0, lam + solution.d_lambda,
         cfg.omega, cfg.integrator,
     )
@@ -141,7 +141,7 @@ def test_merit_is_infinite_when_the_trial_point_blows_up():
     form = Formulation.by_name("eq13")
     # step pushes the start state to 2.1 for 1 time unit: finite-time blowup
     d_x = np.array([2.0, 0.0])
-    value, _ = _trial(form, instance, pack(vec), d_x, 1.0, np.zeros(0), 1.0, DEFAULT_CONFIG)
+    value, _ = trial(form, instance, pack(vec), d_x, 1.0, np.zeros(0), 1.0, DEFAULT_CONFIG)
     assert value == np.inf
 
 
@@ -157,8 +157,8 @@ def test_merit_derivative_matches_finite_differences():
         lam_full = lam + rng.standard_normal(m2)
         analytic = merit_slope(form, instance, vec, lam_full, d_x, 1.0, TIGHT)
         h = 1e-6
-        plus, _ = _trial(form, instance, pack(vec), d_x, h, lam_full, 1.0, TIGHT)
-        minus, _ = _trial(form, instance, pack(vec), d_x, -h, lam_full, 1.0, TIGHT)
+        plus, _ = trial(form, instance, pack(vec), d_x, h, lam_full, 1.0, TIGHT)
+        minus, _ = trial(form, instance, pack(vec), d_x, -h, lam_full, 1.0, TIGHT)
         fd = (plus - minus) / (2.0 * h)
         assert analytic == pytest.approx(fd, rel=1e-5), name
 
@@ -209,6 +209,20 @@ def test_line_search_rejects_nonnegative_slope_without_evaluating():
 
     with pytest.raises(StepTooSmall):
         line_search(evaluate, 1.0, 0.0, 1e-4, 0.5, 1e-8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("slope", [math.nan, -math.inf])
+def test_line_search_rejects_non_finite_slope_without_evaluating(slope):
+    """Neither a NaN nor an infinite m'(0) can pass sufficient decrease."""
+    calls = []
+
+    def evaluate(alpha):
+        calls.append(alpha)
+        return 0.0
+
+    with pytest.raises(StepTooSmall, match="not a descent direction"):
+        line_search(evaluate, 1.0, slope, 1e-4, 0.5, 1e-8)
     assert calls == []
 
 
@@ -511,6 +525,19 @@ def test_singular_system_falls_back_to_least_squares():
         assert np.all(np.isfinite(solution.d_x))
 
 
+def test_non_finite_ppcg_step_falls_back_to_a_finite_one():
+    """H = diag(1e-310, 1) is finite, but CG on it overflows to [inf, nan]:
+    ppcg breaks down, the direct solve finds the pivot ratio singular, and
+    least squares drops the subnormal direction."""
+    hess = HessianApprox("full", 1, 1, np.diag([1e-310, 1.0]))
+    system = SaddleSystem(hess, sp.csc_matrix((2, 0)), np.ones(2), np.zeros(0))
+    with pytest.raises(Breakdown, match="non-finite"):
+        solve_ppcg(system)
+    solution, alpha_start, rung = _solve_step(system, "ppcg")
+    assert rung == "lstsq" and alpha_start == 0.5
+    np.testing.assert_array_equal(solution.d_x, [0.0, 1.0])
+
+
 @pytest.mark.parametrize("method", ["ppcg", "direct"])
 def test_non_finite_system_raises_singular_before_any_rung(method):
     hess = HessianApprox("full", 2, 1, np.eye(3))
@@ -591,7 +618,7 @@ def test_speculative_ladder_keeps_iterates_bitwise(monkeypatch, cell):
     sizes.clear()
     plain = replace(instance, system=replace(instance.system, vectorized=False))
     one_at_a_time = run(form, plain, guess, SqpConfig())
-    assert not sizes
+    assert sizes and set(sizes) == {1}
     assert_same_run(ladder, one_at_a_time)
 
 
@@ -628,7 +655,7 @@ def test_failing_ladder_lane_reads_inf_without_a_second_integration(monkeypatch)
         integrated.extend(pack(vec).tobytes() for vec in vecs)
         outcomes = evaluate_many(instance, vecs, cfg)
         failed = [isinstance(outcome, IntegrationFailure) for outcome in outcomes]
-        if failed[0] and not any(failed[1:]):
+        if len(failed) > 1 and failed[0] and not any(failed[1:]):
             first_failed.append((len(searches) - 1, current[0]))
         return outcomes
 
@@ -640,6 +667,41 @@ def test_failing_ladder_lane_reads_inf_without_a_second_integration(monkeypatch)
     for search, alpha in first_failed:
         assert searches[search][alpha] == math.inf
     assert len(set(integrated)) == len(integrated)
+
+    monkeypatch.setattr(falsify.sqp, "_LADDER_LANES", 1)
+    assert_same_run(ladder, run(form, instance, guess, cfg))
+
+
+def test_ladder_integrates_no_step_length_below_eps3(monkeypatch):
+    """eq10 on the plain rotation with eps3 = 1e-3 ends in S3 after batches
+    of several vectors: no search integrates more trial vectors than it has
+    step lengths alpha_start * beta^j >= eps3, and the run is the
+    one-alpha-at-a-time run."""
+    instance, guess, form = bench_cell("benchmark3", 2, 5, "eq10")
+    cfg = SqpConfig(eps3=1e-3)
+    searches = []  # per line search: [step lengths >= eps3, vectors integrated]
+    sizes = ladder_batches(monkeypatch)
+
+    def recording_line_search(evaluate, merit_zero, slope, delta, beta, eps3, alpha_start):
+        steps, alpha = 0, alpha_start
+        while alpha >= eps3:
+            steps, alpha = steps + 1, alpha * beta
+        searches.append([steps, 0])
+        done = len(sizes)
+
+        def counted(alpha):
+            value = evaluate(alpha)
+            searches[-1][1] = sum(sizes[done:])
+            return value
+
+        return line_search(counted, merit_zero, slope, delta, beta, eps3, alpha_start)
+
+    monkeypatch.setattr(falsify.sqp, "line_search", recording_line_search)
+    ladder = run(form, instance, guess, cfg)
+    assert ladder.termination is Termination.S3_STEP_TOO_SMALL
+    assert max(sizes) > 1
+    assert searches[-1] == [10, 10]
+    assert all(integrated <= steps for steps, integrated in searches)
 
     monkeypatch.setattr(falsify.sqp, "_LADDER_LANES", 1)
     assert_same_run(ladder, run(form, instance, guess, cfg))
@@ -673,4 +735,4 @@ def test_ladder_is_gated_off(monkeypatch, cell, hessian, vectorized):
     monkeypatch.setattr(falsify.sqp, "line_search", counting_line_search)
     run(form, instance, guess, SqpConfig(max_iter=3, hessian_variant=hessian))
     assert max(counts) > 1
-    assert not sizes
+    assert sizes == [1] * sum(counts)
