@@ -23,6 +23,7 @@ import numpy as np
 
 from .formulation import Formulation
 from .integrate import IntegrationFailure
+from .kkt import SingularSystem
 from .shooting import DegenerateInstance, Ellipsoid, ProblemInstance, ShootingVector
 from .sqp import RunReport, SqpConfig, Termination, run
 from .systems import benchmark1, benchmark2, benchmark3
@@ -200,7 +201,10 @@ def _solve_cell(spec, sqp_cfg, dim, n_segments):
         return BenchRow(dim, n_segments, 0, "F", ("integration_failure",))
     except DegenerateInstance:
         return BenchRow(dim, n_segments, 0, "F", ("degenerate_instance",))
-    report = run(spec.formulation, instance, guess, sqp_cfg)
+    try:
+        report = run(spec.formulation, instance, guess, sqp_cfg)
+    except SingularSystem:
+        return BenchRow(dim, n_segments, 0, "F", ("singular_kkt",))
     if report.termination is Termination.INTEGRATION_FAILURE:
         return BenchRow(dim, n_segments, report.nit, "F", ("integration_failure",), report)
     checked = verify(instance, report.final_X, spec.eps4)

@@ -273,7 +273,11 @@ def cmd_solve(cfg):
     instance, guess = cell
     dim, n_segments = instance.dim, instance.n_segments
     logger.info("solving %s dim=%d N=%d with %s", spec.system, dim, n_segments, spec.formulation.name)
-    report = run(spec.formulation, instance, guess, cfg.sqp)
+    try:
+        report = run(spec.formulation, instance, guess, cfg.sqp)
+    except SingularSystem as exc:
+        print(f"singular KKT system: {exc}", file=sys.stderr)
+        return 2
     checked = None
     if report.termination is not Termination.INTEGRATION_FAILURE:
         checked = verify(instance, report.final_X, spec.eps4)

@@ -22,9 +22,14 @@ is bitwise the same whatever else shares its batch.
 A system marked ``vectorized`` is called once on a batch of two or more
 lanes; otherwise, and on a batch of one lane, it is called once per lane on
 that lane's single state.  Each stage derivative is written straight into
-the step's (B, 7, m) stage buffer, the sensitivity block through
-``np.matmul(..., out=...)``, so a stage allocates no augmented array of its
-own.
+the step's (B, 7, m) stage buffer, so a stage allocates no augmented array
+of its own.  A stage of ``flow_with_sensitivity`` is one call of the
+system's :meth:`~falsify.systems.OdeSystem.variational_stage` on z = [x, S
+row-major] of length m = n + n**2: a system with a ``variational`` kernel
+writes f into ``out[..., :n]`` and J S into ``out[..., n:]`` itself (the
+built-in benchmark2 does), any other composes ``rhs`` and
+``state_jacobian``, with J S through ``np.matmul(..., out=...)`` on a
+C-contiguous (..., n, n) J.
 """
 
 import math
@@ -341,22 +346,10 @@ def flow_with_sensitivity(system, x0, duration, cfg=None, *, per_lane=False):
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
     n = system.dim
-
-    def augmented(t, z, out):
-        x = z[..., :n]
-        shape = z.shape[:-1] + (n, n)
-        out[..., :n] = system.rhs(t, x)
-        # out's last axis is contiguous, so the reshape is a view into it
-        np.matmul(
-            system.state_jacobian(t, x),
-            z[..., n:].reshape(shape),
-            out=out[..., n:].reshape(shape),
-        )
-
     identity = np.broadcast_to(np.eye(n).ravel(), (len(xs), n * n))
     z0 = np.concatenate([xs, identity], axis=1)
     z_end, failures = _integrate(
-        system, _lanewise(system, augmented), z0, ts, cfg or DEFAULT_CONFIG
+        system, _lanewise(system, system.variational_stage), z0, ts, cfg or DEFAULT_CONFIG
     )
     if failures and not per_lane:
         raise failures[min(failures)]

@@ -257,7 +257,8 @@ def _solve_step(system, method):
     started at alpha = 1/2 instead of 1.  Returns the solution, the initial
     step length and the name of the rung that solved.  A system holding a
     NaN or an infinity raises :class:`SingularSystem` before any rung runs:
-    no rung can solve it, and each would fail in its own way.
+    no rung can solve it, and each would fail in its own way.  So does a
+    least-squares step that is not finite: then no rung produced one.
     """
     if not system.is_finite():
         raise SingularSystem("non-finite saddle system: H, B or the rhs holds NaN or inf")
@@ -270,6 +271,8 @@ def _solve_step(system, method):
         return solve_direct(system), 1.0, "direct"
     except SingularSystem:
         sol, *_ = np.linalg.lstsq(system.dense_matrix(), system.rhs(), rcond=None)
+        if not np.all(np.isfinite(sol)):
+            raise SingularSystem("no KKT rung produced a finite step")
         m1 = system.m1
         return KktSolution(sol[:m1], sol[m1:], 0), 0.5, "lstsq"
 
@@ -298,7 +301,8 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     backtracking ladder batches their trials.  Each shooting vector is
     integrated once and evaluated at most once: the accepted trial point,
     with its flows, F and c, becomes the next iterate, and B is built once
-    per accepted point.  A saddle system that is not finite raises
+    per accepted point.  A saddle system that is not finite, or one that no
+    rung of the KKT ladder solves to a finite step, raises
     :class:`~falsify.kkt.SingularSystem`.
     """
     cfg = cfg or SqpConfig()

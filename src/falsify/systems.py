@@ -6,7 +6,7 @@ analytic form.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,6 +27,15 @@ class OdeSystem:
     round a product with a strided operand differently, and a batched lane
     would then no longer be bitwise equal to a single call.  Other systems,
     and any system on a batch of one lane, are called once per lane.
+
+    ``variational(t, z, out)``, when given, is one stage of the variational
+    equations dx/dt = f, dS/dt = J S in a single call: ``z`` is
+    ``[x, S in row-major order]`` of length n + n**2, with the lane shape of
+    ``t`` in front, and the call writes f(t, x) into ``out[..., :n]`` and
+    J(t, x) S, taken as (..., n, n), into ``out[..., n:]``; its return value
+    is ignored.  It is called on the shapes ``rhs`` is, and must give the
+    bits of :meth:`variational_stage`'s composite of ``rhs`` and
+    ``state_jacobian``, whose J goes to ``np.matmul`` C-contiguous.
     """
 
     dim: int
@@ -34,10 +43,28 @@ class OdeSystem:
     state_jacobian: Callable[[float, np.ndarray], np.ndarray]
     label: str
     vectorized: bool = False
+    variational: Optional[Callable[[float, np.ndarray, np.ndarray], None]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("state dimension must be positive")
+
+    def variational_stage(self, t, z, out):
+        """f and J S at ``z = [x, S]`` written into ``out``: the system's own
+        ``variational`` when it has one, else ``rhs`` and ``state_jacobian``."""
+        if self.variational is not None:
+            self.variational(t, z, out)
+            return
+        n = self.dim
+        x = z[..., :n]
+        shape = z.shape[:-1] + (n, n)
+        out[..., :n] = self.rhs(t, x)
+        # out's last axis is contiguous, so the reshape is a view into it
+        np.matmul(
+            self.state_jacobian(t, x),
+            z[..., n:].reshape(shape),
+            out=out[..., n:].reshape(shape),
+        )
 
 
 def rotation_matrix(n):
@@ -119,7 +146,24 @@ def benchmark2():
         )
         return np.ascontiguousarray(entries.T).reshape(x.shape + (3,))
 
-    return OdeSystem(3, rhs, jac, "benchmark2", vectorized=True)
+    def variational(t, z, out):
+        # rhs and jac fused, with their operations in their order.  Through
+        # the transposes the component axis comes first, so a single state's
+        # components are scalars, and jac_t[j, i] is the entry (i, j) of jac.
+        z_t, f = z.T, out.T
+        x1, x2, x3 = z_t[0], z_t[1], z_t[2]
+        f[0] = -x2 + x1 * x3
+        f[1] = x1 + x2 * x3
+        f[2] = -x3 - x1 * x1 - x2 * x2 + x3 * x3
+        shape = z.shape[:-1] + (3, 3)
+        jac = np.empty(shape)
+        jac_t = jac.T
+        jac_t[0, 0], jac_t[1, 0], jac_t[2, 0] = x3, -1.0, x1
+        jac_t[0, 1], jac_t[1, 1], jac_t[2, 1] = 1.0, x3, x2
+        jac_t[0, 2], jac_t[1, 2], jac_t[2, 2] = -2.0 * x1, -2.0 * x2, -1.0 + 2.0 * x3
+        np.matmul(jac, z[..., 3:].reshape(shape), out=out[..., 3:].reshape(shape))
+
+    return OdeSystem(3, rhs, jac, "benchmark2", vectorized=True, variational=variational)
 
 
 def benchmark3(n):

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+import falsify.bench as bench
 from falsify.bench import (
     BenchRow,
     BenchSpec,
@@ -20,6 +21,7 @@ from falsify.bench import (
 )
 from falsify.formulation import Formulation
 from falsify.integrate import flow
+from falsify.kkt import SingularSystem
 from falsify.shooting import ShootingVector
 from falsify.sqp import SqpConfig
 from falsify.systems import benchmark3
@@ -170,6 +172,24 @@ def test_run_table_flags_degenerate_instances():
         (5, 0, "F", ("degenerate_instance",)),
         (10, 0, "F", ("degenerate_instance",)),
     ]
+
+
+def test_run_table_flags_singular_kkt_cells(monkeypatch):
+    # a run whose KKT ladder produces no finite step becomes an F row, and
+    # the next cell is still solved
+    real_run = bench.run
+
+    def run(formulation, instance, guess, cfg):
+        if instance.n_segments == 5:
+            raise SingularSystem("no KKT rung produced a finite step")
+        return real_run(formulation, instance, guess, cfg)
+
+    monkeypatch.setattr(bench, "run", run)
+    rows = run_table(small_spec(segment_counts=(5, 10)))
+    assert [(row.N, row.nit, row.status, row.reasons) for row in rows[:1]] == [
+        (5, 0, "F", ("singular_kkt",))
+    ]
+    assert rows[1].N == 10 and rows[1].status == "1"
 
 
 def test_run_table_empty_segment_list():

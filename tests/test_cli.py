@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import falsify.cli as cli
 from falsify.cli import main
+from falsify.kkt import SingularSystem
 from falsify.sqp import TraceRecord
 
 
@@ -82,6 +84,20 @@ def test_solve_exit_two_on_iteration_budget(tmp_path, monkeypatch):
         "\n".join((tmp_path / "report.json").read_text().splitlines()[1:])
     )
     assert payload["termination"] == "S2_maxit"
+
+
+def test_solve_exit_two_on_singular_kkt(tmp_path, monkeypatch, capsys):
+    # a run that no KKT rung can step from ends in one line on stderr and
+    # exit code 2, not a traceback
+    def run(*args, **kwargs):
+        raise SingularSystem("no KKT rung produced a finite step")
+
+    monkeypatch.setattr(cli, "run", run)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("solve") == 2
+    err = capsys.readouterr().err
+    assert err == "singular KKT system: no KKT rung produced a finite step\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_failure_report_is_strict_json(tmp_path, monkeypatch):

@@ -119,6 +119,21 @@ def test_chain_rule_for_composed_sensitivities():
     )
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 17])
+def test_fused_benchmark2_stage_equals_the_composite(lanes):
+    """benchmark2's fused variational kernel integrates to the bits of its
+    rhs and Jacobian composed, on batches and on the one-lane tail."""
+    fused = benchmark2()
+    composite = OdeSystem(3, fused.rhs, fused.state_jacobian, "composite", vectorized=True)
+    rng = np.random.default_rng(lanes)
+    x0 = 1.0 + 0.4 * rng.standard_normal((lanes, 3))
+    durations = rng.uniform(-2.5, 2.5, size=lanes)
+    ours = flow_with_sensitivity(fused, x0, durations)
+    theirs = flow_with_sensitivity(composite, x0, durations)
+    for field in ("end_state", "sensitivity", "end_derivative"):
+        np.testing.assert_array_equal(getattr(ours, field), getattr(theirs, field))
+
+
 def _mixed_batch(system, lanes, seed):
     """Start states near the unit vector and durations of both signs and zero."""
     rng = np.random.default_rng(seed)

@@ -539,6 +539,18 @@ def test_non_finite_ppcg_step_falls_back_to_a_finite_one():
 
 
 @pytest.mark.parametrize("method", ["ppcg", "direct"])
+def test_non_finite_least_squares_step_raises_singular(method):
+    """H = 1e-300 I with rhs 1e10: the direct solve overflows and fails its
+    residual test, and least squares keeps both singular values and returns
+    [inf, inf], so no rung produced a finite step."""
+    hess = HessianApprox("full", 1, 1, 1e-300 * np.eye(2))
+    system = SaddleSystem(hess, sp.csc_matrix((2, 0)), np.full(2, 1e10), np.zeros(0))
+    assert system.is_finite()
+    with pytest.raises(SingularSystem, match="no KKT rung produced a finite step"):
+        _solve_step(system, method)
+
+
+@pytest.mark.parametrize("method", ["ppcg", "direct"])
 def test_non_finite_system_raises_singular_before_any_rung(method):
     hess = HessianApprox("full", 2, 1, np.eye(3))
     hess.mat[0, 0] = np.nan

@@ -100,6 +100,12 @@ def test_vectorized_rhs_and_jacobian_equal_per_lane_calls():
 def test_user_systems_default_to_per_lane_calls():
     system = OdeSystem(1, lambda t, x: -x, lambda t, x: -np.eye(1), "decay")
     assert not system.vectorized
+    assert system.variational is None
+
+
+def test_only_benchmark2_has_a_fused_variational_kernel():
+    assert benchmark2().variational is not None
+    assert benchmark1(4).variational is None and benchmark3(4).variational is None
 
 
 def test_dimension_validation():
@@ -117,18 +123,20 @@ BUILT_IN = [("benchmark1", 2), ("benchmark1", 4), ("benchmark1", 6), ("benchmark
 
 @st.composite
 def built_in_states(draw):
-    """A built-in system and a time and state of shape (), (B,) or (B1, B2)."""
+    """A built-in system, a time and a state of shape (), (B,) or (B1, B2),
+    and a sensitivity matrix per lane."""
     name, n = draw(st.sampled_from(BUILT_IN))
     batch = draw(st.sampled_from([(), (1,), (7,), (3, 4)]))
     x = draw(hnp.arrays(float, batch + (n,), elements=st.floats(-1e3, 1e3)))
     t = draw(hnp.arrays(float, batch, elements=st.floats(-10.0, 10.0)))
-    return name, n, t[()] if not batch else t, x
+    sens = draw(hnp.arrays(float, batch + (n, n), elements=st.floats(-1e3, 1e3)))
+    return name, n, t[()] if not batch else t, x, sens
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(built_in_states())
 def test_built_in_functions_equal_the_reference_formulas(case):
-    name, n, t, x = case
+    name, n, t, x, sens = case
     system = make_system(name, n)
     ref_rhs, ref_jac = reference_functions(name, n)
     rhs, jac = system.rhs(t, x), system.state_jacobian(t, x)
@@ -136,3 +144,10 @@ def test_built_in_functions_equal_the_reference_formulas(case):
     assert jac.flags.c_contiguous
     np.testing.assert_array_equal(rhs, ref_rhs(t, x))
     np.testing.assert_array_equal(jac, ref_jac(t, x))
+    # the variational stage, fused or composite, is [rhs, jac @ S] bit for bit
+    lanes = x.shape[:-1]
+    z = np.concatenate([x, sens.reshape(lanes + (n * n,))], axis=-1)
+    out = np.full(z.shape, np.nan)
+    system.variational_stage(t, z, out)
+    np.testing.assert_array_equal(out[..., :n], rhs)
+    np.testing.assert_array_equal(out[..., n:], (jac @ sens).reshape(lanes + (n * n,)))
