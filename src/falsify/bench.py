@@ -23,7 +23,6 @@ import numpy as np
 
 from .formulation import Formulation
 from .integrate import IntegrationFailure
-from .kkt import SingularSystem
 from .shooting import DegenerateInstance, Ellipsoid, ProblemInstance, ShootingVector
 from .sqp import RunReport, SqpConfig, Termination, run
 from .systems import benchmark1, benchmark2, benchmark3
@@ -38,6 +37,7 @@ __all__ = [
     "generate_instance",
     "initial_guess",
     "verify",
+    "solve_instance",
     "run_table",
     "emit_csv",
     "dump_trajectory",
@@ -45,10 +45,13 @@ __all__ = [
 
 SYSTEM_NAMES = ("benchmark1", "benchmark2", "benchmark3")
 
-_STATUS_DIGIT = {
+# each termination's S digit, or the F reason of a failure, which is not verified
+_OUTCOME = {
     Termination.S1_CONVERGED: "1",
     Termination.S2_MAXIT: "2",
     Termination.S3_STEP_TOO_SMALL: "3",
+    Termination.INTEGRATION_FAILURE: "integration_failure",
+    Termination.SINGULAR_SYSTEM: "singular_kkt",
 }
 
 
@@ -99,11 +102,20 @@ class BenchSpec:
 
 
 @dataclass(frozen=True)
+class VerifyResult:
+    ok: bool
+    reasons: tuple
+    init_distance: float
+    unsafe_distance: float
+
+
+@dataclass(frozen=True)
 class BenchRow:
     """One table cell: problem size, iterations used, and the status flag.
 
     ``status`` is the stopping-criterion digit ("1"/"2"/"3"), overridden by
-    "F" whenever verification fails; ``reasons`` records why.
+    "F" whenever the run fails or verification (``check``, None when it did
+    not run) fails; ``reasons`` records why.
     """
 
     n: int
@@ -112,20 +124,13 @@ class BenchRow:
     status: str
     reasons: tuple = ()
     report: Optional[RunReport] = None
+    check: Optional[VerifyResult] = None
 
     def __post_init__(self):
         if self.status not in ("1", "2", "3", "F"):
             raise ValueError(f"invalid status {self.status!r}")
         if self.status == "F" and not self.reasons:
             raise ValueError("status 'F' requires at least one recorded reason")
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reasons: tuple
-    init_distance: float
-    unsafe_distance: float
 
 
 def perturbation(dim):
@@ -201,16 +206,20 @@ def _solve_cell(spec, sqp_cfg, dim, n_segments):
         return BenchRow(dim, n_segments, 0, "F", ("integration_failure",))
     except DegenerateInstance:
         return BenchRow(dim, n_segments, 0, "F", ("degenerate_instance",))
-    try:
-        report = run(spec.formulation, instance, guess, sqp_cfg)
-    except SingularSystem:
-        return BenchRow(dim, n_segments, 0, "F", ("singular_kkt",))
-    if report.termination is Termination.INTEGRATION_FAILURE:
-        return BenchRow(dim, n_segments, report.nit, "F", ("integration_failure",), report)
+    return solve_instance(spec, instance, guess, sqp_cfg)
+
+
+def solve_instance(spec, instance, guess, sqp_cfg):
+    """The row of one built cell, with the run's report: a failed run is an
+    "F" row with its reason, any other run's digit stands if it verifies."""
+    report = run(spec.formulation, instance, guess, sqp_cfg)
+    dim, n_segments = instance.dim, instance.n_segments
+    outcome = _OUTCOME[report.termination]
+    if not outcome.isdigit():
+        return BenchRow(dim, n_segments, report.nit, "F", (outcome,), report)
     checked = verify(instance, report.final_X, spec.eps4)
-    digit = _STATUS_DIGIT[report.termination]
-    status = digit if checked.ok else "F"
-    return BenchRow(dim, n_segments, report.nit, status, checked.reasons, report)
+    status = outcome if checked.ok else "F"
+    return BenchRow(dim, n_segments, report.nit, status, checked.reasons, report, checked)
 
 
 def run_table(spec, sqp=None):

@@ -29,7 +29,7 @@ from .bench import (
     generate_instance,
     initial_guess,
     run_table,
-    verify,
+    solve_instance,
 )
 from .formulation import (
     FORMULATION_NAMES,
@@ -46,7 +46,7 @@ from .hessian import VARIANTS, init_identity
 from .integrate import IntegrationFailure, IntegratorConfig
 from .kkt import Breakdown, SaddleSystem, SingularSystem, solve_direct, solve_ppcg
 from .shooting import DegenerateInstance, evaluate_many, evaluate_segments, pack, unpack
-from .sqp import KKT_METHODS, SqpConfig, Termination, run
+from .sqp import KKT_METHODS, SqpConfig, Termination
 
 logger = logging.getLogger("falsify")
 
@@ -234,13 +234,14 @@ def _number(value):
     return value if math.isfinite(value) else None
 
 
-def _write_report(cfg, dim, n_segments, report, checked, path):
+def _write_report(cfg, row, path):
+    report, checked = row.report, row.check
     vec = report.final_X
     form = cfg.spec.formulation
     payload = {
         "system": cfg.spec.system,
-        "dim": dim,
-        "segments": n_segments,
+        "dim": row.n,
+        "segments": row.N,
         "formulation": form.name,
         "objective_kind": form.objective,
         "regularizer": form.regularizer,
@@ -252,11 +253,11 @@ def _write_report(cfg, dim, n_segments, report, checked, path):
         "final_objective": _number(report.final_objective),
         "final_constraint_norm": _number(report.final_constraint_norm),
         "verified": checked.ok if checked else False,
-        "verify_reasons": list(checked.reasons) if checked else ["integration_failure"],
+        "verify_reasons": list(row.reasons),
         "init_distance": _number(checked.init_distance) if checked else None,
         "unsafe_distance": _number(checked.unsafe_distance) if checked else None,
         "final_times": [float(t) for t in vec.times],
-        "final_states": [[float(v) for v in row] for row in vec.states],
+        "final_states": [[float(v) for v in state] for state in vec.states],
     }
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with open(path, "w", newline="") as sink:
@@ -273,15 +274,9 @@ def cmd_solve(cfg):
     instance, guess = cell
     dim, n_segments = instance.dim, instance.n_segments
     logger.info("solving %s dim=%d N=%d with %s", spec.system, dim, n_segments, spec.formulation.name)
-    try:
-        report = run(spec.formulation, instance, guess, cfg.sqp)
-    except SingularSystem as exc:
-        print(f"singular KKT system: {exc}", file=sys.stderr)
-        return 2
-    checked = None
-    if report.termination is not Termination.INTEGRATION_FAILURE:
-        checked = verify(instance, report.final_X, spec.eps4)
-    _write_report(cfg, dim, n_segments, report, checked, cfg.report_path)
+    row = solve_instance(spec, instance, guess, cfg.sqp)
+    report, checked = row.report, row.check
+    _write_report(cfg, row, cfg.report_path)
     if cfg.trace_path:
         _write_trace(report, cfg.trace_path)
     if cfg.dump_path and checked is not None:

@@ -31,7 +31,6 @@ __all__ = [
     "KktSolution",
     "SingularSystem",
     "Breakdown",
-    "PreconditionerSingular",
     "solve_direct",
     "solve_ppcg",
 ]
@@ -44,12 +43,9 @@ class SingularSystem(Exception):
 
 
 class Breakdown(Exception):
-    """PPCG met non-positive curvature (the projected Hessian is indefinite)
-    or produced a non-finite solution."""
-
-
-class PreconditionerSingular(Exception):
-    """The constraint preconditioner (via B^T B) could not be factorized."""
+    """PPCG has no step: the constraint preconditioner (via B^T B) could not
+    be factorized, it met non-positive curvature (the projected Hessian is
+    indefinite), or it produced a non-finite solution."""
 
 
 @dataclass(frozen=True)
@@ -157,10 +153,10 @@ class _ConstraintProjector:
         try:
             self.gram_solve = splu(gram).solve
         except RuntimeError as exc:
-            raise PreconditionerSingular(f"B^T B factorization failed: {exc}") from exc
+            raise Breakdown(f"B^T B factorization failed: {exc}") from exc
         probe = self.gram_solve(np.ones(gram.shape[0]))
         if not np.all(np.isfinite(probe)):
-            raise PreconditionerSingular("B^T B factorization produced non-finite solve")
+            raise Breakdown("B^T B factorization produced non-finite solve")
 
     def project(self, r):
         """(g, v) with g + B v = r and B^T g = 0."""

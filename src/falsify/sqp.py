@@ -10,8 +10,8 @@ evaluates, the initial point and each trial, is integrated and given its
 F + R and c once; the accepted trial becomes the next iterate as it is,
 and only grad F, B and grad L are built on top of it.  Termination causes
 mirror the stopping criteria S1 (converged), S2 (iteration budget), S3
-(step length underflow), plus an integration failure at the incumbent
-point.
+(step length underflow), plus two failures that end in a report as well:
+an integration failure at the start and a KKT system no rung steps from.
 
 Backtracking is speculative: the trial vectors for the next k step lengths
 alpha, alpha*beta, ... are integrated in one lockstep batch, one
@@ -44,15 +44,7 @@ from .formulation import (
 )
 from .hessian import VARIANTS, init_identity
 from .integrate import FlowResult, IntegrationFailure, IntegratorConfig
-from .kkt import (
-    Breakdown,
-    KktSolution,
-    PreconditionerSingular,
-    SaddleSystem,
-    SingularSystem,
-    solve_direct,
-    solve_ppcg,
-)
+from .kkt import Breakdown, KktSolution, SaddleSystem, SingularSystem, solve_direct, solve_ppcg
 from .shooting import ShootingVector, evaluate_many, evaluate_segments, pack, unpack
 
 __all__ = [
@@ -84,6 +76,7 @@ class Termination(enum.Enum):
     S2_MAXIT = "S2_maxit"
     S3_STEP_TOO_SMALL = "S3_step_too_small"
     INTEGRATION_FAILURE = "IntegrationFailure"
+    SINGULAR_SYSTEM = "SingularSystem"
 
 
 @dataclass(frozen=True)
@@ -265,7 +258,7 @@ def _solve_step(system, method):
     if method == "ppcg":
         try:
             return solve_ppcg(system), 1.0, "ppcg"
-        except (Breakdown, PreconditionerSingular):
+        except Breakdown:
             pass
     try:
         return solve_direct(system), 1.0, "direct"
@@ -301,9 +294,10 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     backtracking ladder batches their trials.  Each shooting vector is
     integrated once and evaluated at most once: the accepted trial point,
     with its flows, F and c, becomes the next iterate, and B is built once
-    per accepted point.  A saddle system that is not finite, or one that no
-    rung of the KKT ladder solves to a finite step, raises
-    :class:`~falsify.kkt.SingularSystem`.
+    per accepted point.  A failure ends the run with a report too: an
+    integration failure at ``X_init`` in ``INTEGRATION_FAILURE``, and a KKT
+    system that is not finite or that no rung solves to a finite step in
+    ``SINGULAR_SYSTEM``, keeping the iterations done and the incumbent.
     """
     cfg = cfg or SqpConfig()
     lam = np.zeros(constraint_dim(formulation.constraints, instance.dim, instance.n_segments))
@@ -335,7 +329,10 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         system = SaddleSystem(hess, jac, -grad_l, -point.c_val)
         if kkt_observer is not None:
             kkt_observer(replace(system, hess=hess.copy()))
-        solution, alpha_start, rung = _solve_step(system, cfg.kkt_method)
+        try:
+            solution, alpha_start, rung = _solve_step(system, cfg.kkt_method)
+        except SingularSystem:
+            return report(Termination.SINGULAR_SYSTEM)
         d_x, d_lam = solution.d_x, solution.d_lambda
 
         lam_full = lam + d_lam

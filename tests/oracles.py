@@ -7,8 +7,8 @@ an explicit matrix-exponential solution.  The dense LDL^T KKT solve as
 three separate passes, and the conditioning and dump diagnostics the tests
 use, live here too.  Two helpers call into the solver on purpose:
 :func:`trial` and :func:`merit_slope` give the merit tests the m(alpha) and
-m'(0) that the line search uses.  Tolerance constants match the acceptance
-thresholds.
+m'(0) that the line search uses, and :func:`singular_kkt_on_third_solve`
+wraps its KKT ladder.  Tolerance constants match the acceptance thresholds.
 """
 
 import numpy as np
@@ -163,6 +163,22 @@ def trial(form, instance, base_flat, d_x, alpha, lam_full, omega, cfg):
     vec = unpack_flat(instance, base_flat + alpha * d_x)
     (flows,) = evaluate_many(instance, [vec], cfg)
     return sqp._trial_merit(form, instance, vec, flows, lam_full, omega)
+
+
+def singular_kkt_on_third_solve(monkeypatch):
+    """From now on, the third call of `sqp._solve_step` raises
+    :class:`SingularSystem`, as a KKT ladder with no finite step does; every
+    other call solves.  A run's first two iterations finish before it."""
+    solve_step = sqp._solve_step
+    calls = []
+
+    def failing_third(system, method):
+        calls.append(method)
+        if len(calls) == 3:
+            raise SingularSystem("no KKT rung produced a finite step")
+        return solve_step(system, method)
+
+    monkeypatch.setattr(sqp, "_solve_step", failing_third)
 
 
 def merit_slope(form, instance, vec, lam_full, d_x, omega, cfg):

@@ -6,7 +6,6 @@ import io
 import numpy as np
 import pytest
 
-import falsify.bench as bench
 from falsify.bench import (
     BenchRow,
     BenchSpec,
@@ -21,12 +20,11 @@ from falsify.bench import (
 )
 from falsify.formulation import Formulation
 from falsify.integrate import flow
-from falsify.kkt import SingularSystem
 from falsify.shooting import ShootingVector
-from falsify.sqp import SqpConfig
+from falsify.sqp import SqpConfig, Termination
 from falsify.systems import benchmark3
 
-from oracles import TIGHT, scipy_flow
+from oracles import TIGHT, scipy_flow, singular_kkt_on_third_solve
 
 EQ8 = Formulation.by_name("eq8")
 
@@ -175,21 +173,15 @@ def test_run_table_flags_degenerate_instances():
 
 
 def test_run_table_flags_singular_kkt_cells(monkeypatch):
-    # a run whose KKT ladder produces no finite step becomes an F row, and
-    # the next cell is still solved
-    real_run = bench.run
-
-    def run(formulation, instance, guess, cfg):
-        if instance.n_segments == 5:
-            raise SingularSystem("no KKT rung produced a finite step")
-        return real_run(formulation, instance, guess, cfg)
-
-    monkeypatch.setattr(bench, "run", run)
-    rows = run_table(small_spec(segment_counts=(5, 10)))
-    assert [(row.N, row.nit, row.status, row.reasons) for row in rows[:1]] == [
-        (5, 0, "F", ("singular_kkt",))
-    ]
-    assert rows[1].N == 10 and rows[1].status == "1"
+    # a run whose KKT ladder produces no finite step on its third iteration
+    # becomes an unverified F row that keeps its two iterations and its
+    # report, and the next cell is still solved and verified
+    singular_kkt_on_third_solve(monkeypatch)
+    first, second = run_table(small_spec(segment_counts=(5, 10)))
+    assert (first.N, first.nit, first.status, first.reasons) == (5, 2, "F", ("singular_kkt",))
+    assert first.report.termination is Termination.SINGULAR_SYSTEM
+    assert len(first.report.trace) == 2 and first.check is None
+    assert (second.N, second.status) == (10, "1") and second.check.ok
 
 
 def test_run_table_empty_segment_list():

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import falsify.cli as cli
 from falsify.cli import main
-from falsify.kkt import SingularSystem
 from falsify.sqp import TraceRecord
+
+from oracles import singular_kkt_on_third_solve
 
 
 def run_cli(*argv):
@@ -87,17 +87,21 @@ def test_solve_exit_two_on_iteration_budget(tmp_path, monkeypatch):
 
 
 def test_solve_exit_two_on_singular_kkt(tmp_path, monkeypatch, capsys):
-    # a run that no KKT rung can step from ends in one line on stderr and
-    # exit code 2, not a traceback
-    def run(*args, **kwargs):
-        raise SingularSystem("no KKT rung produced a finite step")
-
-    monkeypatch.setattr(cli, "run", run)
+    # a run that no KKT rung can step from on its third iteration exits 2
+    # and still writes its report and its two iterations' trace
+    singular_kkt_on_third_solve(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    assert run_cli("solve") == 2
-    err = capsys.readouterr().err
-    assert err == "singular KKT system: no KKT rung produced a finite step\n"
-    assert not (tmp_path / "report.json").exists()
+    assert run_cli("solve", "--trace", "trace.jsonl") == 2
+    assert capsys.readouterr().err == ""
+    payload = json.loads(
+        "\n".join((tmp_path / "report.json").read_text().splitlines()[1:])
+    )
+    assert payload["termination"] == "SingularSystem"
+    assert payload["nit"] == 2
+    assert payload["verified"] is False
+    assert payload["verify_reasons"] == ["singular_kkt"]
+    trace = (tmp_path / "trace.jsonl").read_text().splitlines()
+    assert [json.loads(line)["iteration"] for line in trace] == [0, 1]
 
 
 def test_failure_report_is_strict_json(tmp_path, monkeypatch):
@@ -113,6 +117,7 @@ def test_failure_report_is_strict_json(tmp_path, monkeypatch):
     body = "\n".join((tmp_path / "report.json").read_text().splitlines()[1:])
     payload = json.loads(body, parse_constant=reject)
     assert payload["termination"] == "IntegrationFailure"
+    assert payload["verify_reasons"] == ["integration_failure"]
     assert payload["final_objective"] is None
 
 

@@ -24,7 +24,7 @@ from falsify.hessian import HessianApprox, init_identity
 from falsify.shooting import pack
 from falsify.sqp import SqpConfig
 
-from oracles import benchmark2_instance
+from oracles import benchmark2_instance, singular_kkt_on_third_solve
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -142,3 +142,17 @@ def test_workload_inputs_are_the_stock_instance(monkeypatch):
     np.testing.assert_array_equal(ours.guess.states, guess.states)
     np.testing.assert_array_equal(ours.guess.times, guess.times)
     assert ours.config == SqpConfig()
+
+
+def test_solve_pass_counts_a_singular_kkt_run_as_not_found(monkeypatch):
+    """A run that ends in SingularSystem is an outcome of the benchmark's
+    `solve_pass` like S2 or S3: not found, with its termination and
+    iterations, and not an exception."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    bench_run = importlib.import_module("run")
+    (cell,) = workloads.WORKLOADS["smoke"].cells
+    singular_kkt_on_third_solve(monkeypatch)
+    _, (outcome,), _ = bench_run.solve_pass([workloads.make_inputs(cell, 0, 0)])
+    assert (outcome.nit, outcome.status, outcome.found) == (2, "SingularSystem", False)

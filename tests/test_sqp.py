@@ -44,6 +44,7 @@ from oracles import (
     benchmark2_instance,
     merit_slope,
     random_vector_near_guess,
+    singular_kkt_on_third_solve,
     trial,
     unpack_flat,
 )
@@ -359,6 +360,23 @@ def test_incumbent_integration_failure_aborts():
     assert np.isnan(report.final_objective)
 
 
+def test_singular_kkt_system_ends_the_run_with_its_iterations(monkeypatch):
+    """A KKT system no rung steps from, at the third iteration, ends the run
+    in SingularSystem instead of raising: the report holds the two
+    iterations done, their trace and the incumbent point and multipliers,
+    the bits of the same run stopped there by a budget of two."""
+    instance = benchmark2_instance(n_segments=5)
+    guess = initial_guess(instance, 5)
+    form = Formulation.by_name("eq8")
+    budget = run(form, instance, guess, SqpConfig(max_iter=2))
+    assert budget.termination is Termination.S2_MAXIT
+    singular_kkt_on_third_solve(monkeypatch)
+    report = run(form, instance, guess, SqpConfig())
+    assert report.termination.value == "SingularSystem"
+    assert report.nit == len(report.trace) == 2
+    assert_same_run(report, replace(budget, termination=Termination.SINGULAR_SYSTEM))
+
+
 def test_observer_sees_every_saddle_system():
     instance = benchmark2_instance(n_segments=5)
     guess = initial_guess(instance, 5)
@@ -619,17 +637,21 @@ def ladder_batches(monkeypatch):
     ids=lambda cell: "-".join(map(str, cell)),
 )
 def test_speculative_ladder_keeps_iterates_bitwise(monkeypatch, cell):
-    """The backtrack workload's cells and the eq10 rotation solve give the
-    same bits with the alpha ladder as on a non-vectorized copy of the
-    system, which integrates one trial at a time."""
+    """The backtrack workload's cells give the same bits with the alpha
+    ladder as on a non-vectorized copy of the system, which integrates one
+    trial at a time.  The eq10 rotation solve, the longest, is compared
+    with its `_LADDER_LANES = 1` run, which batches one trial per lane."""
     instance, guess, form = bench_cell(*cell)
     assert instance.system.vectorized
     sizes = ladder_batches(monkeypatch)
     ladder = run(form, instance, guess, SqpConfig())
     assert sizes and max(sizes) > 1
     sizes.clear()
-    plain = replace(instance, system=replace(instance.system, vectorized=False))
-    one_at_a_time = run(form, plain, guess, SqpConfig())
+    if form.name == "eq10":
+        monkeypatch.setattr(falsify.sqp, "_LADDER_LANES", 1)
+    else:
+        instance = replace(instance, system=replace(instance.system, vectorized=False))
+    one_at_a_time = run(form, instance, guess, SqpConfig())
     assert sizes and set(sizes) == {1}
     assert_same_run(ladder, one_at_a_time)
 
