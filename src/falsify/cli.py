@@ -3,10 +3,11 @@
 Configuration comes from an INI file with sections [problem],
 [formulation], [sqp], [output]; a handful of flags override the most
 commonly swept fields.  [problem] and [formulation] resolve to one
-BenchSpec, [sqp] to one SqpConfig.  Formulations are addressed by their
-short names ("eq5" ... "eq13").  Exit codes: 0 success (for `solve`:
-converged and verified), 1 converged but unverified, 2 failure, 64
-configuration error.
+BenchSpec, [sqp] to one SqpConfig; their keys are the fields of BenchSpec,
+Formulation, SqpConfig and IntegratorConfig (INI names in ``_INI_KEY``
+where the two differ).  Formulations are addressed by their short names
+("eq5" ... "eq13").  Exit codes: 0 success (for `solve`: converged and
+verified), 1 converged but unverified, 2 failure, 64 configuration error.
 """
 
 import argparse
@@ -16,8 +17,9 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,6 @@ from .formulation import (
     constraint_jacobian,
     constraint_value,
     lagrangian_gradient,
-    lagrangian_gradient_direct,
     objective_gradient,
     objective_value,
 )
@@ -57,26 +58,29 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
 
 
-# [sqp] key -> (SqpConfig field, or IntegratorConfig field after "integrator.", type)
-_SQP_KEYS = {
-    "omega": ("omega", float),
-    "delta": ("delta", float),
-    "eps1": ("eps1", float),
-    "eps2": ("eps2", float),
-    "eps3": ("eps3", float),
-    "max_iter": ("max_iter", int),
-    "backtrack_factor": ("backtrack_factor", float),
-    "hessian": ("hessian_variant", str),
-    "kkt": ("kkt_method", str),
-    "rel_tol": ("integrator.rel_tol", float),
-    "abs_tol": ("integrator.abs_tol", float),
-    "max_steps": ("integrator.max_steps", int),
+# field -> INI key, where the two differ
+_INI_KEY = {
+    "dims": "dim",
+    "segment_counts": "segments",
+    "hessian_variant": "hessian",
+    "kkt_method": "kkt",
 }
 
+
+def _keys(cls, *skip):
+    """INI key -> field, for every field of the dataclass ``cls`` not in ``skip``."""
+    return {_INI_KEY.get(f.name, f.name): f for f in fields(cls) if f.name not in skip}
+
+
+_PROBLEM_KEYS = _keys(BenchSpec, "formulation")
+_PART_KEYS = _keys(Formulation, "name")
+_SOLVER_KEYS = _keys(SqpConfig, "integrator")
+_INTEGRATOR_KEYS = _keys(IntegratorConfig)
+
 _KNOWN_KEYS = {
-    "problem": ("system", "dim", "segments", "horizon", "radius", "eps4"),
-    "formulation": ("name", "objective", "regularizer", "constraints"),
-    "sqp": tuple(_SQP_KEYS),
+    "problem": _PROBLEM_KEYS,
+    "formulation": _keys(Formulation),
+    "sqp": {**_SOLVER_KEYS, **_INTEGRATOR_KEYS},
     "output": ("report", "table", "trace", "dump_trajectory"),
 }
 
@@ -125,23 +129,24 @@ def load_config(args):
                 if key not in _KNOWN_KEYS[section]:
                     raise ConfigError(f"unknown config key '{key}' in section [{section}]")
 
-    def fetch(section, key, default, kind=str):
-        if parser.has_option(section, key):
-            return _convert(section, key, parser.get(section, key), kind)
-        return default
+    def fetch(section, key, default=None):
+        return parser.get(section, key, fallback=default)
 
-    name = args.formulation or fetch("formulation", "name", None)
-    parts = {
-        key: fetch("formulation", key, None)
-        for key in ("objective", "regularizer", "constraints")
-    }
+    def given(section, keys):
+        """field -> value of each of ``keys`` set in ``section``, converted
+        by its field's type."""
+        return {
+            f.name: _convert(section, key, parser.get(section, key), f.type)
+            for key, f in keys.items()
+            if parser.has_option(section, key)
+        }
+
+    name = args.formulation or fetch("formulation", "name")
+    parts = given("formulation", _PART_KEYS)
     try:
-        if name is None and any(value is not None for value in parts.values()):
-            formulation = Formulation.experimental(
-                parts["objective"] or "zero",
-                parts["regularizer"] or "none",
-                parts["constraints"] or "none",
-            )
+        if name is None and parts:
+            # an empty part takes its default, as an unset one does
+            formulation = Formulation(**{key: value for key, value in parts.items() if value})
         else:
             formulation = Formulation.by_name(name or "eq8")
     except ValueError as exc:
@@ -149,36 +154,25 @@ def load_config(args):
 
     # one BenchSpec is the whole [problem]: its construction rejects every
     # value no instance can be built from, before any solve
-    system = fetch("problem", "system", "benchmark2")
+    problem = given("problem", _PROBLEM_KEYS)
+    system = problem.setdefault("system", "benchmark2")
+    problem.setdefault("dims", (3 if system == "benchmark2" else 2,))
+    problem.setdefault("segment_counts", (5,))
     try:
-        spec = BenchSpec(
-            system,
-            fetch("problem", "dim", (3 if system == "benchmark2" else 2,), tuple),
-            fetch("problem", "segments", (5,), tuple),
-            formulation,
-            horizon=fetch("problem", "horizon", BenchSpec.horizon, float),
-            radius=fetch("problem", "radius", BenchSpec.radius, float),
-            eps4=fetch("problem", "eps4", BenchSpec.eps4, float),
-        )
+        spec = BenchSpec(formulation=formulation, **problem)
     except ValueError as exc:
         raise ConfigError(f"invalid [problem] value: {exc}") from exc
 
-    kwargs = {"sqp": {}, "integrator": {}}
-    flags = {"hessian": args.hessian, "kkt": args.kkt}
-    for key, (target, kind) in _SQP_KEYS.items():
-        value = flags.get(key) or fetch("sqp", key, None, kind)
-        if value is not None:
-            owner, _, attr = target.rpartition(".")
-            kwargs[owner or "sqp"][attr] = value
+    solver = given("sqp", _SOLVER_KEYS)
+    flags = {"hessian_variant": args.hessian, "kkt_method": args.kkt}
+    solver.update((field, flag) for field, flag in flags.items() if flag)
     try:
-        if kwargs["integrator"]:
-            kwargs["sqp"]["integrator"] = IntegratorConfig(**kwargs["integrator"])
-        sqp = SqpConfig(**kwargs["sqp"])
+        sqp = SqpConfig(integrator=IntegratorConfig(**given("sqp", _INTEGRATOR_KEYS)), **solver)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    trace = args.trace or fetch("output", "trace", None)
-    dump = args.dump_trajectory or fetch("output", "dump_trajectory", None)
+    trace = args.trace or fetch("output", "trace")
+    dump = args.dump_trajectory or fetch("output", "dump_trajectory")
     cfg = RunConfig(
         spec,
         sqp,
@@ -331,44 +325,34 @@ def cmd_check(cfg):
     pairs = list(zip(points, outcomes))
     plus, minus = pairs[: flat.size], pairs[flat.size :]
 
+    def central(value):
+        """Central differences of ``value(vec, flows)``, one row per coordinate."""
+        return np.array([(value(*p) - value(*m)) / 2e-4 for p, m in zip(plus, minus)])
+
+    def compare(name, exact, fd):
+        scale = max(1.0, float(np.linalg.norm(exact)))
+        record(name, float(np.linalg.norm(exact - fd)) / scale, 1e-5)
+
     analytic = objective_gradient(form, instance, guess, flows)
-    fd = np.array(
-        [
-            (objective_value(form, instance, *p) - objective_value(form, instance, *m)) / (2.0 * 1e-4)
-            for p, m in zip(plus, minus)
-        ]
-    )
-    scale = max(1.0, float(np.linalg.norm(analytic)))
-    record("objective_gradient_fd", float(np.linalg.norm(analytic - fd)) / scale, 1e-5)
+    fd = central(partial(objective_value, form, instance))
+    compare("objective_gradient_fd", analytic, fd)
 
     jac = constraint_jacobian(kind, instance, guess, flows)
+    fd_jac = central(partial(constraint_value, kind, instance))  # (m1, 0) when unconstrained
     if m2:
         dense_jac = jac.toarray()
-        fd_jac = np.array(
-            [
-                (constraint_value(kind, instance, *p) - constraint_value(kind, instance, *m)) / 2e-4
-                for p, m in zip(plus, minus)
-            ]
-        )
-        scale = max(1.0, float(np.linalg.norm(dense_jac)))
-        record("constraint_jacobian_fd", float(np.linalg.norm(dense_jac - fd_jac)) / scale, 1e-5)
+        compare("constraint_jacobian_fd", dense_jac, fd_jac)
 
         sigma_min = float(np.linalg.svd(dense_jac, compute_uv=False).min())
         results.append(
             ("constraint_rank", f"sigma_min={sigma_min:.3e} threshold=1.0e-10", sigma_min > 1e-10)
         )
 
+    # central differences are linear in the function, so fd + fd_jac @ lam is
+    # the central difference of the Lagrangian without another integration
     lam = rng.standard_normal(m2)
     assembled = lagrangian_gradient(analytic, jac, lam)
-    try:
-        direct = lagrangian_gradient_direct(form, instance, guess, lam, flows)
-        record(
-            "lagrangian_gradient_closed_form",
-            float(np.max(np.abs(assembled - direct))),
-            1e-10,
-        )
-    except ValueError:
-        pass
+    compare("lagrangian_gradient_fd", assembled, fd + fd_jac @ lam)
 
     hess = init_identity(cfg.sqp.hessian_variant, n, n_segments)
     c_val = constraint_value(kind, instance, guess, flows)

@@ -23,10 +23,10 @@ Jacobian B, in its column order:
     boundary           [lam_init, lam_unsafe]
     none               []
 
-Two independent code paths produce the Lagrangian gradient: the generic
-``objective_gradient + B @ lambda`` (authoritative) and per-formulation
-closed forms (:func:`lagrangian_gradient_direct`, used as an oracle and for
-degeneracy diagnostics), the one reader of the layout above.
+The Lagrangian gradient has one path, ``objective_gradient + B @ lambda``
+(:func:`lagrangian_gradient`).  ``falsify check`` verifies it by central
+differences, and the per-formulation closed forms that read the layout
+above are a test oracle (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,6 @@ __all__ = [
     "constraint_value",
     "constraint_jacobian",
     "lagrangian_gradient",
-    "lagrangian_gradient_direct",
 ]
 
 OBJECTIVES = ("zero", "endpoint_distance", "matching_gap", "combined")
@@ -53,11 +52,12 @@ CONSTRAINTS = ("none", "matching", "matching_boundary", "boundary")
 
 @dataclass(frozen=True)
 class Formulation:
-    """One choice of objective + regularizer + constraint set."""
+    """One choice of objective + regularizer + constraint set; any
+    combination outside the nine named ones is ``"experimental"``."""
 
-    objective: str
-    regularizer: str
-    constraints: str
+    objective: str = "zero"
+    regularizer: str = "none"
+    constraints: str = "none"
     name: str = "experimental"
 
     def __post_init__(self):
@@ -78,11 +78,6 @@ class Formulation:
                 f"unknown formulation {name!r}; choose from {sorted(_NAMED)}"
             ) from None
         return cls(*combo, name=name)
-
-    @classmethod
-    def experimental(cls, objective, regularizer="none", constraints="none"):
-        """Any combination, outside the nine named ones."""
-        return cls(objective, regularizer, constraints)
 
 
 _NAMED = {
@@ -263,67 +258,12 @@ def constraint_jacobian(kind, instance, vec, flows):
 
 
 # ---------------------------------------------------------------------------
-# Lagrangian gradient, two paths
+# Lagrangian gradient
 
 
 def lagrangian_gradient(grad_f, jac, lam):
-    """objective gradient + B lambda (the authoritative path), from the
-    objective gradient ``grad_f`` and the constraint Jacobian ``jac`` at one
-    point; ``lam`` holds one multiplier per column of ``jac``."""
+    """objective gradient + B lambda, from the objective gradient ``grad_f``
+    and the constraint Jacobian ``jac`` at one point; ``lam`` holds one
+    multiplier per column of ``jac``."""
     return grad_f + jac @ lam
 
-
-def lagrangian_gradient_direct(form, instance, vec, lam, flows):
-    """Closed-form Lagrangian gradient for the six regularized formulations.
-
-    Independent of :func:`lagrangian_gradient` (no Jacobian assembly); the
-    two must agree.  Of ``lam``, in B's column order, the boundary
-    multipliers are the first and last entries and the joint multipliers
-    the (N-1, n) block between them; a wrong length raises ``ValueError``.
-    """
-    key = (form.objective, form.regularizer, form.constraints)
-    if key not in _CLOSED_FORMS:
-        raise ValueError(f"no closed form for {key}; available: {sorted(_CLOSED_FORMS)}")
-    kind = form.constraints
-    n, big_n = vec.dim, vec.n_segments
-    m2 = constraint_dim(kind, n, big_n)
-    if np.shape(lam) != (m2,):
-        raise ValueError(f"multiplier vector for {kind!r} must have length {m2}")
-
-    # without boundary constraints the boundary terms are objective terms;
-    # without matching constraints the gaps stand in for the joint multipliers
-    if kind in ("matching_boundary", "boundary"):
-        lam_init, lam_unsafe = lam[0], lam[-1]
-    else:
-        lam_init = lam_unsafe = 1.0
-    if kind in ("matching", "matching_boundary"):
-        joints = lam[1:-1] if kind == "matching_boundary" else lam
-        inner = joints.reshape(big_n - 1, n)
-    else:
-        inner = _gaps(vec, flows)
-
-    init_vec = instance.init.shape @ (vec.states[0] - instance.init.center)
-    w = instance.unsafe_set.shape @ (flows.end_state[-1] - instance.unsafe_set.center)
-    reg_grad = _regularizer_gradient(form.regularizer, vec.times)
-
-    grad = np.zeros((big_n, n + 1))
-    for i in range(big_n):
-        x_part = np.zeros(n)
-        t_part = reg_grad[i]
-        if i == 0:
-            x_part += lam_init * init_vec
-        else:
-            x_part += inner[i - 1]
-        if i < big_n - 1:
-            x_part -= flows.sensitivity[i].T @ inner[i]
-            t_part -= float(flows.end_derivative[i] @ inner[i])
-        else:
-            x_part += lam_unsafe * (flows.sensitivity[i].T @ w)
-            t_part += lam_unsafe * float(flows.end_derivative[i] @ w)
-        grad[i, :n] = x_part
-        grad[i, n] = t_part
-    return grad.ravel()
-
-
-# (objective, regularizer, constraints) of the regularized eq8 ... eq13
-_CLOSED_FORMS = {combo for combo in _NAMED.values() if combo[1] != "none"}

@@ -2,10 +2,13 @@
 
 Everything here is deliberately written without reusing the library's own
 derivative or assembly code: finite differences drive the gradient checks,
-scipy's integrators provide reference flows, and the rotation benchmark has
-an explicit matrix-exponential solution.  The dense LDL^T KKT solve as
-three separate passes, and the conditioning and dump diagnostics the tests
-use, live here too.  Two helpers call into the solver on purpose:
+scipy's integrators provide reference flows, the rotation benchmark has
+an explicit matrix-exponential solution, and the six regularized
+formulations have closed-form Lagrangian gradients
+(:func:`lagrangian_gradient_direct`) to compare with the library's one
+path, objective gradient + B lambda.  The dense LDL^T KKT solve as three
+separate passes, and the conditioning and dump diagnostics the tests use,
+live here too.  Two helpers call into the solver on purpose:
 :func:`trial` and :func:`merit_slope` give the merit tests the m(alpha) and
 m'(0) that the line search uses, and :func:`singular_kkt_on_third_solve`
 wraps its KKT ladder.  Tolerance constants match the acceptance thresholds.
@@ -17,7 +20,14 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from falsify import sqp
-from falsify.formulation import constraint_jacobian, constraint_value, objective_gradient
+from falsify.formulation import (
+    FORMULATION_NAMES,
+    Formulation,
+    constraint_dim,
+    constraint_jacobian,
+    constraint_value,
+    objective_gradient,
+)
 from falsify.integrate import DEFAULT_CONFIG, IntegratorConfig
 from falsify.kkt import KktSolution, SingularSystem
 from falsify.shooting import (
@@ -195,6 +205,83 @@ def merit_slope(form, instance, vec, lam_full, d_x, omega, cfg):
         d_x,
         omega,
     )
+
+
+# ---------------------------------------------------------------------------
+# closed-form Lagrangian gradients of the regularized formulations
+
+# (objective, regularizer, constraints) of the regularized eq8 ... eq13
+_CLOSED_FORMS = {
+    (form.objective, form.regularizer, form.constraints)
+    for form in map(Formulation.by_name, FORMULATION_NAMES)
+    if form.regularizer != "none"
+}
+
+
+def regularizer_gradient(reg, times):
+    """Gradient of the duration regularizer ``reg``, one formula per kind."""
+    if reg == "total_squared":
+        return times.copy()
+    if reg == "successive_difference":
+        # d/dt_i of 0.5 sum (t_{j+1} - t_j)^2 = (t_i - t_{i-1}) - (t_{i+1} - t_i)
+        diff = np.diff(times)
+        return np.concatenate([[0.0], diff]) - np.concatenate([diff, [0.0]])
+    if reg == "mean_deviation":
+        return times - times.mean()
+    return np.zeros_like(times)
+
+
+def lagrangian_gradient_direct(form, instance, vec, lam, flows):
+    """Closed-form Lagrangian gradient for the six regularized formulations.
+
+    Independent of the library's objective gradient and Jacobian assembly:
+    one loop over segments reads the multipliers in B's column order, the
+    boundary multipliers first and last and the (N-1, n) joint multipliers
+    between them.  An unregularized formulation or a wrong multiplier
+    length raises ``ValueError``.
+    """
+    key = (form.objective, form.regularizer, form.constraints)
+    if key not in _CLOSED_FORMS:
+        raise ValueError(f"no closed form for {key}; available: {sorted(_CLOSED_FORMS)}")
+    kind = form.constraints
+    n, big_n = vec.dim, vec.n_segments
+    m2 = constraint_dim(kind, n, big_n)
+    if np.shape(lam) != (m2,):
+        raise ValueError(f"multiplier vector for {kind!r} must have length {m2}")
+
+    # without boundary constraints the boundary terms are objective terms;
+    # without matching constraints the gaps stand in for the joint multipliers
+    if kind in ("matching_boundary", "boundary"):
+        lam_init, lam_unsafe = lam[0], lam[-1]
+    else:
+        lam_init = lam_unsafe = 1.0
+    if kind in ("matching", "matching_boundary"):
+        joints = lam[1:-1] if kind == "matching_boundary" else lam
+        inner = joints.reshape(big_n - 1, n)
+    else:
+        inner = vec.states[1:] - flows.end_state[:-1]
+
+    init_vec = instance.init.shape @ (vec.states[0] - instance.init.center)
+    w = instance.unsafe_set.shape @ (flows.end_state[-1] - instance.unsafe_set.center)
+    reg_grad = regularizer_gradient(form.regularizer, vec.times)
+
+    grad = np.zeros((big_n, n + 1))
+    for i in range(big_n):
+        x_part = np.zeros(n)
+        t_part = reg_grad[i]
+        if i == 0:
+            x_part += lam_init * init_vec
+        else:
+            x_part += inner[i - 1]
+        if i < big_n - 1:
+            x_part -= flows.sensitivity[i].T @ inner[i]
+            t_part -= float(flows.end_derivative[i] @ inner[i])
+        else:
+            x_part += lam_unsafe * (flows.sensitivity[i].T @ w)
+            t_part += lam_unsafe * float(flows.end_derivative[i] @ w)
+        grad[i, :n] = x_part
+        grad[i, n] = t_part
+    return grad.ravel()
 
 
 # ---------------------------------------------------------------------------

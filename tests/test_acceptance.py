@@ -20,6 +20,7 @@ from oracles import (
     TIGHT,
     benchmark2_instance,
     benchmark3_instance,
+    lagrangian_gradient_direct,
     merit_slope,
     random_flat_near_guess,
     random_vector_near_guess,
@@ -37,7 +38,6 @@ from falsify.formulation import (
     constraint_jacobian,
     constraint_value,
     lagrangian_gradient,
-    lagrangian_gradient_direct,
     objective_gradient,
     objective_value,
 )

@@ -4,14 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from falsify.cli import main
-from falsify.sqp import TraceRecord
+from falsify.bench import BenchSpec
+from falsify.cli import load_config, main
+from falsify.formulation import FORMULATION_NAMES, Formulation
+from falsify.integrate import IntegratorConfig
+from falsify.sqp import SqpConfig, TraceRecord
 
 from oracles import singular_kkt_on_third_solve
 
@@ -119,6 +123,51 @@ def test_failure_report_is_strict_json(tmp_path, monkeypatch):
     assert payload["termination"] == "IntegrationFailure"
     assert payload["verify_reasons"] == ["integration_failure"]
     assert payload["final_objective"] is None
+
+
+def test_every_problem_and_sqp_key_reaches_its_field(tmp_path):
+    """Each [problem] and [sqp] key, set away from the value the command
+    line uses without a config, arrives in BenchSpec, SqpConfig or
+    IntegratorConfig as exactly that value."""
+    flags = dict(formulation=None, hessian=None, kkt=None, trace=None, dump_trajectory=None)
+    config = write(
+        tmp_path / "all.ini",
+        "[problem]\nsystem = benchmark3\ndim = 2, 4\nsegments = 3,7\n"
+        "horizon = 4.5\nradius = 0.125\neps4 = 2e-4\n"
+        "[sqp]\nomega = 2.5\ndelta = 0.01\neps1 = 1e-4\neps2 = 1e-9\neps3 = 1e-7\n"
+        "max_iter = 77\nbacktrack_factor = 0.25\nhessian = blockdiag\nkkt = direct\n"
+        "rel_tol = 1e-8\nabs_tol = 1e-7\nmax_steps = 1234\n",
+    )
+    cfg = load_config(Namespace(config=config, **flags))
+    default = load_config(Namespace(config=None, **flags))
+    assert cfg.spec == BenchSpec(
+        "benchmark3",
+        (2, 4),
+        (3, 7),
+        Formulation.by_name("eq8"),
+        horizon=4.5,
+        radius=0.125,
+        eps4=2e-4,
+    )
+    assert cfg.sqp == SqpConfig(
+        omega=2.5,
+        delta=0.01,
+        eps1=1e-4,
+        eps2=1e-9,
+        eps3=1e-7,
+        max_iter=77,
+        backtrack_factor=0.25,
+        hessian_variant="blockdiag",
+        kkt_method="direct",
+        integrator=IntegratorConfig(rel_tol=1e-8, abs_tol=1e-7, max_steps=1234),
+    )
+    # every field was set, not left at its default
+    pairs = [(cfg.spec, default.spec), (cfg.sqp, default.sqp)]
+    pairs.append((cfg.sqp.integrator, default.sqp.integrator))
+    for given, unset in pairs:
+        for f in fields(given):
+            if f.name not in ("formulation", "integrator"):
+                assert getattr(given, f.name) != getattr(unset, f.name), f.name
 
 
 def test_unknown_config_key_names_the_key(tmp_path, capsys):
@@ -275,8 +324,22 @@ def test_check_cross_checks_unconstrained_formulations(tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     assert run_cli("check", "--formulation", "eq13") == 0
     lines = capsys.readouterr().out.splitlines()
-    for name in ("lagrangian_gradient_closed_form", "kkt_ppcg_vs_direct"):
+    for name in ("lagrangian_gradient_fd", "kkt_ppcg_vs_direct"):
         assert any(line.startswith(f"{name}: ") and line.endswith(" PASS") for line in lines)
+
+
+@pytest.mark.parametrize("name", FORMULATION_NAMES)
+def test_check_verifies_the_lagrangian_gradient_of_every_formulation(
+    tmp_path, monkeypatch, capsys, name
+):
+    """objective gradient + B lambda against the central differences of
+    F + lambda^T c, with or without constraints and regularizer."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("check", "--formulation", name) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(
+        line.startswith("lagrangian_gradient_fd: ") and line.endswith(" PASS") for line in lines
+    )
 
 
 def test_log_env_variable(tmp_path, monkeypatch, capsys):

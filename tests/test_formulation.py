@@ -10,10 +10,8 @@ from falsify.formulation import (
     constraint_jacobian,
     constraint_value,
     lagrangian_gradient,
-    lagrangian_gradient_direct,
     objective_gradient,
     objective_value,
-    _regularizer_gradient,
 )
 from falsify.shooting import ShootingVector, evaluate_segments
 from falsify.bench import initial_guess
@@ -25,7 +23,9 @@ from oracles import (
     fd_flows,
     fd_gradient,
     fd_jacobian,
+    lagrangian_gradient_direct,
     random_vector_near_guess,
+    regularizer_gradient,
     relative_error,
     unpack_flat,
 )
@@ -59,11 +59,11 @@ def test_unknown_names_and_combos_rejected():
     with pytest.raises(ValueError):
         Formulation.by_name("eq4")
     with pytest.raises(ValueError):
-        Formulation.experimental("quadratic")
+        Formulation("quadratic")
     with pytest.raises(ValueError):
-        Formulation.experimental("zero", regularizer="l1")
+        Formulation("zero", regularizer="l1")
     with pytest.raises(ValueError):
-        Formulation.experimental("zero", constraints="inequality")
+        Formulation("zero", constraints="inequality")
 
 
 def test_constraint_dimensions():
@@ -87,7 +87,7 @@ def test_regularizer_hand_values():
         "none": 0.0,
     }
     for reg, expected in base.items():
-        form = Formulation.experimental("zero", regularizer=reg)
+        form = Formulation("zero", regularizer=reg)
         assert objective_value(form, instance, vec, flows) == pytest.approx(expected)
 
 
@@ -96,7 +96,7 @@ def test_zero_objective_is_identically_zero():
     rng = np.random.default_rng(1)
     vec = random_vector_near_guess(instance, rng)
     flows = flows_for(instance, vec)
-    form = Formulation.experimental("zero")
+    form = Formulation("zero")
     assert objective_value(form, instance, vec, flows) == 0.0
     np.testing.assert_array_equal(
         objective_gradient(form, instance, vec, flows), np.zeros(4 * 4)
@@ -121,13 +121,13 @@ def test_combined_objective_sums_terms():
     vec = random_vector_near_guess(instance, rng)
     flows = flows_for(instance, vec)
     endpoint = objective_value(
-        Formulation.experimental("endpoint_distance"), instance, vec, flows
+        Formulation("endpoint_distance"), instance, vec, flows
     )
     gap = objective_value(
-        Formulation.experimental("matching_gap"), instance, vec, flows
+        Formulation("matching_gap"), instance, vec, flows
     )
     combined = objective_value(
-        Formulation.experimental("combined"), instance, vec, flows
+        Formulation("combined"), instance, vec, flows
     )
     assert combined == pytest.approx(endpoint + gap, rel=1e-14)
 
@@ -164,7 +164,7 @@ def looped_objective_gradient(form, instance, vec, flows):
             grad[i + 1, :n] += gap
             grad[i, :n] -= flows.sensitivity[i].T @ gap
             grad[i, n] -= float(flows.end_derivative[i] @ gap)
-    grad[:, n] += _regularizer_gradient(form.regularizer, vec.times)
+    grad[:, n] += regularizer_gradient(form.regularizer, vec.times)
     return grad.ravel()
 
 
