@@ -128,6 +128,14 @@ def load_config(args):
             for key in parser[section]:
                 if key not in _KNOWN_KEYS[section]:
                     raise ConfigError(f"unknown config key '{key}' in section [{section}]")
+                # `%(key)s` keeps its meaning; a value it cannot expand is
+                # a configuration error, found here before any value is read
+                try:
+                    parser.get(section, key)
+                except configparser.InterpolationError as exc:
+                    raise ConfigError(
+                        f"invalid value for {section}.{key}: {exc.message}"
+                    ) from None
 
     def fetch(section, key, default=None):
         return parser.get(section, key, fallback=default)

@@ -23,13 +23,17 @@ A system marked ``vectorized`` is called once on a batch of two or more
 lanes; otherwise, and on a batch of one lane, it is called once per lane on
 that lane's single state.  Each stage derivative is written straight into
 the step's (B, 7, m) stage buffer, so a stage allocates no augmented array
-of its own.  A stage of ``flow_with_sensitivity`` is one call of the
-system's :meth:`~falsify.systems.OdeSystem.variational_stage` on z = [x, S
+of its own.  A lane that runs alone, the last one left in a batch or the
+only one of a call, finishes on a one-lane stepper: the same operations on
+one state (m,) and a (7, m) stage buffer, with Python-float step control,
+so it keeps its bits and skips the batch loop's bookkeeping on length-1
+arrays.  A stage of ``flow_with_sensitivity`` is one call of the system's
+:meth:`~falsify.systems.OdeSystem.variational_stage` on z = [x, S
 row-major] of length m = n + n**2: a system with a ``variational`` kernel
 writes f into ``out[..., :n]`` and J S into ``out[..., n:]`` itself (the
-built-in benchmark2 does), any other composes ``rhs`` and
-``state_jacobian``, with J S through ``np.matmul(..., out=...)`` on a
-C-contiguous (..., n, n) J.
+built-in systems do), any other composes ``rhs`` and ``state_jacobian``,
+with J S through ``np.matmul(..., out=...)`` on a C-contiguous (..., n, n)
+J.
 """
 
 import math
@@ -127,6 +131,7 @@ _B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+_C_FLOATS = _C.tolist()
 
 _OK, _TOO_MANY_STEPS, _STEP_UNDERFLOW = 0, 1, 2
 
@@ -169,15 +174,19 @@ def _step_factor(err, err_prev):
     return _MIN_FACTOR
 
 
-def _rk45(fun, y0, duration, rtol, atol, max_steps):
+def _rk45(fun, stage, y0, duration, rtol, atol, max_steps):
     """Dormand-Prince 5(4) over the rows of ``y0``, all lanes in lockstep.
 
     ``fun(t, y, out)`` maps lane times (B,) and states (B, m) to derivatives
     and writes them into ``out``, a (B, m) view of the step's stage buffer;
-    its return value is ignored.  Returns the end states and a status code
-    per lane.  A lane leaves the batch when it reaches its end time, when
-    its step size underflows or when the step budget runs out, with the
-    state and status it had then; the other lanes run on.
+    ``stage(t, y, out)`` does the same for one lane's time scalar and state
+    (m,).  Return values are ignored.  Returns the end states and a status
+    code per lane.  A lane leaves the batch when it reaches its end time,
+    when its step size underflows or when the step budget runs out, with
+    the state and status it had then; the other lanes run on.  Once a single
+    lane is left (or the batch starts with one), it finishes in
+    :func:`_rk45_one` on its own ``stage``, with the step count, controller
+    state and stage it had in the batch.
 
     Stage sums are one matrix-vector product per lane, and step-size
     control is scalar arithmetic per lane (numpy's vectorized power rounds
@@ -222,6 +231,13 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
             )
             if not lanes.size:
                 return y_end, status
+        if lanes.size == 1:
+            # h is not filtered above: the lane's own step is direction * size
+            y_end[lanes[0]], status[lanes[0]] = _rk45_one(
+                stage, y[0], k0[0], t.item(), t_end.item(), (direction * size).item(),
+                err_prev.item(), steps, rtol, atol, max_steps,
+            )
+            return y_end, status
         steps += 1
         # h and the time left share the sign `direction`: clip h to the end
         h = direction * np.minimum(size, left)
@@ -252,6 +268,48 @@ def _rk45(fun, y0, duration, rtol, atol, max_steps):
         h = h * factor
 
 
+def _rk45_one(stage, y, k0, t, t_end, h, err_prev, steps, rtol, atol, max_steps):
+    """The lockstep loop of :func:`_rk45` on one lane: its end state and
+    status.
+
+    Takes the lane as the batch left it: state ``y`` (m,), first stage
+    ``k0``, time, end time, signed step and previous error as Python floats,
+    and the steps taken so far.  Step control is Python float arithmetic
+    and the stages live in one (7, m) buffer, so a step makes a few numpy
+    calls on (m,) arrays; every operation is the batch loop's on one lane,
+    so the lane keeps its bits.
+    """
+    direction = math.copysign(1.0, t_end)
+    k = np.empty((7, len(y)))
+    k[0] = k0
+    while True:
+        left = (t_end - t) * direction
+        if not left > 0.0:
+            return y, _OK
+        if steps >= max_steps:
+            return y, _TOO_MANY_STEPS
+        size = abs(h)
+        if size < 1e-15 * max(abs(t), 1.0) and size < left:
+            return y, _STEP_UNDERFLOW
+        steps += 1
+        h = direction * min(size, left)
+
+        for s in range(1, 6):
+            stage(t + _C_FLOATS[s] * h, y + h * (_A[s] @ k[:s]), k[s])
+        y_new = y + h * (_B @ k[:6])
+        t_new = t + _C_FLOATS[5] * h
+        stage(t_new, y_new, k[6])
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms(h * (_E @ k) / scale).item()
+
+        factor = _step_factor(err, err_prev)
+        if err <= 1.0:
+            t, y = t_new, y_new
+            k[0] = k[6]  # first-same-as-last
+            err_prev = max(err, 1e-4)
+        h = h * factor
+
+
 def _lanewise(system, stage):
     """``stage(t, x, out)`` run over a batch of lanes.
 
@@ -272,14 +330,14 @@ def _lanewise(system, stage):
     return run
 
 
-def _lanewise_rhs(system):
-    """f(t, x) written into ``out`` over a batch of lanes: the stage of
-    :func:`flow`, and the end-point derivative of :func:`flow_with_sensitivity`."""
+def _rhs_stage(system):
+    """f(t, x) written into ``out``: the stage of :func:`flow`, and the
+    end-point derivative of :func:`flow_with_sensitivity`."""
 
     def stage(t, x, out):
         out[...] = system.rhs(t, x)
 
-    return _lanewise(system, stage)
+    return stage
 
 
 def _as_batch(system, x0, duration):
@@ -296,10 +354,12 @@ def _as_batch(system, x0, duration):
     return x0.reshape(-1, n), np.broadcast_to(duration, batch).reshape(-1)
 
 
-def _integrate(system, fun, z0, duration, cfg):
-    """End states of every lane, and an :class:`IntegrationFailure` for each
-    lane that failed, keyed by lane."""
-    z_end, status = _rk45(fun, z0, duration, cfg.rel_tol, cfg.abs_tol, cfg.max_steps)
+def _integrate(system, stage, z0, duration, cfg):
+    """End states of every lane integrated on ``stage``, and an
+    :class:`IntegrationFailure` for each lane that failed, keyed by lane."""
+    z_end, status = _rk45(
+        _lanewise(system, stage), stage, z0, duration, cfg.rel_tol, cfg.abs_tol, cfg.max_steps
+    )
     bad = (status != _OK) | ~np.all(np.isfinite(z_end), axis=1)
     failures = {}
     for lane in np.flatnonzero(bad).tolist():
@@ -324,7 +384,7 @@ def flow(system, x0, duration, cfg=None):
     """
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
-    z_end, failures = _integrate(system, _lanewise_rhs(system), xs, ts, cfg or DEFAULT_CONFIG)
+    z_end, failures = _integrate(system, _rhs_stage(system), xs, ts, cfg or DEFAULT_CONFIG)
     if failures:
         raise failures[min(failures)]
     return z_end.reshape(x0.shape)
@@ -348,9 +408,7 @@ def flow_with_sensitivity(system, x0, duration, cfg=None, *, per_lane=False):
     n = system.dim
     identity = np.broadcast_to(np.eye(n).ravel(), (len(xs), n * n))
     z0 = np.concatenate([xs, identity], axis=1)
-    z_end, failures = _integrate(
-        system, _lanewise(system, system.variational_stage), z0, ts, cfg or DEFAULT_CONFIG
-    )
+    z_end, failures = _integrate(system, system.variational_stage, z0, ts, cfg or DEFAULT_CONFIG)
     if failures and not per_lane:
         raise failures[min(failures)]
     failed = list(failures)
@@ -359,7 +417,7 @@ def flow_with_sensitivity(system, x0, duration, cfg=None, *, per_lane=False):
     z_end[failed] = z0[failed]
     end_state = z_end[:, :n]
     end_derivative = np.empty((len(xs), n))
-    _lanewise_rhs(system)(ts, end_state, end_derivative)
+    _lanewise(system, _rhs_stage(system))(ts, end_state, end_derivative)
     z_end[failed] = np.nan
     end_derivative[failed] = np.nan
     result = FlowResult(end_state, z_end[:, n:].reshape(len(xs), n, n), end_derivative)

@@ -55,16 +55,18 @@ class OdeSystem:
         if self.variational is not None:
             self.variational(t, z, out)
             return
-        n = self.dim
-        x = z[..., :n]
-        shape = z.shape[:-1] + (n, n)
-        out[..., :n] = self.rhs(t, x)
-        # out's last axis is contiguous, so the reshape is a view into it
-        np.matmul(
-            self.state_jacobian(t, x),
-            z[..., n:].reshape(shape),
-            out=out[..., n:].reshape(shape),
-        )
+        x = z[..., : self.dim]
+        out[..., : self.dim] = self.rhs(t, x)
+        _jac_times_sensitivity(self.state_jacobian(t, x), z, out)
+
+
+def _jac_times_sensitivity(jac, z, out):
+    """J S written into ``out[..., n:]``, with S = ``z[..., n:]`` taken as
+    (..., n, n) and J of that shape (or (n, n), broadcast over the lanes).
+    ``out``'s last axis is contiguous, so the reshape is a view into it."""
+    n = jac.shape[-1]
+    shape = z.shape[:-1] + (n, n)
+    np.matmul(jac, z[..., n:].reshape(shape), out=out[..., n:].reshape(shape))
 
 
 def rotation_matrix(n):
@@ -78,11 +80,13 @@ def rotation_matrix(n):
     return mat
 
 
-def _rotate(x):
-    """rotation_matrix(n) @ x over the last axis, by moving entries only."""
-    out = np.empty_like(x)
+def _rotate(x, out=None):
+    """rotation_matrix(n) @ x over the last axis, by moving entries only,
+    written into ``out`` when given."""
+    if out is None:
+        out = np.empty_like(x)
     out[..., 0::2] = x[..., 1::2]
-    out[..., 1::2] = -x[..., 0::2]
+    np.negative(x[..., 0::2], out=out[..., 1::2])
     return out
 
 
@@ -112,7 +116,14 @@ def benchmark1(n):
         out.reshape(x.shape[:-1] + (n * n,))[..., anti_diagonal] += np.cos(x[..., ::-1])
         return out
 
-    return OdeSystem(n, rhs, jac, f"benchmark1(n={n})", vectorized=True)
+    def variational(t, z, out):
+        # rhs written in place, operands in its order, then jac
+        x, f = z[..., :n], out[..., :n]
+        _rotate(x, f)
+        f += np.sin(x[..., ::-1])
+        _jac_times_sensitivity(jac(t, x), z, out)
+
+    return OdeSystem(n, rhs, jac, f"benchmark1(n={n})", vectorized=True, variational=variational)
 
 
 def benchmark2():
@@ -155,13 +166,12 @@ def benchmark2():
         f[0] = -x2 + x1 * x3
         f[1] = x1 + x2 * x3
         f[2] = -x3 - x1 * x1 - x2 * x2 + x3 * x3
-        shape = z.shape[:-1] + (3, 3)
-        jac = np.empty(shape)
+        jac = np.empty(z.shape[:-1] + (3, 3))
         jac_t = jac.T
         jac_t[0, 0], jac_t[1, 0], jac_t[2, 0] = x3, -1.0, x1
         jac_t[0, 1], jac_t[1, 1], jac_t[2, 1] = 1.0, x3, x2
         jac_t[0, 2], jac_t[1, 2], jac_t[2, 2] = -2.0 * x1, -2.0 * x2, -1.0 + 2.0 * x3
-        np.matmul(jac, z[..., 3:].reshape(shape), out=out[..., 3:].reshape(shape))
+        _jac_times_sensitivity(jac, z, out)
 
     return OdeSystem(3, rhs, jac, "benchmark2", vectorized=True, variational=variational)
 
@@ -176,4 +186,9 @@ def benchmark3(n):
     def jac(t, x):
         return _rotation_jacobian(a_mat, x)
 
-    return OdeSystem(n, rhs, jac, f"benchmark3(n={n})", vectorized=True)
+    def variational(t, z, out):
+        # the constant A broadcast over the lanes gives the bits of jac's copies
+        _rotate(z[..., :n], out[..., :n])
+        _jac_times_sensitivity(a_mat, z, out)
+
+    return OdeSystem(n, rhs, jac, f"benchmark3(n={n})", vectorized=True, variational=variational)

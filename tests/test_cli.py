@@ -190,6 +190,32 @@ def test_malformed_value_rejected(tmp_path, capsys):
     assert "segments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, text",
+    [("output", "report", "report = 100%.json"), ("problem", "horizon", "horizon = %(x)s")],
+    ids=["lone-percent", "missing-key"],
+)
+def test_value_interpolation_errors_name_the_key(tmp_path, monkeypatch, capsys, section, key, text):
+    monkeypatch.chdir(tmp_path)
+    config = write(tmp_path / "bad.ini", f"[{section}]\n{text}\n")
+    assert run_cli("solve", "--config", config) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{section}.{key}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_valid_interpolations_keep_their_meaning(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = dict(formulation=None, hessian=None, kkt=None, trace=None, dump_trajectory=None)
+    config = write(
+        tmp_path / "ok.ini", "[output]\ntable = grid.csv\nreport = %(table)s-100%%.json\n"
+    )
+    cfg = load_config(Namespace(config=config, **flags))
+    assert cfg.report_path == Path("grid.csv-100%.json")
+    assert cfg.table_path == Path("grid.csv")
+
+
 def test_missing_config_file_rejected(tmp_path, capsys):
     assert run_cli("solve", "--config", str(tmp_path / "nope.ini")) == 64
     assert "not found" in capsys.readouterr().err

@@ -134,6 +134,23 @@ def test_fused_benchmark2_stage_equals_the_composite(lanes):
         np.testing.assert_array_equal(getattr(ours, field), getattr(theirs, field))
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 17])
+@pytest.mark.parametrize("fused", [benchmark1(4), benchmark3(4)], ids=lambda s: s.label)
+def test_fused_rotation_stages_equal_the_composite(fused, lanes):
+    """benchmark1's and benchmark3's kernels integrate to the bits of their
+    rhs and Jacobian composed, as benchmark2's does, also when they write
+    into the batch's strided stage buffer."""
+    n = fused.dim
+    composite = OdeSystem(n, fused.rhs, fused.state_jacobian, "composite", vectorized=True)
+    rng = np.random.default_rng(lanes)
+    x0 = 1.0 + 0.4 * rng.standard_normal((lanes, n))
+    durations = rng.uniform(-2.5, 2.5, size=lanes)
+    ours = flow_with_sensitivity(fused, x0, durations)
+    theirs = flow_with_sensitivity(composite, x0, durations)
+    for field in ("end_state", "sensitivity", "end_derivative"):
+        assert getattr(ours, field).tobytes() == getattr(theirs, field).tobytes(), field
+
+
 def _mixed_batch(system, lanes, seed):
     """Start states near the unit vector and durations of both signs and zero."""
     rng = np.random.default_rng(seed)
@@ -316,8 +333,9 @@ def test_one_lane_integrations_call_a_vectorized_system_on_single_states():
 
 def _rk45_lanes(system, x0, durations, max_steps):
     """Statuses and end states of ``integrate._rk45`` on ``system``'s rhs."""
-    rhs = integrate._lanewise_rhs(system)
-    return integrate._rk45(rhs, x0, durations, 1e-9, 1e-9, max_steps)
+    stage = integrate._rhs_stage(system)
+    fun = integrate._lanewise(system, stage)
+    return integrate._rk45(fun, stage, x0, durations, 1e-9, 1e-9, max_steps)
 
 
 def test_lane_outcomes_are_independent():
@@ -368,6 +386,79 @@ def test_every_running_lane_exhausts_the_step_budget():
         alone_end, alone_status = _rk45_lanes(system, x0[i : i + 1], durations[i : i + 1], 20)
         assert status[i] == alone_status[0]
         assert end[i].tobytes() == alone_end[0].tobytes()
+
+
+# Batches whose lanes leave one at a time, so that the last lane finishes
+# alone: lanes that reach their end (zero durations and both signs among
+# them), a tail lane that underflows (x3 = 50 blows up near t = 0.02) and a
+# tail lane that runs out of a 20-step budget.  Each case: start states,
+# durations, step budget and the expected status of each lane.
+_OK, _UNDERFLOW, _BUDGET = integrate._OK, integrate._STEP_UNDERFLOW, integrate._TOO_MANY_STEPS
+HAND_OFF_CASES = {
+    "staggered": (
+        [[1.0, 0.5, -0.25], [0.3, 1.0, 0.8], [1.0, 1.0, 1.0], [-0.3, 0.8, 0.2],
+         [0.2, -0.4, 0.9], [0.5, 0.5, 0.5]],
+        [0.0, 0.3, -0.6, 0.9, -1.2, 1.5],
+        100_000,
+        [_OK] * 6,
+    ),
+    "underflow-tail": (
+        [[0.1, 0.1, -0.1], [0.0, 0.0, 50.0], [-0.1, 0.05, -0.1]],
+        [1e-4, 1.0, -0.015],
+        100_000,
+        [_OK, _UNDERFLOW, _OK],
+    ),
+    "budget-tail": (
+        [[0.1, 0.1, -0.1], [0.3, 0.2, 0.1], [-0.1, 0.05, -0.1], [0.2, 0.0, 0.0]],
+        [1e-3, 0.0, 200.0, -0.05],
+        20,
+        [_OK, _OK, _BUDGET, _OK],
+    ),
+}
+SERIAL_ERRORS = {_UNDERFLOW: "underflow", _BUDGET: "budget"}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_OFF_CASES))
+def test_one_lane_hand_off_keeps_every_lane_bitwise(case, monkeypatch):
+    """The last lane of a batch finishes on the one-lane stepper with the
+    bytes and status of its B = 1 call and of the serial reference loop."""
+    x0, durations, max_steps, statuses = HAND_OFF_CASES[case]
+    x0, durations = np.array(x0), np.array(durations)
+    hand_offs = []
+    one_lane = integrate._rk45_one
+
+    def spy(stage, y, k0, t, t_end, h, err_prev, steps, *rest):
+        hand_offs.append(steps)
+        return one_lane(stage, y, k0, t, t_end, h, err_prev, steps, *rest)
+
+    monkeypatch.setattr(integrate, "_rk45_one", spy)
+    system = benchmark2()
+    cfg = IntegratorConfig(max_steps=max_steps)
+    end, status = _rk45_lanes(system, x0, durations, max_steps)
+    result, failures = flow_with_sensitivity(system, x0, durations, cfg, per_lane=True)
+    assert status.tolist() == statuses
+    # the tail left the batch after some steps, in both calls
+    assert len(hand_offs) == 2 and min(hand_offs) > 0
+    assert sorted(failures) == [i for i, code in enumerate(statuses) if code != _OK]
+    for i in range(len(x0)):
+        alone_end, alone_status = _rk45_lanes(system, x0[i : i + 1], durations[i : i + 1], max_steps)
+        assert status[i] == alone_status[0]
+        assert end[i].tobytes() == alone_end[0].tobytes()
+        if status[i] != _OK:
+            with pytest.raises(RuntimeError, match=SERIAL_ERRORS[statuses[i]]):
+                serial_flow(system, x0[i], durations[i], cfg)
+            continue
+        assert end[i].tobytes() == serial_flow(system, x0[i], durations[i], cfg).tobytes()
+        single = flow_with_sensitivity(system, x0[i], durations[i], cfg)
+        serial_end, serial_sens = serial_flow(system, x0[i], durations[i], cfg, sensitivity=True)
+        for ours, theirs in (
+            (result.end_state[i], single.end_state),
+            (result.sensitivity[i], single.sensitivity),
+            (result.end_derivative[i], single.end_derivative),
+            (result.end_state[i], serial_end),
+            (result.sensitivity[i], serial_sens),
+        ):
+            assert ours.tobytes() == theirs.tobytes()
 
 
 def test_batch_shape_validation():

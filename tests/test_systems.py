@@ -103,11 +103,6 @@ def test_user_systems_default_to_per_lane_calls():
     assert system.variational is None
 
 
-def test_only_benchmark2_has_a_fused_variational_kernel():
-    assert benchmark2().variational is not None
-    assert benchmark1(4).variational is None and benchmark3(4).variational is None
-
-
 def test_dimension_validation():
     with pytest.raises(ValueError):
         OdeSystem(0, lambda t, x: x, lambda t, x: np.eye(1), label="bad")
@@ -119,6 +114,42 @@ def test_dimension_validation():
 
 BUILT_IN = [("benchmark1", 2), ("benchmark1", 4), ("benchmark1", 6), ("benchmark2", 3),
             ("benchmark3", 2), ("benchmark3", 4)]
+
+
+def _composite_stage(system, t, z):
+    """[f, J S] at ``z = [x, S]`` from ``rhs``, ``state_jacobian`` and ``np.matmul``."""
+    n = system.dim
+    x, lanes = z[..., :n], z.shape[:-1]
+    jac_s = np.matmul(system.state_jacobian(t, x), z[..., n:].reshape(lanes + (n, n)))
+    return np.concatenate([system.rhs(t, x), jac_s.reshape(lanes + (n * n,))], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "lanes", [(), (1,), (2,), (7,), (3, 4)], ids=lambda lanes: "x".join(map(str, lanes)) or "single"
+)
+@pytest.mark.parametrize("name, n", BUILT_IN)
+def test_fused_variational_kernel_equals_the_composite(name, n, lanes):
+    """Every built-in system has a kernel, and it gives the composite's bits,
+    signs of zeros included: x_1 = 0 makes the rotation's f_2 = -0.0, and S
+    holds exact zeros of both signs (and is S(0) = I on every other lane),
+    which meet J's zeros in J S."""
+    system = make_system(name, n)
+    assert system.variational is not None
+    rng = np.random.default_rng(n + len(lanes))
+    t = rng.uniform(-3.0, 3.0, size=lanes)[()]
+    x = rng.uniform(-2.0, 2.0, size=lanes + (n,))
+    x[..., 0] = 0.0
+    sens = rng.standard_normal(lanes + (n, n))
+    sens[..., ::2, :] = 0.0
+    sens[..., 1::3] = -0.0
+    sens.reshape((-1, n, n))[1::2] = np.eye(n)
+    z = np.concatenate([x, sens.reshape(lanes + (n * n,))], axis=-1)
+    out = np.full(z.shape, np.nan)
+    system.variational(t, z, out)
+    expected = _composite_stage(system, t, z)
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+    assert (expected == 0.0).any()
 
 
 @st.composite
