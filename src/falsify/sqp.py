@@ -13,6 +13,13 @@ mirror the stopping criteria S1 (converged), S2 (iteration budget), S3
 (step length underflow), plus two failures that end in a report as well:
 an integration failure at the start and a KKT system no rung steps from.
 
+Each search starts at alpha = 1, or 1/2 after the least-squares rung, cut
+down to the step length at which the largest duration step, |d_t|_inf, is
+_STEP_BOUND * (1 + |t|_inf) with t the incumbent's durations: the standard
+multiple-shooting bound on a step's change of scale (Bock & Plitt 1984;
+Leineweber et al. 2003), so the search does not integrate trial points whose
+durations leave the scale of the problem.
+
 Backtracking is speculative: the trial vectors for the next k step lengths
 alpha, alpha*beta, ... are integrated in one lockstep batch, one
 :func:`~falsify.shooting.evaluate_many` call whatever k, 1 included, and
@@ -65,6 +72,8 @@ KKT_METHODS = ("ppcg", "direct")
 # extra lanes cost about as much as integrating them one after another.
 _LADDER_LANES = 8
 _LADDER_WIDTH = 1000
+# tau of the bound on each search's first step (see the module docstring)
+_STEP_BOUND = 1.0
 
 
 class StepTooSmall(Exception):
@@ -119,7 +128,8 @@ class TraceRecord:
     actually used, so the sufficient-decrease inequality of every accepted
     step can be re-checked after the run.  ``kkt_rung`` names the rung of
     the KKT fallback ladder that produced the step: "ppcg", "direct" or
-    "lstsq".
+    "lstsq".  ``alpha_start`` is the step length the search started from:
+    below 1 where the lstsq rung or the duration bound cut it.
     """
 
     iteration: int
@@ -132,6 +142,7 @@ class TraceRecord:
     merit_slope: float
     cg_iterations: int
     kkt_rung: str
+    alpha_start: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -334,6 +345,10 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         except SingularSystem:
             return report(Termination.SINGULAR_SYSTEM)
         d_x, d_lam = solution.d_x, solution.d_lambda
+        step_t = float(np.max(np.abs(d_x[n :: n + 1])))
+        if step_t > 0.0:
+            scale = 1.0 + float(np.max(np.abs(point.vec.times)))
+            alpha_start = min(alpha_start, _STEP_BOUND * scale / step_t)
 
         lam_full = lam + d_lam
         flat = pack(point.vec)
@@ -369,7 +384,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         trace.append(
             TraceRecord(
                 it, point.objective, cnorm, gnorm, alpha, merit_value, merit_zero, slope,
-                solution.cg_iterations, rung,
+                solution.cg_iterations, rung, alpha_start,
             )
         )
 

@@ -8,8 +8,11 @@ ROOT/perfbench/workloads.make_inputs and the library in ROOT/src, and
 prints the cell count and one sha256 per workload.  A hash covers, for each
 cell and seed: nit, termination, final objective, constraint norm, final
 shooting vector, multiplier values, every field of every TraceRecord and
-the verify result.  Running it on two checkouts, one process each, shows
-whether a change keeps the iterates bitwise unchanged.  ``--cells`` also
+the verify result.  A record field declared with a default is hashed only
+where it differs from that default, so appending such a field leaves the
+hash of every run that keeps it at its default unchanged.  Running it on
+two checkouts, one process each, shows whether a change keeps the iterates
+bitwise unchanged.  ``--cells`` also
 prints, before each workload's line, one line per cell and seed:
 ``workload seed cell-name nit termination`` and the first 12 hex digits of
 that cell's own hash, so a mismatch names its cell.  Nothing is written
@@ -78,7 +81,8 @@ def feed_cell(h, item, run, verify, eps4):
         report.final_multipliers,
     )
     for record in report.trace:
-        feed(h, *(getattr(record, f.name) for f in fields(record)))
+        pairs = ((f, getattr(record, f.name)) for f in fields(record))
+        feed(h, *(value for f, value in pairs if value != f.default))
     feed(h, checked.ok, checked.reasons, checked.init_distance, checked.unsafe_distance)
     return f"{report.nit} {report.termination.value}"
 

@@ -340,12 +340,6 @@ def test_check_reports_all_pass(tmp_path, monkeypatch, capsys):
     assert "all checks passed" in out
 
 
-def test_check_respects_formulation_flag(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_cli("check", "--formulation", "eq10") == 0
-    assert "PASS" in capsys.readouterr().out
-
-
 def test_check_cross_checks_unconstrained_formulations(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_cli("check", "--formulation", "eq13") == 0

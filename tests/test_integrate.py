@@ -191,12 +191,10 @@ def test_lanes_agree_with_serial_reference():
         ends = flow(system, x0, durations)
         batch = flow_with_sensitivity(system, x0, durations)
         for i in range(len(x0)):
-            np.testing.assert_allclose(
-                ends[i], serial_flow(system, x0[i], durations[i]), rtol=0.0, atol=1e-13
-            )
+            assert ends[i].tobytes() == serial_flow(system, x0[i], durations[i]).tobytes()
             end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
-            np.testing.assert_allclose(batch.end_state[i], end, rtol=0.0, atol=1e-13)
-            np.testing.assert_allclose(batch.sensitivity[i], sens, rtol=0.0, atol=1e-13)
+            assert batch.end_state[i].tobytes() == end.tobytes()
+            assert batch.sensitivity[i].tobytes() == sens.tobytes()
 
 
 def _kink_system():
@@ -225,8 +223,8 @@ def test_lanes_that_reject_steps_match_single_and_serial_runs():
         np.testing.assert_array_equal(batch.end_state[i], single.end_state)
         np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
         end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
-        np.testing.assert_allclose(batch.end_state[i], end, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(batch.sensitivity[i], sens, rtol=0.0, atol=1e-13)
+        assert batch.end_state[i].tobytes() == end.tobytes()
+        assert batch.sensitivity[i].tobytes() == sens.tobytes()
 
 
 BUILT_IN = [("benchmark1", 2), ("benchmark1", 4), ("benchmark2", 3), ("benchmark3", 2),
@@ -258,8 +256,8 @@ def test_random_batch_lanes_equal_single_calls_and_the_serial_loop(case):
         np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
         np.testing.assert_array_equal(batch.end_derivative[i], single.end_derivative)
         end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
-        np.testing.assert_allclose(batch.end_state[i], end, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(batch.sensitivity[i], sens, rtol=0.0, atol=1e-13)
+        assert batch.end_state[i].tobytes() == end.tobytes()
+        assert batch.sensitivity[i].tobytes() == sens.tobytes()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
