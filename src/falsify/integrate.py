@@ -19,11 +19,10 @@ failing lane does not stop the others, and ``flow_with_sensitivity(...,
 per_lane=True)`` returns each lane's outcome instead of raising for the
 first failure.  All arithmetic is elementwise per lane, so a lane's result
 is bitwise the same whatever else shares its batch.
-A system marked ``vectorized`` is called once on a batch of two or more
-lanes; otherwise, and on a batch of one lane, it is called once per lane on
-that lane's single state.  Each stage derivative is written straight into
-the step's (B, 7, m) stage buffer, so a stage allocates no augmented array
-of its own.  A lane that runs alone, the last one left in a batch or the
+A stage calls the system once on the whole batch, times (B,) and states
+(B, m), a batch of one lane included, and writes its derivative straight
+into the step's (B, 7, m) stage buffer, so a stage allocates no augmented
+array of its own.  A lane that runs alone, the last one left in a batch or the
 only one of a call, finishes on a one-lane stepper: the same operations on
 one state (m,) and a (7, m) stage buffer, with Python-float step control,
 so it keeps its bits and skips the batch loop's bookkeeping on length-1
@@ -146,7 +145,7 @@ def _rms(v):
     return np.sqrt((v * v).sum(axis=-1) / v.shape[-1])
 
 
-def _initial_step(fun, t0, y0, f0, direction, rtol, atol):
+def _initial_step(stage, t0, y0, f0, direction, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = _rms(y0 / scale).tolist()
     d1 = _rms(f0 / scale).tolist()
@@ -154,7 +153,7 @@ def _initial_step(fun, t0, y0, f0, direction, rtol, atol):
         [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
     )
     f1 = np.empty_like(f0)
-    fun(t0 + direction * h0, y0 + (direction * h0)[:, None] * f0, f1)
+    stage(t0 + direction * h0, y0 + (direction * h0)[:, None] * f0, f1)
     d2 = (_rms((f1 - f0) / scale) / h0).tolist()
     h1 = [
         max(1e-6, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
@@ -174,19 +173,19 @@ def _step_factor(err, err_prev):
     return _MIN_FACTOR
 
 
-def _rk45(fun, stage, y0, duration, rtol, atol, max_steps):
+def _rk45(stage, y0, duration, rtol, atol, max_steps):
     """Dormand-Prince 5(4) over the rows of ``y0``, all lanes in lockstep.
 
-    ``fun(t, y, out)`` maps lane times (B,) and states (B, m) to derivatives
-    and writes them into ``out``, a (B, m) view of the step's stage buffer;
-    ``stage(t, y, out)`` does the same for one lane's time scalar and state
-    (m,).  Return values are ignored.  Returns the end states and a status
-    code per lane.  A lane leaves the batch when it reaches its end time,
-    when its step size underflows or when the step budget runs out, with
-    the state and status it had then; the other lanes run on.  Once a single
-    lane is left (or the batch starts with one), it finishes in
-    :func:`_rk45_one` on its own ``stage``, with the step count, controller
-    state and stage it had in the batch.
+    ``stage(t, y, out)`` maps lane times (B,) and states (B, m) to
+    derivatives and writes them into ``out``, a (B, m) view of the step's
+    stage buffer; its return value is ignored.  Returns the end states and
+    a status code per lane.  A lane leaves the batch when it reaches its
+    end time, when its step size underflows or when the step budget runs
+    out, with the state and status it had then; the other lanes run on.
+    Once a single lane is left (or the batch starts with one), it finishes
+    in :func:`_rk45_one`, which calls ``stage`` on its time scalar and
+    state (m,), with the step count, controller state and stage it had in
+    the batch.
 
     Stage sums are one matrix-vector product per lane, and step-size
     control is scalar arithmetic per lane (numpy's vectorized power rounds
@@ -202,9 +201,9 @@ def _rk45(fun, stage, y0, duration, rtol, atol, max_steps):
     direction = np.sign(t_end)
     t = np.zeros(lanes.size)
     k0 = np.empty_like(y)
-    fun(t, y, k0)
+    stage(t, y, k0)
     h = direction * np.minimum(
-        _initial_step(fun, t, y, k0, direction, rtol, atol), np.abs(t_end)
+        _initial_step(stage, t, y, k0, direction, rtol, atol), np.abs(t_end)
     )
     err_prev = np.full(lanes.size, 1e-4)
 
@@ -247,9 +246,9 @@ def _rk45(fun, stage, y0, duration, rtol, atol, max_steps):
         k = np.empty((len(y), 7, y.shape[1]))
         k[:, 0] = k0
         for s in range(1, 6):
-            fun(nodes[s], y + hc * (_A[s] @ k[:, :s]), k[:, s])
+            stage(nodes[s], y + hc * (_A[s] @ k[:, :s]), k[:, s])
         y_new = y + hc * (_B @ k[:, :6])
-        fun(nodes[5], y_new, k[:, 6])
+        stage(nodes[5], y_new, k[:, 6])
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = _rms(hc * (_E @ k) / scale)
 
@@ -310,32 +309,13 @@ def _rk45_one(stage, y, k0, t, t_end, h, err_prev, steps, rtol, atol, max_steps)
         h = h * factor
 
 
-def _lanewise(system, stage):
-    """``stage(t, x, out)`` run over a batch of lanes.
-
-    A vectorized system's stage runs once on a batch of two or more lanes:
-    times (B,), states (B, m) and ``out`` (B, m).  Otherwise it runs once
-    per lane on a time scalar, a state (m,) and that lane's row of ``out``,
-    so a single state runs on numpy scalars, not length-1 arrays.
-    """
-    vectorized = system.vectorized
-
-    def run(t, y, out):
-        if vectorized and len(y) > 1:
-            stage(t, y, out)
-        else:
-            for lane in range(len(y)):
-                stage(t[lane], y[lane], out[lane])
-
-    return run
-
-
 def _rhs_stage(system):
     """f(t, x) written into ``out``: the stage of :func:`flow`, and the
     end-point derivative of :func:`flow_with_sensitivity`."""
 
     def stage(t, x, out):
-        out[...] = system.rhs(t, x)
+        f = system.rhs(t, x)
+        out[...] = system.checked(f, x.shape) if x.ndim > 1 else f
 
     return stage
 
@@ -357,9 +337,7 @@ def _as_batch(system, x0, duration):
 def _integrate(system, stage, z0, duration, cfg):
     """End states of every lane integrated on ``stage``, and an
     :class:`IntegrationFailure` for each lane that failed, keyed by lane."""
-    z_end, status = _rk45(
-        _lanewise(system, stage), stage, z0, duration, cfg.rel_tol, cfg.abs_tol, cfg.max_steps
-    )
+    z_end, status = _rk45(stage, z0, duration, cfg.rel_tol, cfg.abs_tol, cfg.max_steps)
     bad = (status != _OK) | ~np.all(np.isfinite(z_end), axis=1)
     failures = {}
     for lane in np.flatnonzero(bad).tolist():
@@ -417,7 +395,7 @@ def flow_with_sensitivity(system, x0, duration, cfg=None, *, per_lane=False):
     z_end[failed] = z0[failed]
     end_state = z_end[:, :n]
     end_derivative = np.empty((len(xs), n))
-    _lanewise(system, _rhs_stage(system))(ts, end_state, end_derivative)
+    _rhs_stage(system)(ts, end_state, end_derivative)
     z_end[failed] = np.nan
     end_derivative[failed] = np.nan
     result = FlowResult(end_state, z_end[:, n:].reshape(len(xs), n, n), end_derivative)

@@ -28,10 +28,10 @@ only for the step lengths it tests.  k starts at the previous iteration's
 trial count (1 on the first) and doubles for each further batch of the
 same search, up to 8; no step length below eps3 is integrated.  A lane
 whose integration fails reads m = +inf while the other lanes keep their
-flows.  The ladder runs only on vectorized systems whose augmented state
-per vector, (n + n^2) N floats, is at most 1000 wide; elsewhere k is
-always 1.  Every lane is bitwise the lane a one-at-a-time search would
-integrate, so the iterates do not depend on k."""
+flows.  The ladder runs only where a vector's augmented state, (n + n^2) N
+floats, is at most 1000 wide; elsewhere k is always 1.  Every lane is
+bitwise the lane a one-at-a-time search would integrate, so the iterates do
+not depend on k."""
 
 import enum
 import itertools
@@ -68,8 +68,8 @@ __all__ = [
 KKT_METHODS = ("ppcg", "direct")
 # Speculative backtracking integrates at most _LADDER_LANES trial vectors in
 # one batch, and only when a vector's augmented state, (n + n^2) N floats, is
-# at most _LADDER_WIDTH wide: past that, and on systems called once per lane,
-# extra lanes cost about as much as integrating them one after another.
+# at most _LADDER_WIDTH wide: past that, extra lanes cost about as much as
+# integrating them one after another.
 _LADDER_LANES = 8
 _LADDER_WIDTH = 1000
 # tau of the bound on each search's first step (see the module docstring)
@@ -192,7 +192,7 @@ def _ladder_cap(system, n_segments):
     """Most trial vectors one batch of :func:`run` integrates on ``system``
     with ``n_segments`` segments: 1 where the ladder does not pay."""
     n = system.dim
-    if system.vectorized and (n + n * n) * n_segments <= _LADDER_WIDTH:
+    if (n + n * n) * n_segments <= _LADDER_WIDTH:
         return _LADDER_LANES
     return 1
 

@@ -18,15 +18,16 @@ class OdeSystem:
     """Dynamics dx/dt = f(t, x) together with its state Jacobian.
 
     ``rhs`` and ``state_jacobian`` must be defined for all finite t
-    (including t < 0) and all finite states.  When ``vectorized`` is set
-    they also accept a batch: times of shape (...) and states of shape
-    (..., n), giving float arrays of shape (..., n) and (..., n, n), each
-    lane computed exactly as a single call would.  The integrator calls them
-    directly on a batch of two or more lanes and hands the Jacobians to
-    ``np.matmul`` as they are, so they should be C-contiguous: numpy may
-    round a product with a strided operand differently, and a batched lane
-    would then no longer be bitwise equal to a single call.  Other systems,
-    and any system on a batch of one lane, are called once per lane.
+    (including t < 0) and all finite states, and must accept a batch: times
+    of shape (...) and states of shape (..., n), giving float arrays of
+    shape (..., n) and (..., n, n), each lane computed exactly as a single
+    call would.  The integrator calls them on batches of lanes, one lane
+    included, and on single states (a time scalar and a state (n,)) only
+    for a lane that runs alone; a batch result of another shape raises
+    ``ValueError``.  It hands the Jacobians to ``np.matmul`` as they are,
+    so they should be C-contiguous: numpy may round a product with a
+    strided operand differently, and a batched lane would then no longer be
+    bitwise equal to a single call.
 
     ``variational(t, z, out)``, when given, is one stage of the variational
     equations dx/dt = f, dS/dt = J S in a single call: ``z`` is
@@ -42,12 +43,22 @@ class OdeSystem:
     rhs: Callable[[float, np.ndarray], np.ndarray]
     state_jacobian: Callable[[float, np.ndarray], np.ndarray]
     label: str
-    vectorized: bool = False
     variational: Optional[Callable[[float, np.ndarray, np.ndarray], None]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("state dimension must be positive")
+
+    def checked(self, value, shape):
+        """``value``, returned by ``rhs`` or ``state_jacobian`` on a batch,
+        once it has the batch's ``shape``: a function written for one state
+        would give one lane's value for the whole batch."""
+        if np.shape(value) != shape:
+            raise ValueError(
+                f"system '{self.label}' returned shape {np.shape(value)} on a batch, "
+                f"expected {shape}"
+            )
+        return value
 
     def variational_stage(self, t, z, out):
         """f and J S at ``z = [x, S]`` written into ``out``: the system's own
@@ -56,8 +67,11 @@ class OdeSystem:
             self.variational(t, z, out)
             return
         x = z[..., : self.dim]
-        out[..., : self.dim] = self.rhs(t, x)
-        _jac_times_sensitivity(self.state_jacobian(t, x), z, out)
+        f, jac = self.rhs(t, x), self.state_jacobian(t, x)
+        if x.ndim > 1:
+            f, jac = self.checked(f, x.shape), self.checked(jac, x.shape + (self.dim,))
+        out[..., : self.dim] = f
+        _jac_times_sensitivity(jac, z, out)
 
 
 def _jac_times_sensitivity(jac, z, out):
@@ -123,7 +137,7 @@ def benchmark1(n):
         f += np.sin(x[..., ::-1])
         _jac_times_sensitivity(jac(t, x), z, out)
 
-    return OdeSystem(n, rhs, jac, f"benchmark1(n={n})", vectorized=True, variational=variational)
+    return OdeSystem(n, rhs, jac, f"benchmark1(n={n})", variational=variational)
 
 
 def benchmark2():
@@ -173,7 +187,7 @@ def benchmark2():
         jac_t[0, 2], jac_t[1, 2], jac_t[2, 2] = -2.0 * x1, -2.0 * x2, -1.0 + 2.0 * x3
         _jac_times_sensitivity(jac, z, out)
 
-    return OdeSystem(3, rhs, jac, "benchmark2", vectorized=True, variational=variational)
+    return OdeSystem(3, rhs, jac, "benchmark2", variational=variational)
 
 
 def benchmark3(n):
@@ -191,4 +205,4 @@ def benchmark3(n):
         _rotate(z[..., :n], out[..., :n])
         _jac_times_sensitivity(a_mat, z, out)
 
-    return OdeSystem(n, rhs, jac, f"benchmark3(n={n})", vectorized=True, variational=variational)
+    return OdeSystem(n, rhs, jac, f"benchmark3(n={n})", variational=variational)

@@ -7,8 +7,8 @@ an explicit matrix-exponential solution, and the six regularized
 formulations have closed-form Lagrangian gradients
 (:func:`lagrangian_gradient_direct`) to compare with the library's one
 path, objective gradient + B lambda.  The dense LDL^T KKT solve as three
-separate passes, and the conditioning and dump diagnostics the tests use,
-live here too.  Two helpers call into the solver on purpose:
+separate passes, and a one-dimensional system that blows up in finite
+time, live here too.  Two helpers call into the solver on purpose:
 :func:`trial` and :func:`merit_slope` give the merit tests the m(alpha) and
 m'(0) that the line search uses, and :func:`singular_kkt_on_third_solve`
 wraps its KKT ladder.  Tolerance constants match the acceptance thresholds.
@@ -16,7 +16,6 @@ wraps its KKT ladder.  Tolerance constants match the acceptance thresholds.
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from falsify import sqp
@@ -38,7 +37,7 @@ from falsify.shooting import (
     evaluate_segments,
     unpack,
 )
-from falsify.systems import benchmark2, benchmark3, rotation_matrix
+from falsify.systems import OdeSystem, benchmark2, benchmark3, rotation_matrix
 
 # finite differences need flows far more accurate than the default solver
 # tolerances, otherwise integrator noise dominates the h^2 truncation error
@@ -115,6 +114,12 @@ def rotation_flow_matrix(n, t):
         mat[i + 1, i] = -s
         mat[i + 1, i + 1] = c
     return mat
+
+
+def blowup_system():
+    """dx/dt = x^2 in one dimension, batch-capable: from x0 > 0 the state
+    blows up at t = 1/x0."""
+    return OdeSystem(1, lambda t, x: x * x, lambda t, x: 2.0 * x[..., None], "blowup")
 
 
 def two_ball_instance(system, horizon=5.0, radius=0.25, n_segments=5, center=None):
@@ -443,7 +448,7 @@ def serial_flow(system, x0, duration, cfg=DEFAULT_CONFIG, sensitivity=False):
 
 
 # ---------------------------------------------------------------------------
-# KKT oracles and diagnostics
+# KKT oracles
 
 
 def ldl_pivot_magnitudes(mat):
@@ -478,61 +483,3 @@ def direct_three_pass(system):
             f"direct solve residual {residual:.2e} exceeds tolerance; system near-singular"
         )
     return KktSolution(d_x, d_lam, 0)
-
-
-class RankDeficient(Exception):
-    """QR detected that B has rank < m2."""
-
-
-def nullspace_basis(jac):
-    """Orthonormal basis of the null space of B^T via dense QR.
-
-    Raises :class:`RankDeficient` when a diagonal entry of R collapses
-    (relative tolerance 1e-12), i.e. rank(B) < m2.
-    """
-    b_dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, dtype=float)
-    m1, m2 = b_dense.shape
-    q_mat, r_mat = scipy.linalg.qr(b_dense, mode="full")
-    diag = np.abs(np.diag(r_mat[:m2, :m2])) if m2 else np.zeros(0)
-    if m2 and (diag.min() <= 1e-12 * max(diag.max(), 1e-300)):
-        raise RankDeficient(
-            f"constraint Jacobian rank deficient (diagonal ratio {diag.min():.2e})"
-        )
-    return q_mat[:, m2:]
-
-
-def condition_report(hess, jac):
-    """(cond(H), cond(N^T H N), cond(B^T B)) with N the null-space basis."""
-    h_dense = hess.dense_copy()
-    basis = nullspace_basis(jac)
-    projected = basis.T @ h_dense @ basis
-    b_dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, dtype=float)
-    gram = b_dense.T @ b_dense
-    return (
-        float(np.linalg.cond(h_dense)),
-        float(np.linalg.cond(projected)) if projected.size else 1.0,
-        float(np.linalg.cond(gram)) if gram.size else 1.0,
-    )
-
-
-def dump_system(system, path):
-    """Debug dump of (H, B, rhs) as plain-text triplets, 17 significant digits.
-
-    Sections are separated by '#' comment lines; vectors use column 0.
-    """
-    with open(path, "w") as sink:
-        sink.write("# hessian\n")
-        h_dense = system.hess.dense_copy()
-        for i, j in zip(*np.nonzero(h_dense)):
-            sink.write(f"{i} {j} {h_dense[i, j]:.17g}\n")
-        sink.write("# jacobian\n")
-        if system.m2:
-            coo = system.jac.tocoo()
-            for i, j, val in zip(coo.row, coo.col, coo.data):
-                sink.write(f"{i} {j} {val:.17g}\n")
-        sink.write("# rhs_top\n")
-        for i, val in enumerate(system.rhs_top):
-            sink.write(f"{i} 0 {val:.17g}\n")
-        sink.write("# rhs_bottom\n")
-        for i, val in enumerate(system.rhs_bottom):
-            sink.write(f"{i} 0 {val:.17g}\n")

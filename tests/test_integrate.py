@@ -1,5 +1,7 @@
 """Tests for the adaptive Runge-Kutta flow map and its variational extension."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from falsify.integrate import (
 )
 from falsify.systems import OdeSystem, benchmark1, benchmark2, benchmark3
 
-from oracles import TIGHT, rotation_flow_matrix, scipy_flow, serial_flow
+from oracles import TIGHT, blowup_system, rotation_flow_matrix, scipy_flow, serial_flow
 
 # End state of benchmark2 from [1, 1, 1] after 5 time units, frozen from an
 # independent high-accuracy run (scipy DOP853 at rtol=atol=1e-13).
@@ -120,30 +122,16 @@ def test_chain_rule_for_composed_sensitivities():
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 17])
-def test_fused_benchmark2_stage_equals_the_composite(lanes):
-    """benchmark2's fused variational kernel integrates to the bits of its
-    rhs and Jacobian composed, on batches and on the one-lane tail."""
-    fused = benchmark2()
-    composite = OdeSystem(3, fused.rhs, fused.state_jacobian, "composite", vectorized=True)
+@pytest.mark.parametrize(
+    "fused", [benchmark1(4), benchmark2(), benchmark3(4)], ids=lambda s: s.label
+)
+def test_fused_stages_equal_the_composite(fused, lanes):
+    """Each built-in system's variational kernel integrates to the bits of
+    its rhs and Jacobian composed, on batches and on the one-lane tail, also
+    when it writes into the batch's strided stage buffer."""
+    composite = replace(fused, variational=None)
     rng = np.random.default_rng(lanes)
-    x0 = 1.0 + 0.4 * rng.standard_normal((lanes, 3))
-    durations = rng.uniform(-2.5, 2.5, size=lanes)
-    ours = flow_with_sensitivity(fused, x0, durations)
-    theirs = flow_with_sensitivity(composite, x0, durations)
-    for field in ("end_state", "sensitivity", "end_derivative"):
-        np.testing.assert_array_equal(getattr(ours, field), getattr(theirs, field))
-
-
-@pytest.mark.parametrize("lanes", [1, 2, 17])
-@pytest.mark.parametrize("fused", [benchmark1(4), benchmark3(4)], ids=lambda s: s.label)
-def test_fused_rotation_stages_equal_the_composite(fused, lanes):
-    """benchmark1's and benchmark3's kernels integrate to the bits of their
-    rhs and Jacobian composed, as benchmark2's does, also when they write
-    into the batch's strided stage buffer."""
-    n = fused.dim
-    composite = OdeSystem(n, fused.rhs, fused.state_jacobian, "composite", vectorized=True)
-    rng = np.random.default_rng(lanes)
-    x0 = 1.0 + 0.4 * rng.standard_normal((lanes, n))
+    x0 = 1.0 + 0.4 * rng.standard_normal((lanes, fused.dim))
     durations = rng.uniform(-2.5, 2.5, size=lanes)
     ours = flow_with_sensitivity(fused, x0, durations)
     theirs = flow_with_sensitivity(composite, x0, durations)
@@ -162,6 +150,9 @@ def _mixed_batch(system, lanes, seed):
 
 @pytest.mark.parametrize("lanes", [5, 40])
 def test_batch_lanes_equal_single_calls(lanes):
+    """Every lane of a batch has the bits of its single call and of the
+    serial reference loop, on batches wider than the random-batch test's
+    and on benchmark3(6), which it does not draw."""
     for system in (benchmark1(4), benchmark2(), benchmark3(6)):
         x0, durations = _mixed_batch(system, lanes, seed=lanes)
         ends = flow(system, x0, durations)
@@ -174,6 +165,10 @@ def test_batch_lanes_equal_single_calls(lanes):
             np.testing.assert_array_equal(batch.end_state[i], single.end_state)
             np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
             np.testing.assert_array_equal(batch.end_derivative[i], single.end_derivative)
+            assert ends[i].tobytes() == serial_flow(system, x0[i], durations[i]).tobytes()
+            end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
+            assert batch.end_state[i].tobytes() == end.tobytes()
+            assert batch.sensitivity[i].tobytes() == sens.tobytes()
 
 
 def test_zero_duration_lanes_are_identity():
@@ -183,18 +178,6 @@ def test_zero_duration_lanes_are_identity():
     for i in np.flatnonzero(durations == 0.0):
         np.testing.assert_array_equal(batch.end_state[i], x0[i])
         np.testing.assert_array_equal(batch.sensitivity[i], np.eye(3))
-
-
-def test_lanes_agree_with_serial_reference():
-    for system in (benchmark1(4), benchmark2(), benchmark3(4)):
-        x0, durations = _mixed_batch(system, 12, seed=5)
-        ends = flow(system, x0, durations)
-        batch = flow_with_sensitivity(system, x0, durations)
-        for i in range(len(x0)):
-            assert ends[i].tobytes() == serial_flow(system, x0[i], durations[i]).tobytes()
-            end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
-            assert batch.end_state[i].tobytes() == end.tobytes()
-            assert batch.sensitivity[i].tobytes() == sens.tobytes()
 
 
 def _kink_system():
@@ -209,7 +192,6 @@ def _kink_system():
         lambda t, x: rate(t)[..., None] * x,
         lambda t, x: rate(t)[..., None, None] * np.eye(x.shape[-1]),
         "kink",
-        vectorized=True,
     )
 
 
@@ -290,50 +272,45 @@ def test_scalar_duration_broadcasts_over_lanes():
     )
 
 
-def test_non_vectorized_system_is_called_per_lane():
+def test_only_the_one_lane_stepper_calls_the_system_on_single_states(monkeypatch):
+    """Every call outside `_rk45_one` is on a batch, times (B,) with states
+    (B, n), a one-lane integration's first stage, initial-step probe and end
+    derivative included; `_rk45_one` calls on a time scalar and a state."""
     reference = benchmark2()
-    shapes = []
-
-    def rhs(t, x):
-        shapes.append((np.shape(t), x.shape))
-        return reference.rhs(t, x)
-
-    system = OdeSystem(3, rhs, reference.state_jacobian, "per-lane benchmark2")
-    assert not system.vectorized
-    x0, durations = _mixed_batch(system, 6, seed=11)
-    batch = flow_with_sensitivity(system, x0, durations)
-    assert set(shapes) == {((), (3,))}
-    for i in range(len(x0)):
-        single = flow_with_sensitivity(reference, x0[i], durations[i])
-        np.testing.assert_array_equal(batch.end_state[i], single.end_state)
-        np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
-
-
-def test_one_lane_integrations_call_a_vectorized_system_on_single_states():
-    reference = benchmark2()
-    shapes = []
+    calls = []  # (inside _rk45_one, shape of t, shape of x)
+    alone = [False]
 
     def spy(fn):
         def wrapped(t, x):
-            shapes.append(np.shape(t))
+            calls.append((alone[0], np.shape(t), x.shape))
             return fn(t, x)
 
         return wrapped
 
-    system = OdeSystem(
-        3, spy(reference.rhs), spy(reference.state_jacobian), "spy benchmark2", vectorized=True
-    )
+    one_lane = integrate._rk45_one
+
+    def flagged(*args):
+        alone[0] = True
+        try:
+            return one_lane(*args)
+        finally:
+            alone[0] = False
+
+    monkeypatch.setattr(integrate, "_rk45_one", flagged)
+    system = OdeSystem(3, spy(reference.rhs), spy(reference.state_jacobian), "spy benchmark2")
     flow(system, np.ones(3), 1.0)
     flow_with_sensitivity(system, np.ones(3), 1.0)
-    flow_with_sensitivity(system, np.ones((1, 3)), np.ones(1))
-    assert shapes and set(shapes) == {()}
+    x0, durations = _mixed_batch(system, 6, seed=11)
+    flow_with_sensitivity(system, x0, durations)
+    batch = {(t, x) for inside, t, x in calls if not inside}
+    assert {(t, x) for inside, t, x in calls if inside} == {((), (3,))}
+    assert all(len(t) == 1 and x == t + (3,) for t, x in batch)
+    assert ((1,), (1, 3)) in batch and max(t for t, _ in batch) > (1,)
 
 
 def _rk45_lanes(system, x0, durations, max_steps):
     """Statuses and end states of ``integrate._rk45`` on ``system``'s rhs."""
-    stage = integrate._rhs_stage(system)
-    fun = integrate._lanewise(system, stage)
-    return integrate._rk45(fun, stage, x0, durations, 1e-9, 1e-9, max_steps)
+    return integrate._rk45(integrate._rhs_stage(system), x0, durations, 1e-9, 1e-9, max_steps)
 
 
 def test_lane_outcomes_are_independent():
@@ -471,18 +448,24 @@ def test_batch_shape_validation():
         flow_with_sensitivity(system, np.ones((2, 3)), np.array([1.0, np.nan]))
 
 
-def _blowup_system():
-    return OdeSystem(
-        1,
-        lambda t, x: x * x,
-        lambda t, x: np.array([[2.0 * x[0]]]),
-        label="quadratic blowup",
-    )
-
-
 def test_finite_time_blowup_raises():
     with pytest.raises(IntegrationFailure):
-        flow(_blowup_system(), np.array([1.0]), 2.0)
+        flow(blowup_system(), np.array([1.0]), 2.0)
+
+
+def test_a_one_state_jacobian_on_a_batch_raises():
+    """A Jacobian written for one state would give lane 0's J to every lane
+    of a batch; the integrator refuses it and names the system."""
+    system = replace(blowup_system(), state_jacobian=lambda t, x: np.array([[2.0 * x[0]]]))
+    with pytest.raises(ValueError, match="'blowup'"):
+        flow_with_sensitivity(system, np.array([[0.1], [0.2]]), np.array([1.0, 1.0]))
+
+
+def test_a_one_state_rhs_on_a_batch_raises():
+    """The same for a right-hand side written for one state."""
+    system = replace(blowup_system(), rhs=lambda t, x: np.array([x[0] * x[0]]))
+    with pytest.raises(ValueError, match="'blowup'"):
+        flow(system, np.array([[0.1], [0.2]]), np.array([1.0, 1.0]))
 
 
 def test_step_budget_exhaustion_raises():

@@ -1,4 +1,4 @@
-"""Tests for the saddle-point solvers: sparse direct solve, PPCG, and diagnostics."""
+"""Tests for the saddle-point solvers: sparse direct solve and PPCG."""
 
 import numpy as np
 import pytest
@@ -15,14 +15,7 @@ from falsify.kkt import (
     solve_direct,
     solve_ppcg,
 )
-from oracles import (
-    RankDeficient,
-    condition_report,
-    direct_three_pass,
-    dump_system,
-    ldl_pivot_magnitudes,
-    nullspace_basis,
-)
+from oracles import direct_three_pass, ldl_pivot_magnitudes
 
 
 def full_hessian(mat):
@@ -240,57 +233,6 @@ def test_max_iter_caps_work():
     system = random_spd_system(rng, 30, 4)
     sol = solve_ppcg(system, max_iter=2)
     assert sol.cg_iterations == 2
-
-
-def test_nullspace_basis_properties():
-    rng = np.random.default_rng(239)
-    jac = sp.csc_matrix(rng.standard_normal((12, 4)))
-    basis = nullspace_basis(jac)
-    assert basis.shape == (12, 8)
-    np.testing.assert_allclose(basis.T @ basis, np.eye(8), atol=1e-12)
-    assert np.abs(jac.toarray().T @ basis).max() < 1e-12
-
-
-def test_nullspace_basis_detects_rank_deficiency():
-    column = np.arange(1.0, 7.0)
-    jac = sp.csc_matrix(np.column_stack([column, 2.0 * column]))
-    with pytest.raises(RankDeficient):
-        nullspace_basis(jac)
-
-
-def test_condition_report_on_identity():
-    hess = init_identity("full", 2, 2)
-    jac = sp.csc_matrix(np.vstack([np.eye(2), np.zeros((4, 2))]))
-    cond_h, cond_reduced, cond_gram = condition_report(hess, jac)
-    assert cond_h == pytest.approx(1.0)
-    assert cond_reduced == pytest.approx(1.0)
-    assert cond_gram == pytest.approx(1.0)
-
-
-def test_dump_round_trips_every_entry(tmp_path):
-    rng = np.random.default_rng(241)
-    system = random_spd_system(rng, 6, 2)
-    path = tmp_path / "system.txt"
-    dump_system(system, path)
-    sections = {"hessian": {}, "jacobian": {}, "rhs_top": {}, "rhs_bottom": {}}
-    current = None
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            current = line[1:].strip()
-            continue
-        row, col, value = line.split()
-        sections[current][(int(row), int(col))] = float(value)
-    dense_h = system.hess.dense_copy()
-    for (i, j), value in sections["hessian"].items():
-        assert value == dense_h[i, j]  # 17 significant digits round-trip exactly
-    dense_b = system.jac.toarray()
-    for (i, j), value in sections["jacobian"].items():
-        assert value == dense_b[i, j]
-    assert len(sections["jacobian"]) == np.count_nonzero(dense_b)
-    for (i, _), value in sections["rhs_top"].items():
-        assert value == system.rhs_top[i]
-    for (i, _), value in sections["rhs_bottom"].items():
-        assert value == system.rhs_bottom[i]
 
 
 def test_saddle_system_validation():

@@ -97,31 +97,42 @@ def test_traced_run_records_every_patched_call(monkeypatch):
 
 
 def test_traced_smoke_cell_matches_the_plain_run(monkeypatch):
-    """The traced pass solves on `counting_system`, a non-vectorized copy of
-    the system, so the integrator calls it once per lane; the benchmark fails
-    a run whose traced and plain passes differ."""
+    """The traced pass solves on `counting_system`, a copy of the system
+    whose rhs and Jacobian count their calls, and gives the plain pass's
+    bits: on the smoke cell and on the first backtrack cell, whose searches
+    integrate ladder batches of several vectors in the traced pass too.  The
+    benchmark fails a run whose traced and plain passes differ."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
-    (cell,) = workloads.WORKLOADS["smoke"].cells
-    item = workloads.make_inputs(cell, 0, 0)
-    plain = run(item.formulation, item.instance, item.guess, item.config)
-    tracer = tracing.Tracer()
-    counted = tracing.counting_system(item.instance, tracer)
-    assert not counted.system.vectorized
-    with tracing.installed(tracer):
-        traced = run(item.formulation, counted, item.guess, item.config)
-    assert traced.nit == plain.nit > 0
-    assert traced.final_X.states.tobytes() == plain.final_X.states.tobytes()
-    assert traced.final_X.times.tobytes() == plain.final_X.times.tobytes()
-    assert len(traced.trace) == len(plain.trace)
-    for ours, theirs in zip(traced.trace, plain.trace):
-        for field in fields(ours):
-            a, b = getattr(ours, field.name), getattr(theirs, field.name)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
-    assert tracer.counts["systems.rhs.calls"] > 0
-    assert tracer.counts["systems.jac.calls"] > 0
+    ladder = []
+    evaluate_many = falsify.sqp.evaluate_many
+
+    def recording(instance, vecs, *args):
+        ladder.append(len(vecs))
+        return evaluate_many(instance, vecs, *args)
+
+    monkeypatch.setattr(falsify.sqp, "evaluate_many", recording)
+    for cell in workloads.WORKLOADS["smoke"].cells + workloads.WORKLOADS["backtrack"].cells[:1]:
+        item = workloads.make_inputs(cell, 0, 0)
+        plain = run(item.formulation, item.instance, item.guess, item.config)
+        tracer = tracing.Tracer()
+        counted = tracing.counting_system(item.instance, tracer)
+        ladder.clear()
+        with tracing.installed(tracer):
+            traced = run(item.formulation, counted, item.guess, item.config)
+        assert traced.nit == plain.nit > 0
+        assert traced.final_X.states.tobytes() == plain.final_X.states.tobytes()
+        assert traced.final_X.times.tobytes() == plain.final_X.times.tobytes()
+        assert len(traced.trace) == len(plain.trace)
+        for ours, theirs in zip(traced.trace, plain.trace):
+            for field in fields(ours):
+                a, b = getattr(ours, field.name), getattr(theirs, field.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+        assert tracer.counts["systems.rhs.calls"] > 0
+        assert tracer.counts["systems.jac.calls"] > 0
+    assert max(ladder) > 1
 
 
 def test_workload_inputs_are_the_stock_instance(monkeypatch):

@@ -18,9 +18,9 @@ from falsify.shooting import (
     pack,
     unpack,
 )
-from falsify.systems import OdeSystem, benchmark2
+from falsify.systems import benchmark2
 
-from oracles import TIGHT, benchmark2_instance
+from oracles import TIGHT, benchmark2_instance, blowup_system
 
 
 def test_ball_shape_matrix():
@@ -215,14 +215,8 @@ def test_evaluate_segments_matches_individual_flows():
 
 
 def test_evaluate_segments_reports_failing_segment():
-    blowup = OdeSystem(
-        1,
-        lambda t, x: x * x,
-        lambda t, x: np.array([[2.0 * x[0]]]),
-        label="blowup",
-    )
     instance = ProblemInstance(
-        blowup, Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 2
+        blowup_system(), Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 2
     )
     vec = ShootingVector(np.array([[0.1], [2.0]]), np.array([1.0, 3.0]))
     with pytest.raises(IntegrationFailure, match="segment 2") as info:
@@ -231,14 +225,8 @@ def test_evaluate_segments_reports_failing_segment():
 
 
 def test_evaluate_segments_reports_lowest_of_several_failures():
-    blowup = OdeSystem(
-        1,
-        lambda t, x: x * x,
-        lambda t, x: np.array([[2.0 * x[0]]]),
-        label="blowup",
-    )
     instance = ProblemInstance(
-        blowup, Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 4
+        blowup_system(), Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 4
     )
     # segments 2 and 3 blow up (at t = 0.5 and t = 0.2); 1 and 4 do not
     vec = ShootingVector(np.array([[0.1], [2.0], [5.0], [0.1]]), np.array([1.0, 3.0, 3.0, 1.0]))
@@ -246,7 +234,7 @@ def test_evaluate_segments_reports_lowest_of_several_failures():
         evaluate_segments(instance, vec)
     assert info.value.lane == 1
     with pytest.raises(IntegrationFailure) as single:
-        flow_with_sensitivity(blowup, np.array([2.0]), 3.0)
+        flow_with_sensitivity(instance.system, np.array([2.0]), 3.0)
     assert str(info.value) == f"segment 2: {single.value}"
 
 

@@ -38,11 +38,11 @@ from falsify.sqp import (
     line_search,
     run,
 )
-from falsify.systems import OdeSystem
 
 from oracles import (
     TIGHT,
     benchmark2_instance,
+    blowup_system,
     merit_slope,
     random_vector_near_guess,
     singular_kkt_on_third_solve,
@@ -130,14 +130,8 @@ def test_kept_observer_system_re_solves_to_the_recorded_merit():
 
 
 def test_merit_is_infinite_when_the_trial_point_blows_up():
-    blowup = OdeSystem(
-        1,
-        lambda t, x: x * x,
-        lambda t, x: np.array([[2.0 * x[0]]]),
-        label="blowup",
-    )
     instance = ProblemInstance(
-        blowup, Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 1
+        blowup_system(), Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 1
     )
     vec = ShootingVector(np.array([[0.1]]), np.array([1.0]))
     form = Formulation.by_name("eq13")
@@ -345,14 +339,8 @@ def test_runs_are_deterministic():
 
 
 def test_incumbent_integration_failure_aborts():
-    blowup = OdeSystem(
-        1,
-        lambda t, x: x * x,
-        lambda t, x: np.array([[2.0 * x[0]]]),
-        label="blowup",
-    )
     instance = ProblemInstance(
-        blowup, Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 1
+        blowup_system(), Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 1
     )
     bad_guess = ShootingVector(np.array([[2.5]]), np.array([3.0]))
     report = run(Formulation.by_name("eq13"), instance, bad_guess, SqpConfig())
@@ -651,19 +639,14 @@ def ladder_batches(monkeypatch):
 )
 def test_speculative_ladder_keeps_iterates_bitwise(monkeypatch, cell):
     """The backtrack workload's cells give the same bits with the alpha
-    ladder as on a non-vectorized copy of the system, which integrates one
-    trial at a time.  The eq10 rotation solve, the longest, is compared
-    with its `_LADDER_LANES = 1` run, which batches one trial per lane."""
+    ladder as in their `_LADDER_LANES = 1` run, which integrates one trial
+    vector per batch."""
     instance, guess, form = bench_cell(*cell)
-    assert instance.system.vectorized
     sizes = ladder_batches(monkeypatch)
     ladder = run(form, instance, guess, SqpConfig())
     assert sizes and max(sizes) > 1
     sizes.clear()
-    if form.name == "eq10":
-        monkeypatch.setattr(falsify.sqp, "_LADDER_LANES", 1)
-    else:
-        instance = replace(instance, system=replace(instance.system, vectorized=False))
+    monkeypatch.setattr(falsify.sqp, "_LADDER_LANES", 1)
     one_at_a_time = run(form, instance, guess, SqpConfig())
     assert sizes and set(sizes) == {1}
     assert_same_run(ladder, one_at_a_time)
@@ -755,19 +738,10 @@ def test_ladder_integrates_no_step_length_below_eps3(monkeypatch):
     assert_same_run(ladder, run(form, instance, guess, cfg))
 
 
-@pytest.mark.parametrize(
-    "cell, hessian, vectorized",
-    [
-        (("benchmark1", 4, 10, "eq5"), "full", False),
-        (("benchmark3", 20, 20, "eq8"), "blockdiag", True),
-    ],
-    ids=["non-vectorized", "wide"],
-)
-def test_ladder_is_gated_off(monkeypatch, cell, hessian, vectorized):
-    """A non-vectorized system, and a vector of (n + n^2) N = 8400 floats,
-    integrate one trial vector per batch although their searches backtrack."""
-    instance, guess, form = bench_cell(*cell)
-    instance = replace(instance, system=replace(instance.system, vectorized=vectorized))
+def test_ladder_is_gated_off(monkeypatch):
+    """A vector of (n + n^2) N = 8400 floats integrates one trial vector per
+    batch although its searches backtrack."""
+    instance, guess, form = bench_cell("benchmark3", 20, 20, "eq8")
     sizes = ladder_batches(monkeypatch)
     counts = []
 
@@ -781,6 +755,6 @@ def test_ladder_is_gated_off(monkeypatch, cell, hessian, vectorized):
         return line_search(counted, *args)
 
     monkeypatch.setattr(falsify.sqp, "line_search", counting_line_search)
-    run(form, instance, guess, SqpConfig(max_iter=3, hessian_variant=hessian))
+    run(form, instance, guess, SqpConfig(max_iter=3, hessian_variant="blockdiag"))
     assert max(counts) > 1
     assert sizes == [1] * sum(counts)

@@ -85,7 +85,6 @@ def test_benchmark3_is_linear():
 def test_vectorized_rhs_and_jacobian_equal_per_lane_calls():
     rng = np.random.default_rng(17)
     for system in (benchmark1(4), benchmark1(6), benchmark2(), benchmark3(4)):
-        assert system.vectorized
         x = rng.uniform(-2.0, 2.0, size=(2, 5, system.dim))
         t = rng.uniform(-1.0, 1.0, size=(2, 5))
         rhs = system.rhs(t, x)
@@ -95,12 +94,6 @@ def test_vectorized_rhs_and_jacobian_equal_per_lane_calls():
         for index in np.ndindex(2, 5):
             np.testing.assert_array_equal(rhs[index], system.rhs(t[index], x[index]))
             np.testing.assert_array_equal(jac[index], system.state_jacobian(t[index], x[index]))
-
-
-def test_user_systems_default_to_per_lane_calls():
-    system = OdeSystem(1, lambda t, x: -x, lambda t, x: -np.eye(1), "decay")
-    assert not system.vectorized
-    assert system.variational is None
 
 
 def test_dimension_validation():
