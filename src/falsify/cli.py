@@ -251,6 +251,7 @@ def _write_report(cfg, row, path):
         "hessian": cfg.sqp.hessian_variant,
         "kkt": cfg.sqp.kkt_method,
         "nit": report.nit,
+        "hessian_skips": report.hessian_skips,
         "termination": report.termination.value,
         "final_objective": _number(report.final_objective),
         "final_constraint_norm": _number(report.final_constraint_norm),

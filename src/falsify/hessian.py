@@ -11,13 +11,15 @@ skipped (and counted) whenever the curvature condition y^T s > 0 fails:
                    (n+1), matching the per-segment separability of the
                    matching/boundary constrained formulations.
 
-Storage is a dense symmetric matrix with exact zeros outside the variant's
-pattern; ``blockdiag`` never touches entries outside its blocks.
+Storage is one (k, w, w) array of diagonal blocks, each updated on its own:
+a single dim x dim block for ``full``, and k = N blocks of width w = n+1 for
+``blockdiag``, whose entries outside the blocks are zero and never stored.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["HessianApprox", "init_identity", "VARIANTS"]
 
@@ -43,39 +45,67 @@ def _bfgs_inplace(mat, s, y):
     return True
 
 
+def _block_shape(variant, n, n_segments):
+    """(k, w, w) of the variant's block storage."""
+    if variant == "full":
+        dim = n_segments * (n + 1)
+        return (1, dim, dim)
+    return (n_segments, n + 1, n + 1)
+
+
 @dataclass
 class HessianApprox:
-    """Symmetric approximation of the Lagrangian Hessian, one SQP run's state."""
+    """Symmetric approximation of the Lagrangian Hessian, one SQP run's state.
+
+    ``blocks`` holds the (k, w, w) diagonal blocks described in the module
+    docstring.
+    """
 
     variant: str
     n: int
     n_segments: int
-    mat: np.ndarray
+    blocks: np.ndarray
     skip_count: int = 0
+
+    def __post_init__(self):
+        shape = _block_shape(self.variant, self.n, self.n_segments)
+        if self.blocks.shape != shape:
+            raise ValueError(f"{self.variant} blocks must have shape {shape}")
 
     @property
     def dim(self):
         return self.n_segments * (self.n + 1)
 
     def matvec(self, v):
-        return self.mat @ v
+        count, width, _ = self.blocks.shape
+        return (self.blocks @ v.reshape(count, width, 1)).reshape(self.dim)
+
+    def is_finite(self):
+        return bool(np.isfinite(self.blocks).all())
 
     def copy(self):
         """An independent approximation with the same state."""
-        return replace(self, mat=self.mat.copy())
+        return replace(self, blocks=self.blocks.copy())
 
     def dense_copy(self):
-        """Dense export for the oracles, the least-squares KKT rung and the
-        CSC assembly of the direct solver's saddle matrix."""
-        return self.mat.copy()
+        """Dense dim x dim matrix, for the oracles and the least-squares KKT rung."""
+        count, width, _ = self.blocks.shape
+        dense = np.zeros((count, width, count, width))
+        diagonal = np.arange(count)
+        dense[diagonal, :, diagonal, :] = self.blocks
+        return dense.reshape(self.dim, self.dim)
 
-    def _windows(self):
-        """Disjoint index ranges the updates operate on: the whole matrix for
-        ``full``, the N diagonal blocks for ``blockdiag``."""
-        if self.variant == "full":
-            return [slice(0, self.dim)]
-        width = self.n + 1
-        return [slice(i * width, (i + 1) * width) for i in range(self.n_segments)]
+    def csc(self):
+        """H in CSC format, holding exactly its nonzero entries, each
+        column's rows in increasing order."""
+        count, width, _ = self.blocks.shape
+        columns = self.blocks.transpose(0, 2, 1)  # columns[b, c] is column c of block b
+        nonzero = columns != 0.0
+        block, _, row = np.nonzero(nonzero)
+        indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=2).ravel())))
+        return sp.csc_matrix(
+            (columns[nonzero], block * width + row, indptr), shape=(self.dim, self.dim)
+        )
 
     def update(self, s, y):
         """BFGS update with step s = X_new - X and gradient difference y.
@@ -88,9 +118,11 @@ class HessianApprox:
         if s.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError(f"s and y must have packed length {self.dim}")
 
-        for window in self._windows():
-            # two-slice indexing is a view, so each update lands in place
-            if not _bfgs_inplace(self.mat[window, window], s[window], y[window]):
+        count, width, _ = self.blocks.shape
+        for block, s_block, y_block in zip(
+            self.blocks, s.reshape(count, width), y.reshape(count, width)
+        ):
+            if not _bfgs_inplace(block, s_block, y_block):
                 self.skip_count += 1
         return self
 
@@ -101,5 +133,5 @@ def init_identity(variant, n, n_segments):
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     if n < 1 or n_segments < 1:
         raise ValueError("need n >= 1 and n_segments >= 1")
-    dim = n_segments * (n + 1)
-    return HessianApprox(variant, n, n_segments, np.eye(dim))
+    count, width, _ = _block_shape(variant, n, n_segments)
+    return HessianApprox(variant, n, n_segments, np.tile(np.eye(width), (count, 1, 1)))

@@ -10,13 +10,17 @@ unconstrained formulations carry an empty (m1, 0) B, and every solver
 treats them as the case m2 = 0 of the same system.  The workhorse is a
 projected preconditioned conjugate gradient (PPCG) with the constraint
 preconditioner C = [[I, B], [B^T, 0]]: applying C^{-1} reduces to solves
-with the sparse symmetric positive definite (and banded, for shooting
-Jacobians) matrix B^T B, and keeps every CG iterate exactly on the
-linearized constraint manifold.  With m2 = 0 the projection is the
-identity and PPCG is plain CG on H d_x = rhs_top.  The direct solve serves
-as fallback: it assembles the saddle matrix in CSC format (B is sparse and
-block structured under multiple shooting) and factors it once with
-SuperLU.  That one sparse LU supplies both the diagonal of U that its
+with the symmetric positive definite matrix B^T B, and keeps every CG
+iterate exactly on the linearized constraint manifold.  B^T B is factored
+once per solve by LAPACK's banded Cholesky (pbtrf, then pbtrs per
+projection), with the bandwidth read from its sparsity pattern: under
+multiple shooting B couples neighbouring segments only, so the bandwidth
+is at most 2n - 1, and any other B still factors, with a wider band.  With
+m2 = 0 the projection is the identity and PPCG is plain CG on
+H d_x = rhs_top.  The direct solve serves as fallback: it assembles the
+saddle matrix in CSC format from H's nonzero blocks and B's entries (B is
+sparse and block structured under multiple shooting) and factors it once
+with SuperLU.  That one sparse LU supplies both the diagonal of U that its
 singularity test reads and the solve.
 """
 
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -36,6 +41,8 @@ __all__ = [
 ]
 
 PPCG_TOL = 1e-10  # stopping tolerance, relative to the initial projected residual
+
+_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 class SingularSystem(Exception):
@@ -81,7 +88,7 @@ class SaddleSystem:
     def is_finite(self):
         """True when H, B and both right-hand sides hold only finite numbers."""
         return bool(
-            np.isfinite(self.hess.mat).all()
+            self.hess.is_finite()
             and np.isfinite(self.jac.data).all()
             and np.isfinite(self.rhs_top).all()
             and np.isfinite(self.rhs_bottom).all()
@@ -103,7 +110,7 @@ class KktSolution:
 
 def _saddle_csc(system):
     """The saddle matrix [[H, B], [B^T, 0]] in CSC format."""
-    hess = sp.csc_matrix(system.hess.dense_copy())
+    hess = system.hess.csc()
     return sp.bmat([[hess, system.jac], [system.jac.T, None]], format="csc")
 
 
@@ -144,19 +151,32 @@ class _ConstraintProjector:
 
     A C-solve with bottom block zero reduces to v = (B^T B)^{-1} B^T r,
     g = r - B v; one refinement pass keeps B^T g at machine precision.
+    B^T B is factored once by banded Cholesky, with the bandwidth read from
+    its sparsity pattern.
     """
 
     def __init__(self, jac):
         self.jac = jac.tocsc()
         self.jac_t = self.jac.T
-        gram = (self.jac_t @ self.jac).tocsc()
-        try:
-            self.gram_solve = splu(gram).solve
-        except RuntimeError as exc:
-            raise Breakdown(f"B^T B factorization failed: {exc}") from exc
+        gram = (self.jac_t @ self.jac).tocoo()
+        upper = gram.row <= gram.col
+        rows, cols = gram.row[upper], gram.col[upper]
+        bandwidth = int(np.max(cols - rows, initial=0))
+        # LAPACK upper band storage: entry (i, j) at band[bandwidth + i - j, j]
+        band = np.zeros((bandwidth + 1, gram.shape[0]), order="F")
+        band[bandwidth + rows - cols, cols] = gram.data[upper]
+        self.factor, info = _pbtrf(band, overwrite_ab=1)
+        if info > 0:
+            raise Breakdown(
+                f"B^T B factorization failed: leading minor {info} is not positive definite"
+            )
         probe = self.gram_solve(np.ones(gram.shape[0]))
         if not np.all(np.isfinite(probe)):
             raise Breakdown("B^T B factorization produced non-finite solve")
+
+    def gram_solve(self, rhs):
+        """(B^T B)^{-1} rhs from the banded Cholesky factor."""
+        return _pbtrs(self.factor, rhs)[0]
 
     def project(self, r):
         """(g, v) with g + B v = r and B^T g = 0."""

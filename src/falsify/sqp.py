@@ -157,6 +157,8 @@ class RunReport:
     trace: tuple
     #: multipliers at the final iterate, for diagnostics
     final_multipliers: np.ndarray
+    #: BFGS updates skipped on the curvature test (one per block for blockdiag)
+    hessian_skips: int = 0
 
 
 def _merit_value(objective, lam_full, c_val, omega):
@@ -326,7 +328,9 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     width = 1
 
     def report(cause):
-        return RunReport(it, cause, point.vec, point.objective, cnorm, tuple(trace), lam)
+        return RunReport(
+            it, cause, point.vec, point.objective, cnorm, tuple(trace), lam, hess.skip_count
+        )
 
     it = 0
     while True:

@@ -43,6 +43,14 @@ def test_solve_default_configuration(tmp_path, monkeypatch, capsys):
     assert payload["verified"] is True
     assert payload["segments"] == 5
     assert len(payload["final_times"]) == 5
+    assert payload["hessian_skips"] == 0
+
+
+def test_solve_reports_the_skipped_bfgs_updates(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("solve", "--hessian", "blockdiag") == 0
+    report = (tmp_path / "report.json").read_text().splitlines()
+    assert json.loads("\n".join(report[1:]))["hessian_skips"] > 0
 
 
 def test_solve_report_is_deterministic_modulo_timestamp(tmp_path, monkeypatch):

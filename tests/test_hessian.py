@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from falsify.hessian import HessianApprox, init_identity
+from falsify.hessian import VARIANTS, HessianApprox, init_identity
 
 
 def reference_bfgs(mat, s, y):
@@ -23,7 +24,7 @@ def curved_pair(rng, dim):
 def test_init_identity_shapes():
     h = init_identity("full", 3, 5)
     assert h.dim == 20
-    np.testing.assert_array_equal(h.mat, np.eye(20))
+    np.testing.assert_array_equal(h.dense_copy(), np.eye(20))
     with pytest.raises(ValueError):
         init_identity("diagonal", 3, 5)
     with pytest.raises(ValueError):
@@ -40,7 +41,7 @@ def test_full_update_matches_literal_formula():
         s, y = curved_pair(rng, h.dim)
         h.update(s, y)
         expected = reference_bfgs(expected, s, y)
-        np.testing.assert_allclose(h.mat, expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(h.dense_copy(), expected, rtol=1e-14, atol=1e-14)
     assert h.skip_count == 0
 
 
@@ -50,7 +51,7 @@ def test_full_update_satisfies_secant_equation():
     for _ in range(10):
         s, y = curved_pair(rng, h.dim)
         h.update(s, y)
-        np.testing.assert_allclose(h.mat @ s, y, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(h.dense_copy() @ s, y, rtol=1e-10, atol=1e-12)
 
 
 def test_full_update_preserves_positive_definiteness():
@@ -59,8 +60,9 @@ def test_full_update_preserves_positive_definiteness():
     for _ in range(50):
         s, y = curved_pair(rng, h.dim)
         h.update(s, y)
-        np.testing.assert_allclose(h.mat, h.mat.T, rtol=0.0, atol=1e-12)
-        assert np.linalg.eigvalsh(h.mat).min() > 0.0
+        dense = h.dense_copy()
+        np.testing.assert_allclose(dense, dense.T, rtol=0.0, atol=1e-12)
+        assert np.linalg.eigvalsh(dense).min() > 0.0
     assert h.skip_count == 0
 
 
@@ -70,27 +72,27 @@ def test_negative_curvature_skips_bitwise():
         h = init_identity(variant, 2, 3)
         s, y = curved_pair(rng, h.dim)
         h.update(s, y)
-        before = h.mat.copy()
+        before = h.blocks.copy()
         skips_before = h.skip_count
         h.update(s, -s)  # y^T s = -||s||^2 < 0 everywhere
-        assert np.array_equal(h.mat, before), variant  # bitwise identical
+        assert np.array_equal(h.blocks, before), variant  # bitwise identical
         assert h.skip_count > skips_before, variant
 
 
 def test_zero_step_skips():
     h = init_identity("full", 2, 2)
     h.update(np.zeros(h.dim), np.ones(h.dim))
-    np.testing.assert_array_equal(h.mat, np.eye(h.dim))
+    np.testing.assert_array_equal(h.dense_copy(), np.eye(h.dim))
     assert h.skip_count == 1
 
 
 def test_degenerate_inner_curvature_skips():
     h = init_identity("full", 1, 1)
-    h.mat = np.diag([1.0, -1.0])  # artificially indefinite
+    h.blocks = np.diag([1.0, -1.0])[None]  # artificially indefinite
     s = np.array([0.0, 1.0])  # s^T H s = -1
-    before = h.mat.copy()
+    before = h.blocks.copy()
     h.update(s, s.copy())  # y^T s = 1 > 0, but s^T H s < 0
-    assert np.array_equal(h.mat, before)
+    assert np.array_equal(h.blocks, before)
     assert h.skip_count == 1
 
 
@@ -103,7 +105,8 @@ def test_blockdiag_structure_is_exact():
     for _ in range(20):
         s, y = curved_pair(rng, h.dim)
         h.update(s, y)
-        assert np.all(h.mat[off_block] == 0.0)
+        assert h.blocks.shape == (n_seg, width, width)
+        assert np.all(h.dense_copy()[off_block] == 0.0)
 
 
 def test_blockdiag_blocks_equal_per_block_full_updates():
@@ -115,36 +118,63 @@ def test_blockdiag_blocks_equal_per_block_full_updates():
     for _ in range(15):
         s, y = curved_pair(rng, h.dim)
         h.update(s, y)
+        dense = h.dense_copy()
         for i in range(n_seg):
             rows = slice(i * width, (i + 1) * width)
             si, yi = s[rows], y[rows]
             if yi @ si > 0 and si @ blocks[i] @ si > 0:
                 blocks[i] = reference_bfgs(blocks[i], si, yi)
-            np.testing.assert_allclose(h.mat[rows, rows], blocks[i], rtol=1e-13)
+            np.testing.assert_allclose(dense[rows, rows], blocks[i], rtol=1e-13)
 
 
 def test_blockdiag_blocks_stay_positive_definite():
     rng = np.random.default_rng(131)
-    n, n_seg = 2, 5
-    width = n + 1
-    h = init_identity("blockdiag", n, n_seg)
+    h = init_identity("blockdiag", 2, 5)
     for _ in range(50):
         s, y = curved_pair(rng, h.dim)
         h.update(s, y)
-        for i in range(n_seg):
-            rows = slice(i * width, (i + 1) * width)
-            assert np.linalg.eigvalsh(h.mat[rows, rows]).min() > 0.0
+        for block in h.blocks:
+            assert np.linalg.eigvalsh(block).min() > 0.0
 
 
 def test_matvec_matches_dense():
     rng = np.random.default_rng(157)
-    for variant in ("full", "blockdiag"):
+    for variant in VARIANTS:
         h = init_identity(variant, 2, 4)
         for _ in range(5):
             s, y = curved_pair(rng, h.dim)
             h.update(s, y)
         v = rng.standard_normal(h.dim)
         np.testing.assert_allclose(h.matvec(v), h.dense_copy() @ v, rtol=1e-14)
+
+
+def test_csc_export_holds_exactly_the_nonzeros():
+    """The export is bitwise the dense matrix, stores no zero, and has the
+    arrays of the CSC conversion of the dense matrix: the direct solver's
+    saddle matrix is assembled from it."""
+    rng = np.random.default_rng(163)
+    for variant in VARIANTS:
+        h = init_identity(variant, 2, 4)
+        for _ in range(4):
+            export = h.csc()
+            dense = h.dense_copy()
+            assert np.array_equal(export.toarray(), dense), variant
+            assert (export.data != 0).all(), variant
+            reference = sp.csc_matrix(dense)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(export, name), getattr(reference, name)), name
+            s, y = curved_pair(rng, h.dim)
+            s[rng.permutation(h.dim)[:3]] = 0.0
+            h.update(s, y)
+            h.blocks[:, 0, 1] = h.blocks[:, 1, 0] = 0.0  # zeros inside the blocks
+
+
+def test_blocks_must_have_the_variant_shape():
+    HessianApprox("blockdiag", 2, 3, np.ones((3, 3, 3)))
+    HessianApprox("full", 2, 3, np.ones((1, 9, 9)))
+    for variant, blocks in (("blockdiag", np.eye(9)), ("full", np.ones((3, 3, 3)))):
+        with pytest.raises(ValueError, match="blocks must have shape"):
+            HessianApprox(variant, 2, 3, blocks)
 
 
 def test_update_rejects_wrong_shapes():

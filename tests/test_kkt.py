@@ -12,6 +12,7 @@ from falsify.kkt import (
     Breakdown,
     SaddleSystem,
     SingularSystem,
+    _ConstraintProjector,
     solve_direct,
     solve_ppcg,
 )
@@ -20,7 +21,17 @@ from oracles import direct_three_pass, ldl_pivot_magnitudes
 
 def full_hessian(mat):
     dim = mat.shape[0]
-    return HessianApprox("full", dim - 1, 1, np.asarray(mat, dtype=float))
+    return HessianApprox("full", dim - 1, 1, np.asarray(mat, dtype=float)[None])
+
+
+def hessian_in_blocks(variant, n, n_segments, mat):
+    """The approximation holding the diagonal blocks of ``mat``, which has
+    no nonzero outside the variant's pattern."""
+    width = mat.shape[0] if variant == "full" else n + 1
+    blocks = np.array([mat[i : i + width, i : i + width] for i in range(0, len(mat), width)])
+    hess = HessianApprox(variant, n, n_segments, blocks)
+    assert np.array_equal(hess.dense_copy(), mat)
+    return hess
 
 
 def random_spd_system(rng, m1, m2):
@@ -180,7 +191,7 @@ def structured_saddle_systems(draw, definite=None):
     jac[rng.permutation(m1)[:m2], np.arange(m2)] = 1.0 + rng.random(m2)
     assume(np.linalg.matrix_rank(jac) == m2)
     system = SaddleSystem(
-        HessianApprox(variant, n, n_segments, hess),
+        hessian_in_blocks(variant, n, n_segments, hess),
         sp.csc_matrix(jac),
         rng.standard_normal(m1),
         rng.standard_normal(m2),
@@ -258,3 +269,53 @@ def test_residual_definition():
     bottom = system.jac.toarray().T @ d_x - system.rhs_bottom
     expected = np.sqrt(np.sum(top**2) + np.sum(bottom**2))
     assert system.residual(d_x, d_lam) == pytest.approx(expected, rel=1e-14)
+
+
+def matching_jacobian(rng, n, n_segments):
+    """A random B shaped like the matching constraints' Jacobian: column
+    i n + j couples segment i's n + 1 entries with state j of segment i + 1."""
+    width = n + 1
+    jac = np.zeros((n_segments * width, (n_segments - 1) * n))
+    for i in range(n_segments - 1):
+        for j in range(n):
+            jac[i * width : (i + 1) * width, i * n + j] = rng.standard_normal(width)
+            jac[(i + 1) * width + j, i * n + j] = -1.0
+    return jac
+
+
+def assert_projector_matches_the_dense_oracle(jac, rng):
+    """project and constraint_point against the normal equations solved densely."""
+    m1, m2 = jac.shape
+    projector = _ConstraintProjector(sp.csc_matrix(jac))
+    gram = jac.T @ jac
+    r, c = rng.standard_normal(m1), rng.standard_normal(m2)
+    g, v = projector.project(r)
+    v_expected = np.linalg.solve(gram, jac.T @ r) if m2 else np.zeros(0)
+    np.testing.assert_allclose(v, v_expected, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(g, r - jac @ v_expected, rtol=1e-10, atol=1e-12)
+    assert np.linalg.norm(jac.T @ g) <= 1e-12 * np.linalg.norm(r)
+    x_expected = jac @ np.linalg.solve(gram, c) if m2 else np.zeros(m1)
+    np.testing.assert_allclose(projector.constraint_point(c), x_expected, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+def test_projector_reads_the_bandwidth_from_the_pattern(permuted):
+    """B^T B is banded under the matching constraints; with B's columns
+    permuted so that two coupled constraints sit first and last, its band
+    is full, and the projection must still match the dense oracle."""
+    rng = np.random.default_rng(263)
+    jac = matching_jacobian(rng, 3, 6)
+    m2 = jac.shape[1]
+    if permuted:
+        middle = rng.permutation(np.arange(2, m2))
+        jac = jac[:, np.concatenate(([0], middle, [1]))]
+    gram = sp.coo_matrix(jac.T @ jac)
+    bandwidth = np.max(gram.col - gram.row)
+    assert bandwidth == (m2 - 1 if permuted else 5)
+    assert_projector_matches_the_dense_oracle(jac, rng)
+
+
+@pytest.mark.parametrize("m2", [0, 1])
+def test_projector_on_zero_and_one_constraints(m2):
+    rng = np.random.default_rng(269)
+    assert_projector_matches_the_dense_oracle(rng.standard_normal((7, m2)), rng)

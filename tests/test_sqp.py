@@ -428,6 +428,30 @@ def test_blockdiag_variant_converges_too():
     assert report.termination is Termination.S1_CONVERGED
 
 
+def test_report_counts_the_skipped_bfgs_updates(monkeypatch):
+    """blockdiag skips some block updates on this cell; the report holds
+    every skip the run's updates counted."""
+    skipped = []
+    update = HessianApprox.update
+
+    def counting(hess, s, y):
+        before = hess.skip_count
+        update(hess, s, y)
+        skipped.append(hess.skip_count - before)
+        return hess
+
+    monkeypatch.setattr(HessianApprox, "update", counting)
+    instance = benchmark2_instance(n_segments=5)
+    report = run(
+        Formulation.by_name("eq8"),
+        instance,
+        initial_guess(instance, 5),
+        SqpConfig(hessian_variant="blockdiag"),
+    )
+    assert len(skipped) == report.nit
+    assert report.hessian_skips == sum(skipped) > 0
+
+
 @pytest.mark.parametrize("name", ["eq8", "eq13"])
 def test_constraint_jacobian_is_built_once_per_iterate(monkeypatch, name):
     calls = []
@@ -525,7 +549,7 @@ def test_trace_records_where_each_search_started():
 
 
 def two_by_two_system(hess_diag, jac):
-    hess = HessianApprox("full", 1, 1, np.diag(hess_diag))
+    hess = HessianApprox("full", 1, 1, np.diag(hess_diag)[None])
     return SaddleSystem(hess, sp.csc_matrix(jac), np.array([0.0, 1.0]), np.zeros(jac.shape[1]))
 
 
@@ -548,7 +572,7 @@ def test_non_finite_ppcg_step_falls_back_to_a_finite_one():
     """H = diag(1e-310, 1) is finite, but CG on it overflows to [inf, nan]:
     ppcg breaks down, the direct solve finds the pivot ratio singular, and
     least squares drops the subnormal direction."""
-    hess = HessianApprox("full", 1, 1, np.diag([1e-310, 1.0]))
+    hess = HessianApprox("full", 1, 1, np.diag([1e-310, 1.0])[None])
     system = SaddleSystem(hess, sp.csc_matrix((2, 0)), np.ones(2), np.zeros(0))
     with pytest.raises(Breakdown, match="non-finite"):
         solve_ppcg(system)
@@ -562,7 +586,7 @@ def test_non_finite_least_squares_step_raises_singular(method):
     """H = 1e-300 I with rhs 1e10: the direct solve overflows and fails its
     residual test, and least squares keeps both singular values and returns
     [inf, inf], so no rung produced a finite step."""
-    hess = HessianApprox("full", 1, 1, 1e-300 * np.eye(2))
+    hess = HessianApprox("full", 1, 1, 1e-300 * np.eye(2)[None])
     system = SaddleSystem(hess, sp.csc_matrix((2, 0)), np.full(2, 1e10), np.zeros(0))
     assert system.is_finite()
     with pytest.raises(SingularSystem, match="no KKT rung produced a finite step"):
@@ -571,8 +595,8 @@ def test_non_finite_least_squares_step_raises_singular(method):
 
 @pytest.mark.parametrize("method", ["ppcg", "direct"])
 def test_non_finite_system_raises_singular_before_any_rung(method):
-    hess = HessianApprox("full", 2, 1, np.eye(3))
-    hess.mat[0, 0] = np.nan
+    hess = HessianApprox("full", 2, 1, np.eye(3)[None])
+    hess.blocks[0, 0, 0] = np.nan
     system = SaddleSystem(hess, sp.csc_matrix(np.ones((3, 1))), np.ones(3), np.ones(1))
     with pytest.raises(SingularSystem, match="non-finite saddle system"):
         _solve_step(system, method)
@@ -583,7 +607,7 @@ def test_large_well_conditioned_system_solves_directly():
     # ladder must not fall to least squares with a halved initial step
     m1, m2 = 1500, 600
     rng = np.random.default_rng(5)
-    hess = HessianApprox("full", 2, 500, np.eye(m1))
+    hess = HessianApprox("full", 2, 500, np.eye(m1)[None])
     jac = 2.0 * sp.eye(m1, m2) + 0.1 * sp.random(m1, m2, density=0.01, random_state=rng)
     system = SaddleSystem(hess, jac.tocsc(), rng.standard_normal(m1), rng.standard_normal(m2))
     solution, alpha_start, rung = _solve_step(system, "direct")
