@@ -4,7 +4,9 @@ Two variants on the same rank-two update
 
     H_new = H - (H s s^T H) / (s^T H s) + (y y^T) / (y^T s),
 
-skipped (and counted) whenever the curvature condition y^T s > 0 fails:
+skipped (and counted) whenever the curvature condition y^T s > 0 fails, or
+when the updated matrix would be numerically singular (its reciprocal
+condition number at most ``_MIN_RCOND``):
 
 * ``full``      -- dense update on the whole packed vector;
 * ``blockdiag`` -- independent updates on the N diagonal blocks of size
@@ -20,18 +22,44 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 
 __all__ = ["HessianApprox", "init_identity", "VARIANTS"]
 
 VARIANTS = ("full", "blockdiag")
 
 
+# An update whose result has a reciprocal condition number (LAPACK's 1-norm
+# estimate) at most this is skipped: a block that close to singular can turn
+# indefinite under the rounding of the next update (the curvature test alone
+# lets blocks of an indefinite Lagrangian Hessian reach eigenvalues 1e13
+# beside 1e-6).  It is about 45 units of roundoff: low so that few updates
+# are refused (1e-10 kept the Hessians positive definite too, but changed 11
+# of the 64 `blockdiag` outcome-grid cells against 4 at 1e-14), yet an order
+# of magnitude above roundoff: `pocon` estimates ||H^-1|| from below, so its
+# rcond can exceed the true one, and a block kept at 1e-15 (about 4.5 units
+# of roundoff) could be one whose factorization depends on rounding order.
+_MIN_RCOND = 1e-14
+
+_potrf, _pocon = get_lapack_funcs(("potrf", "pocon"), dtype=np.float64)
+
+
+def _well_conditioned(mat):
+    """True when the symmetric ``mat`` has a Cholesky factor and a
+    reciprocal condition number above ``_MIN_RCOND``."""
+    factor, info = _potrf(mat, lower=False, clean=False)
+    if info != 0:
+        return False
+    rcond, info = _pocon(factor, np.abs(mat).sum(axis=0).max())
+    return info == 0 and rcond > _MIN_RCOND
+
+
 def _bfgs_inplace(mat, s, y):
     """Apply the rank-two update to ``mat`` in place; True when applied.
 
-    Skips on y^T s <= 0 (curvature condition) and on the degenerate
+    Skips on y^T s <= 0 (curvature condition), on the degenerate
     s^T H s <= 0, which cannot occur while H stays positive definite but
-    guards zero steps.
+    guards zero steps, and when the result would not be well conditioned.
     """
     ys = float(y @ s)
     if ys <= 0.0:
@@ -40,8 +68,11 @@ def _bfgs_inplace(mat, s, y):
     shs = float(s @ hs)
     if shs <= 0.0:
         return False
-    mat -= np.outer(hs, hs) / shs
-    mat += np.outer(y, y) / ys
+    updated = mat - np.outer(hs, hs) / shs
+    updated += np.outer(y, y) / ys
+    if not _well_conditioned(updated):
+        return False
+    mat[...] = updated
     return True
 
 

@@ -157,7 +157,8 @@ class RunReport:
     trace: tuple
     #: multipliers at the final iterate, for diagnostics
     final_multipliers: np.ndarray
-    #: BFGS updates skipped on the curvature test (one per block for blockdiag)
+    #: BFGS updates skipped, on the curvature test or because the result would
+    #: be ill-conditioned (one per block for blockdiag)
     hessian_skips: int = 0
 
 

@@ -14,11 +14,13 @@ m'(0) that the line search uses, and :func:`singular_kkt_on_third_solve`
 wraps its KKT ladder.  Tolerance constants match the acceptance thresholds.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from falsify import sqp
+from falsify import integrate, sqp
 from falsify.formulation import (
     FORMULATION_NAMES,
     Formulation,
@@ -89,19 +91,42 @@ def relative_error(approx, exact):
     return float(np.linalg.norm(approx - exact)) / max(1.0, float(np.linalg.norm(exact)))
 
 
-def scipy_flow(system, x0, duration, rtol=1e-12, atol=1e-12):
-    """Reference end state from scipy's DOP853 (independent stepper family)."""
-    sol = solve_ivp(
-        system.rhs,
-        (0.0, duration),
-        np.asarray(x0, dtype=float),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-    )
+def _augmented(system, x0, sensitivity):
+    """(fun, z0, unpack) of one IVP for a serial stepper: ``fun(t, z)`` is
+    the system's right-hand side, with ``sensitivity`` followed by the
+    variational equations on the flattened n x n sensitivity matrix, ``z0``
+    the start vector (``x0``, then the identity), and ``unpack`` turns an
+    end vector into the end state or (end state, sensitivity matrix)."""
+    n = system.dim
+
+    def fun(t, z):
+        x = z[:n]
+        dx = np.asarray(system.rhs(t, x), dtype=float)
+        if not sensitivity:
+            return dx
+        sens = z[n:].reshape(n, n)
+        return np.concatenate([dx, (system.state_jacobian(t, x) @ sens).ravel()])
+
+    def unpack_end(z_end):
+        if not sensitivity:
+            return z_end
+        return z_end[:n], z_end[n:].reshape(n, n)
+
+    z0 = np.asarray(x0, dtype=float)
+    if sensitivity:
+        z0 = np.concatenate([z0, np.eye(n).ravel()])
+    return fun, z0, unpack_end
+
+
+def scipy_flow(system, x0, duration, rtol=1e-12, atol=1e-12, sensitivity=False):
+    """Reference end state from scipy's DOP853: the library's pair, but
+    scipy's own stepper and step control.  With ``sensitivity`` it
+    integrates the variational equations as well and returns (end state,
+    sensitivity matrix)."""
+    fun, z0, unpack_end = _augmented(system, x0, sensitivity)
+    sol = solve_ivp(fun, (0.0, duration), z0, method="DOP853", rtol=rtol, atol=atol)
     assert sol.success, sol.message
-    return sol.y[:, -1]
+    return unpack_end(sol.y[:, -1])
 
 
 def rotation_flow_matrix(n, t):
@@ -342,27 +367,10 @@ def reference_functions(name, n):
 # ---------------------------------------------------------------------------
 # serial reference integrator
 
-# A one-IVP-at-a-time Dormand-Prince loop with the library's coefficients
-# and PI controller, scalar step control and stage sums as matrix products.
-# Every lane of the library's lockstep integrator must reproduce it.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-
-
-def _error_norm(err_vec, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+# A one-IVP-at-a-time DOP853 loop with the library's coefficients and PI
+# controller, scalar step control and stage sums as matrix products.  Every
+# lane of the library's lockstep integrator must reproduce it.
+_C, _A, _B, _E = integrate._C, integrate._A, integrate._B, integrate._E
 
 
 def _initial_step(fun, t0, y0, f0, direction, rtol, atol):
@@ -375,17 +383,27 @@ def _initial_step(fun, t0, y0, f0, direction, rtol, atol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
     return min(100.0 * h0, h1)
 
 
-def _serial_rk45(fun, y0, duration, rtol, atol, max_steps):
+def _error_norm(k, h, y0, y1, rtol, atol):
+    """|h| ||e5||^2 / sqrt(m (||e5||^2 + 0.01 ||e3||^2)) on the scaled
+    estimates, 0 when both vanish."""
+    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+    e5, e3 = np.sum(((_E @ k[:12]) / scale) ** 2, axis=1).tolist()
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt(y0.size * (e5 + 0.01 * e3))
+
+
+def _serial_dop853(fun, y0, duration, rtol, atol, max_steps):
     y = np.array(y0, dtype=float)
     if duration == 0.0:
         return y
     direction = 1.0 if duration > 0.0 else -1.0
     t, t_end = 0.0, duration
-    k = np.empty((7, y.size))
+    k = np.empty((13, y.size))
     k[0] = fun(t, y)
     h = direction * min(
         _initial_step(fun, t, y, k[0], direction, rtol, atol), abs(duration)
@@ -400,23 +418,23 @@ def _serial_rk45(fun, y0, duration, rtol, atol, max_steps):
             h = t_end - t
         elif abs(h) < 1e-15 * max(abs(t), 1.0) and abs(h) < abs(t_end - t):
             raise RuntimeError("step size underflow")
-        for s in range(1, 6):
+        for s in range(1, 12):
             k[s] = fun(t + _C[s] * h, y + h * (_A[s] @ k[:s]))
-        y_new = y + h * (_B @ k[:6])
-        k[6] = fun(t + h, y_new)
-        err = _error_norm(h * (_E @ k), y, y_new, rtol, atol)
+        y_new = y + h * (_B @ k[:12])
+        k[12] = fun(t + h, y_new)
+        err = _error_norm(k, h, y, y_new, rtol, atol)
         if np.isfinite(err) and err <= 1.0:
             t = t + h
             y = y_new
-            k[0] = k[6]
+            k[0] = k[12]
             if err == 0.0:
                 factor = 10.0
             else:
-                factor = min(10.0, max(0.2, 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)))
+                factor = min(10.0, max(0.2, 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0)))
             err_prev = max(err, 1e-4)
             h = h * factor
         elif np.isfinite(err):
-            h = h * min(0.9, max(0.2, 0.9 * err ** -0.2))
+            h = h * min(0.9, max(0.2, 0.9 * err ** (-1.0 / 8.0)))
         else:
             h = h * 0.2
     return y
@@ -428,23 +446,10 @@ def serial_flow(system, x0, duration, cfg=DEFAULT_CONFIG, sensitivity=False):
     With ``sensitivity`` it integrates the variational equations as well
     and returns (end state, sensitivity matrix).
     """
-    n = system.dim
-
-    def fun(t, z):
-        x = z[:n]
-        dx = np.asarray(system.rhs(t, x), dtype=float)
-        if not sensitivity:
-            return dx
-        sens = z[n:].reshape(n, n)
-        return np.concatenate([dx, (system.state_jacobian(t, x) @ sens).ravel()])
-
-    z0 = np.asarray(x0, dtype=float)
-    if sensitivity:
-        z0 = np.concatenate([z0, np.eye(n).ravel()])
-    z_end = _serial_rk45(fun, z0, float(duration), cfg.rel_tol, cfg.abs_tol, cfg.max_steps)
-    if not sensitivity:
-        return z_end
-    return z_end[:n], z_end[n:].reshape(n, n)
+    fun, z0, unpack_end = _augmented(system, x0, sensitivity)
+    return unpack_end(
+        _serial_dop853(fun, z0, float(duration), cfg.rel_tol, cfg.abs_tol, cfg.max_steps)
+    )
 
 
 # ---------------------------------------------------------------------------

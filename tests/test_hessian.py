@@ -96,6 +96,26 @@ def test_degenerate_inner_curvature_skips():
     assert h.skip_count == 1
 
 
+def test_indefinite_curvature_never_leaves_a_block_indefinite():
+    """y = T s with an indefinite T passes the curvature test on some steps
+    only, and the accepted updates drive the block towards singularity
+    (without the conditioning test, Cholesky fails at update 85).  Every
+    update keeps the block positive definite; the refused ones are
+    counted as skips."""
+    curvature = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    for variant in VARIANTS:
+        rng = np.random.default_rng(0)
+        h = init_identity(variant, 2, 1)
+        negative = 0
+        for _ in range(300):
+            s = rng.standard_normal(3)
+            y = curvature @ s
+            negative += y @ s <= 0.0
+            h.update(s, y)
+            np.linalg.cholesky(h.dense_copy())
+        assert h.skip_count > negative, variant
+
+
 def test_blockdiag_structure_is_exact():
     rng = np.random.default_rng(113)
     n, n_seg = 2, 4

@@ -34,6 +34,57 @@ def test_frozen_benchmark2_value():
     np.testing.assert_allclose(end, BENCH2_AT_5, rtol=0.0, atol=5e-11)
 
 
+def test_dop853_tableau_order_conditions():
+    """Each row of A sums to its node, the weights B integrate c^q exactly
+    for q <= 7 (order 8), the embedded 5th and 3rd order weights B - E do
+    so for q <= 4 and q <= 2, and each row of E therefore sums to 0."""
+    nodes = integrate._C[:12]
+    assert integrate._C[12] == 1.0  # the first-same-as-last stage is f(t + h, y_new)
+    for s in range(1, 12):
+        assert integrate._A[s].shape == (s,)
+        assert abs(integrate._A[s].sum() - nodes[s]) <= 1e-15
+    np.testing.assert_allclose(integrate._E.sum(axis=1), 0.0, rtol=0.0, atol=1e-15)
+    embedded = integrate._B - integrate._E
+    for weights, order in ((integrate._B, 8), (embedded[0], 5), (embedded[1], 3)):
+        for q in range(order):
+            assert abs(weights @ nodes**q - 1.0 / (q + 1)) <= 1e-15, (order, q)
+
+
+def test_benchmark2_meets_the_tolerance_with_a_margin():
+    """End state and sensitivities of benchmark2 over durations +-1 at the
+    default tolerances, against scipy's DOP853 at 1e-13.  The fifth order
+    pair this integrator replaced missed both bounds: its errors were
+    2.4e-11 to 6.1e-11 (end states) and 9.1e-11 to 2.0e-10 (sensitivities)
+    on these start states."""
+    system = benchmark2()
+    for x0 in (np.ones(3), np.array([0.3, -1.2, 0.8]), np.array([1.0, 0.5, -0.25])):
+        for duration in (1.0, -1.0):
+            result = flow_with_sensitivity(system, x0, duration)
+            end, sens = scipy_flow(system, x0, duration, 1e-13, 1e-13, sensitivity=True)
+            np.testing.assert_allclose(result.end_state, end, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(result.sensitivity, sens, rtol=0.0, atol=1e-11)
+
+
+# Steps of `flow(benchmark2(), ones(3), 1.0)` at the default tolerances with
+# the Dormand-Prince 5(4) pair this integrator replaced: 284 rhs calls, 2 to
+# start (f(x0) and the initial-step probe) and 6 per step.
+DP5_STEPS_BENCH2 = 47
+
+
+def test_fewer_steps_than_the_fifth_order_pair():
+    reference = benchmark2()
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return reference.rhs(t, x)
+
+    flow(OdeSystem(3, counted, reference.state_jacobian, "counted"), np.ones(3), 1.0)
+    steps, rest = divmod(len(calls) - 2, 12)  # 12 calls per step, FSAL reused
+    assert rest == 0
+    assert 3 * steps < DP5_STEPS_BENCH2
+
+
 def test_zero_duration_is_identity():
     x0 = np.array([0.3, -1.2, 0.8])
     np.testing.assert_array_equal(flow(benchmark2(), x0, 0.0), x0)
@@ -278,11 +329,11 @@ def test_scalar_duration_broadcasts_over_lanes():
 
 
 def test_only_the_one_lane_stepper_calls_the_system_on_single_states(monkeypatch):
-    """Every call outside `_rk45_one` is on a batch, times (B,) with states
+    """Every call outside `_dop853_one` is on a batch, times (B,) with states
     (B, n), a one-lane integration's first stage, initial-step probe and end
-    derivative included; `_rk45_one` calls on a time scalar and a state."""
+    derivative included; `_dop853_one` calls on a time scalar and a state."""
     reference = benchmark2()
-    calls = []  # (inside _rk45_one, shape of t, shape of x)
+    calls = []  # (inside _dop853_one, shape of t, shape of x)
     alone = [False]
 
     def spy(fn):
@@ -292,7 +343,7 @@ def test_only_the_one_lane_stepper_calls_the_system_on_single_states(monkeypatch
 
         return wrapped
 
-    one_lane = integrate._rk45_one
+    one_lane = integrate._dop853_one
 
     def flagged(*args):
         alone[0] = True
@@ -301,7 +352,7 @@ def test_only_the_one_lane_stepper_calls_the_system_on_single_states(monkeypatch
         finally:
             alone[0] = False
 
-    monkeypatch.setattr(integrate, "_rk45_one", flagged)
+    monkeypatch.setattr(integrate, "_dop853_one", flagged)
     system = OdeSystem(3, spy(reference.rhs), spy(reference.state_jacobian), "spy benchmark2")
     flow(system, np.ones(3), 1.0)
     flow_with_sensitivity(system, np.ones(3), 1.0)
@@ -313,9 +364,9 @@ def test_only_the_one_lane_stepper_calls_the_system_on_single_states(monkeypatch
     assert ((1,), (1, 3)) in batch and max(t for t, _ in batch) > (1,)
 
 
-def _rk45_lanes(system, x0, durations, max_steps):
-    """Statuses and end states of ``integrate._rk45`` on ``system``'s rhs."""
-    return integrate._rk45(integrate._rhs_stage(system), x0, durations, 1e-9, 1e-9, max_steps)
+def _dop853_lanes(system, x0, durations, max_steps):
+    """Statuses and end states of ``integrate._dop853`` on ``system``'s rhs."""
+    return integrate._dop853(integrate._rhs_stage(system), x0, durations, 1e-9, 1e-9, max_steps)
 
 
 def test_lane_outcomes_are_independent():
@@ -324,10 +375,10 @@ def test_lane_outcomes_are_independent():
     system = benchmark2()
     x0 = np.array([[0.1, 0.1, -0.1], [0.0, 0.0, 50.0], [-0.1, 0.05, -0.1]])
     durations = np.array([200.0, 1.0, 200.0])
-    end, status = _rk45_lanes(system, x0, durations, 100_000)
+    end, status = _dop853_lanes(system, x0, durations, 100_000)
     assert status.tolist() == [integrate._OK, integrate._STEP_UNDERFLOW, integrate._OK]
     for i in range(len(x0)):
-        alone_end, alone_status = _rk45_lanes(system, x0[i : i + 1], durations[i : i + 1], 100_000)
+        alone_end, alone_status = _dop853_lanes(system, x0[i : i + 1], durations[i : i + 1], 100_000)
         assert status[i] == alone_status[0]
         assert end[i].tobytes() == alone_end[0].tobytes()
     assert np.all(end[[0, 2]] != x0[[0, 2]])
@@ -358,12 +409,12 @@ def test_every_running_lane_exhausts_the_step_budget():
     system = benchmark2()
     x0 = np.array([[0.1, 0.1, -0.1], [0.3, 0.2, 0.1], [-0.1, 0.05, -0.1], [0.2, 0.0, 0.0]])
     durations = np.array([200.0, 0.0, -200.0, 1e-3])
-    end, status = _rk45_lanes(system, x0, durations, 20)
+    end, status = _dop853_lanes(system, x0, durations, 20)
     too_many, ok = integrate._TOO_MANY_STEPS, integrate._OK
     assert status.tolist() == [too_many, ok, too_many, ok]
     assert end[1].tobytes() == x0[1].tobytes()
     for i in range(len(x0)):
-        alone_end, alone_status = _rk45_lanes(system, x0[i : i + 1], durations[i : i + 1], 20)
+        alone_end, alone_status = _dop853_lanes(system, x0[i : i + 1], durations[i : i + 1], 20)
         assert status[i] == alone_status[0]
         assert end[i].tobytes() == alone_end[0].tobytes()
 
@@ -405,23 +456,23 @@ def test_one_lane_hand_off_keeps_every_lane_bitwise(case, monkeypatch):
     x0, durations, max_steps, statuses = HAND_OFF_CASES[case]
     x0, durations = np.array(x0), np.array(durations)
     hand_offs = []
-    one_lane = integrate._rk45_one
+    one_lane = integrate._dop853_one
 
     def spy(stage, y, k0, t, t_end, h, err_prev, steps, *rest):
         hand_offs.append(steps)
         return one_lane(stage, y, k0, t, t_end, h, err_prev, steps, *rest)
 
-    monkeypatch.setattr(integrate, "_rk45_one", spy)
+    monkeypatch.setattr(integrate, "_dop853_one", spy)
     system = benchmark2()
     cfg = IntegratorConfig(max_steps=max_steps)
-    end, status = _rk45_lanes(system, x0, durations, max_steps)
+    end, status = _dop853_lanes(system, x0, durations, max_steps)
     result, failures = flow_with_sensitivity(system, x0, durations, cfg, per_lane=True)
     assert status.tolist() == statuses
     # the tail left the batch after some steps, in both calls
     assert len(hand_offs) == 2 and min(hand_offs) > 0
     assert sorted(failures) == [i for i, code in enumerate(statuses) if code != _OK]
     for i in range(len(x0)):
-        alone_end, alone_status = _rk45_lanes(system, x0[i : i + 1], durations[i : i + 1], max_steps)
+        alone_end, alone_status = _dop853_lanes(system, x0[i : i + 1], durations[i : i + 1], max_steps)
         assert status[i] == alone_status[0]
         assert end[i].tobytes() == alone_end[0].tobytes()
         if status[i] != _OK:

@@ -6,6 +6,7 @@ would break it without failing any other test.
 
 import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +74,80 @@ def test_compare_flags_a_worse_full_digit_and_a_lost_blockdiag_cell():
     lines, worse = outcome_grid.compare(before, lost)
     assert worse and "blockdiag: 2 cells, found 1 -> 0" in lines
     assert "  lost: s-n2-N5-eq5-blockdiag S1 -> F negative_length" in lines
+
+
+def test_jittered_runs_are_reproducible(tmp_path):
+    """`--jitter 2` solves a `full` cell from the stock guess and with its
+    durations one and two ulp up; a second run writes the same records,
+    and the first of them is the row `falsify bench` computes for the cell."""
+    from falsify.bench import BenchSpec, run_table
+    from falsify.formulation import Formulation
+    from falsify.sqp import SqpConfig
+
+    cell = "benchmark3-n2-N5-eq5-full"
+    files = [tmp_path / "GRID_noise_a.json", tmp_path / "GRID_noise_b.json"]
+    for out in files:
+        done = grid_tool(ROOT, "--jitter", 2, "--out", out, "--cells", cell)
+        assert done.returncode == 0, done.stderr
+    first, second = (json.loads(out.read_text()) for out in files)
+    assert first["jitter"] == 2 and list(first["cells"]) == [cell]
+    assert first["cells"] == second["cells"]
+    runs = first["cells"][cell]
+    assert all(len(runs[key]) == 3 for key in ("nit", "status", "reasons"))
+    spec = BenchSpec("benchmark3", (2,), (5,), Formulation.by_name("eq5"))
+    (stock,) = run_table(spec, SqpConfig(hessian_variant="full"))
+    assert (runs["nit"][0], runs["status"][0], runs["reasons"][0]) == (
+        stock.nit, stock.status, list(stock.reasons)
+    )
+    done = grid_tool(ROOT, "--jitter", 1, "--out", files[0], "--cells", CELLS[2])
+    assert done.returncode != 0 and "not full grid cells" in done.stderr
+
+
+def test_compare_marks_full_changes_against_the_noise():
+    """Each `full` NIT delta and digit change is marked inside or outside
+    the noise file's runs of its cell, and the NIT total gets the band of
+    the per-cell ranges; the verdict stays that of the cells alone."""
+    before = {
+        "total_wall_s": 3.0,
+        "cells": {
+            "s-n2-N5-eq5-full": record(10, "1"),
+            "s-n2-N5-eq6-full": record(40, "1"),
+            "s-n2-N5-eq7-full": record(20, "1"),
+        },
+    }
+    after = copy.deepcopy(before)
+    after["cells"]["s-n2-N5-eq5-full"] = record(12, "1")
+    after["cells"]["s-n2-N5-eq6-full"] = record(90, "F", ["unsafe_boundary"])
+    noise = {
+        "jitter": 2,
+        "cells": {
+            "s-n2-N5-eq5-full": {"nit": [10, 13, 11], "status": ["1"] * 3, "reasons": [[]] * 3},
+            "s-n2-N5-eq6-full": {
+                "nit": [40, 70, 95],
+                "status": ["1", "F", "1"],
+                "reasons": [[], ["unsafe_boundary"], []],
+            },
+            "s-n2-N5-eq7-full": {"nit": [20, 20, 20], "status": ["1"] * 3, "reasons": [[]] * 3},
+        },
+    }
+    plain, worse = outcome_grid.compare(before, after)
+    lines, noisy_worse = outcome_grid.compare(before, after, noise)
+    assert worse and noisy_worse
+    assert "  nit: s-n2-N5-eq5-full 10 -> 12 (+2) (inside noise: nit 10..13)" in lines
+    assert (
+        "  worse: s-n2-N5-eq6-full S1 -> F unsafe_boundary"
+        " (inside noise: F unsafe_boundary / S1)" in lines
+    )
+    assert "  nit: s-n2-N5-eq6-full 40 -> 90 (+50) (inside noise: nit 40..95)" in lines
+    assert "  nit total 70 -> 122 (noise band 70..128)" in lines
+    # without the marks, the lines are those of the plain comparison
+    assert [re.sub(r" \((inside|outside) noise: .*\)$| \(noise band .*\)$", "", line)
+            for line in lines] == plain
+
+    narrow = copy.deepcopy(noise)
+    narrow["cells"]["s-n2-N5-eq5-full"]["nit"] = [10, 11, 10]
+    lines, _ = outcome_grid.compare(before, after, narrow)
+    assert "  nit: s-n2-N5-eq5-full 10 -> 12 (+2) (outside noise: nit 10..11)" in lines
+    del narrow["cells"]["s-n2-N5-eq7-full"]
+    lines, _ = outcome_grid.compare(before, after, narrow)
+    assert "  nit total 70 -> 122" in lines

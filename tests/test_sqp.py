@@ -677,20 +677,23 @@ def test_speculative_ladder_keeps_iterates_bitwise(monkeypatch, cell):
 
 
 def test_failing_ladder_lane_reads_inf_without_a_second_integration(monkeypatch):
-    """eq10 on the plain rotation with a 25-step integrator budget: in a
-    ladder batch the search's first trial runs out of steps while the
-    shorter trials finish.  Its merit reads +inf, no vector is integrated
-    twice, and the run is the one-alpha-at-a-time run."""
+    """eq10 on the plain rotation with the integration of each line
+    search's first trial made to fail: in a ladder batch that lane fails
+    while the shorter trials finish.  Its merit reads +inf, no vector is
+    integrated twice, and the run is the one-alpha-at-a-time run, in which
+    the same trials fail."""
     instance, guess, form = bench_cell("benchmark3", 2, 5, "eq10")
-    cfg = SqpConfig(max_iter=12, integrator=IntegratorConfig(max_steps=25))
+    cfg = SqpConfig(max_iter=12)
     searches = []  # per line search: {alpha: merit}
     current = []  # the alpha being evaluated
+    fresh = []  # [True] until the current search's first batch is integrated
     first_failed = []  # (search, alpha) of each batch whose first lane alone failed
     integrated = []  # packed bytes of every integrated vector
 
     def recording_line_search(evaluate, *args):
         values = {}
         searches.append(values)
+        fresh[:] = [True]
 
         def recorded(alpha):
             current[:] = [alpha]
@@ -705,20 +708,24 @@ def test_failing_ladder_lane_reads_inf_without_a_second_integration(monkeypatch)
         integrated.append(pack(vec).tobytes())
         return evaluate_one(instance, vec, cfg)
 
-    def recording_many(instance, vecs, cfg=None):
+    def failing_first_trial(instance, vecs, cfg=None):
         integrated.extend(pack(vec).tobytes() for vec in vecs)
-        outcomes = evaluate_many(instance, vecs, cfg)
-        failed = [isinstance(outcome, IntegrationFailure) for outcome in outcomes]
-        if len(failed) > 1 and failed[0] and not any(failed[1:]):
-            first_failed.append((len(searches) - 1, current[0]))
+        outcomes = list(evaluate_many(instance, vecs, cfg))
+        if fresh[0]:
+            fresh[0] = False
+            outcomes[0] = IntegrationFailure("step budget exhausted")
+            failed = [isinstance(outcome, IntegrationFailure) for outcome in outcomes]
+            if len(failed) > 1 and not any(failed[1:]):
+                first_failed.append((len(searches) - 1, current[0]))
         return outcomes
 
     monkeypatch.setattr(falsify.sqp, "line_search", recording_line_search)
     monkeypatch.setattr(falsify.sqp, "evaluate_segments", recording_one)
-    monkeypatch.setattr(falsify.sqp, "evaluate_many", recording_many)
+    monkeypatch.setattr(falsify.sqp, "evaluate_many", failing_first_trial)
     ladder = run(form, instance, guess, cfg)
-    assert any(alpha == next(iter(searches[search])) for search, alpha in first_failed)
+    assert first_failed
     for search, alpha in first_failed:
+        assert alpha == next(iter(searches[search]))
         assert searches[search][alpha] == math.inf
     assert len(set(integrated)) == len(integrated)
 
