@@ -21,7 +21,10 @@ outcome, and leaves the batch when it reaches its end time or fails; a
 failing lane does not stop the others, and ``flow_with_sensitivity(...,
 per_lane=True)`` returns each lane's outcome instead of raising for the
 first failure.  All arithmetic is elementwise per lane, so a lane's result
-is bitwise the same whatever else shares its batch.
+is bitwise the same whatever else shares its batch.  A lane starts from the
+starting-step heuristic, or from a step the caller hands over (``first_step``
+of ``flow_with_sensitivity``, typically the ``step`` a nearby integration
+ended with).
 A stage calls the system once on the whole batch, times (B,) and states
 (B, m), a batch of one lane included, and writes its derivative straight
 into the step's (B, 13, m) stage buffer, so a stage allocates no augmented
@@ -101,15 +104,22 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 @dataclass(frozen=True)
 class FlowResult:
-    """End state, sensitivity matrix and end-point derivative of one segment.
+    """End state, sensitivity matrix and end-point derivative of one segment,
+    and the step size the integrator ended with.
 
     A batched call returns the same fields with a leading lane axis, and
     :func:`falsify.shooting.evaluate_segments` with a leading segment axis.
+    ``step`` is the magnitude the step-size controller had chosen for the
+    segment's last step, before that step was cut to end at the segment's
+    end: a first step for a nearby segment (see ``first_step`` of
+    :func:`flow_with_sensitivity`).  It is 0 for a segment that took no step
+    and NaN for a failed one.
     """
 
     end_state: np.ndarray     # x(t0 + duration): (n,), or (B, n) per lane/segment
     sensitivity: np.ndarray   # d end_state / d x0: (n, n), or (B, n, n)
     end_derivative: np.ndarray  # f(t0 + duration, end_state): (n,), or (B, n)
+    step: np.ndarray          # last chosen step magnitude: (), or (B,)
 
 
 def numba_path_enabled():
@@ -249,19 +259,22 @@ def _error_sums(k, scale):
     return (e * e).sum(axis=-1)
 
 
-def _dop853(stage, y0, duration, rtol, atol, max_steps):
+def _dop853(stage, y0, duration, rtol, atol, max_steps, first_step=None):
     """DOP853 over the rows of ``y0``, all lanes in lockstep.
 
     ``stage(t, y, out)`` maps lane times (B,) and states (B, m) to
     derivatives and writes them into ``out``, a (B, m) view of the step's
-    stage buffer; its return value is ignored.  Returns the end states and
-    a status code per lane.  A lane leaves the batch when it reaches its
-    end time, when its step size underflows or when the step budget runs
-    out, with the state and status it had then; the other lanes run on.
-    Once a single lane is left (or the batch starts with one), it finishes
-    in :func:`_dop853_one`, which calls ``stage`` on its time scalar and
-    state (m,), with the step count, controller state and stage it had in
-    the batch.
+    stage buffer; its return value is ignored.  Returns the end states, a
+    status code and the last chosen step magnitude per lane (0 for a lane
+    that took no step).  A lane's first step is its entry of ``first_step``
+    where that is > 0, else :func:`_initial_step`'s, either cut to the
+    lane's |duration|.  A lane leaves the batch when it reaches its end
+    time, when its step size underflows or when the step budget runs out,
+    with the state and status it had then; the other lanes run on.  Once a
+    single lane is left (or the batch starts with one), it finishes in
+    :func:`_dop853_one`, which calls ``stage`` on its time scalar and state
+    (m,), with the step count, controller state and stage it had in the
+    batch.
 
     The error of a step of size h combines the two embedded estimates e5
     and e3, scaled per component (Hairer, Norsett & Wanner, vol. I,
@@ -274,19 +287,25 @@ def _dop853(stage, y0, duration, rtol, atol, max_steps):
     """
     y_end = y0.copy()
     status = np.full(len(y0), _OK)
+    step = np.zeros(len(y0))
     lanes = np.flatnonzero(duration != 0.0)
     if not lanes.size:
-        return y_end, status
+        return y_end, status, step
     y, t_end = y0[lanes], duration[lanes]
     m = y.shape[1]
     direction = np.sign(t_end)
     t = np.zeros(lanes.size)
     k0 = np.empty_like(y)
     stage(t, y, k0)
-    h = direction * np.minimum(
-        _initial_step(stage, t, y, k0, direction, rtol, atol), np.abs(t_end)
-    )
+    size = np.full(lanes.size, np.nan) if first_step is None else first_step[lanes]
+    fresh = ~(size > 0.0)  # also NaN
+    if fresh.any():
+        size[fresh] = _initial_step(
+            stage, t[fresh], y[fresh], k0[fresh], direction[fresh], rtol, atol
+        )
+    h = direction * np.minimum(size, np.abs(t_end))
     err_prev = np.full(lanes.size, 1e-4)
+    chosen = np.zeros(lanes.size)  # step magnitude before the cut to the end
 
     # every lane still in the batch has taken exactly `steps` steps
     steps = 0
@@ -306,20 +325,24 @@ def _dop853(stage, y0, duration, rtol, atol, max_steps):
             running &= ~tiny
         if not running.all():
             y_end[lanes[~running]] = y[~running]
-            lanes, y, k0, t, t_end, direction, err_prev, left, size = (
-                a[running] for a in (lanes, y, k0, t, t_end, direction, err_prev, left, size)
+            step[lanes[~running]] = chosen[~running]
+            lanes, y, k0, t, t_end, direction, err_prev, left, size, chosen = (
+                a[running]
+                for a in (lanes, y, k0, t, t_end, direction, err_prev, left, size, chosen)
             )
             if not lanes.size:
-                return y_end, status
+                return y_end, status, step
         if lanes.size == 1:
             # h is not filtered above: the lane's own step is direction * size
-            y_end[lanes[0]], status[lanes[0]] = _dop853_one(
+            lane = lanes[0]
+            y_end[lane], status[lane], step[lane] = _dop853_one(
                 stage, y[0], k0[0], t.item(), t_end.item(), (direction * size).item(),
-                err_prev.item(), steps, rtol, atol, max_steps,
+                err_prev.item(), steps, chosen.item(), rtol, atol, max_steps,
             )
-            return y_end, status
+            return y_end, status, step
         steps += 1
         # h and the time left share the sign `direction`: clip h to the end
+        chosen = size
         size = np.minimum(size, left)
         h = direction * size
 
@@ -352,16 +375,16 @@ def _dop853(stage, y0, duration, rtol, atol, max_steps):
         h = h * factor
 
 
-def _dop853_one(stage, y, k0, t, t_end, h, err_prev, steps, rtol, atol, max_steps):
-    """The lockstep loop of :func:`_dop853` on one lane: its end state and
-    status.
+def _dop853_one(stage, y, k0, t, t_end, h, err_prev, steps, chosen, rtol, atol, max_steps):
+    """The lockstep loop of :func:`_dop853` on one lane: its end state,
+    status and last chosen step magnitude.
 
     Takes the lane as the batch left it: state ``y`` (m,), first stage
-    ``k0``, time, end time, signed step and previous error as Python floats,
-    and the steps taken so far.  Step control is Python float arithmetic
-    and the stages live in one (13, m) buffer, so a step makes a few numpy
-    calls on (m,) arrays; every operation is the batch loop's on one lane,
-    so the lane keeps its bits.
+    ``k0``, time, end time, signed step, previous error and last chosen step
+    magnitude as Python floats, and the steps taken so far.  Step control is
+    Python float arithmetic and the stages live in one (13, m) buffer, so a
+    step makes a few numpy calls on (m,) arrays; every operation is the
+    batch loop's on one lane, so the lane keeps its bits.
     """
     direction = math.copysign(1.0, t_end)
     m = len(y)
@@ -370,13 +393,14 @@ def _dop853_one(stage, y, k0, t, t_end, h, err_prev, steps, rtol, atol, max_step
     while True:
         left = (t_end - t) * direction
         if not left > 0.0:
-            return y, _OK
+            return y, _OK, chosen
         if steps >= max_steps:
-            return y, _TOO_MANY_STEPS
+            return y, _TOO_MANY_STEPS, chosen
         size = abs(h)
         if size < 1e-15 * max(abs(t), 1.0) and size < left:
-            return y, _STEP_UNDERFLOW
+            return y, _STEP_UNDERFLOW, chosen
         steps += 1
+        chosen = size
         size = min(size, left)
         h = direction * size
 
@@ -423,10 +447,13 @@ def _as_batch(system, x0, duration):
     return x0.reshape(-1, n), np.broadcast_to(duration, batch).reshape(-1)
 
 
-def _integrate(system, stage, z0, duration, cfg):
-    """End states of every lane integrated on ``stage``, and an
-    :class:`IntegrationFailure` for each lane that failed, keyed by lane."""
-    z_end, status = _dop853(stage, z0, duration, cfg.rel_tol, cfg.abs_tol, cfg.max_steps)
+def _integrate(system, stage, z0, duration, cfg, first_step=None):
+    """End states and last chosen step magnitudes of every lane integrated
+    on ``stage``, and an :class:`IntegrationFailure` for each lane that
+    failed, keyed by lane."""
+    z_end, status, step = _dop853(
+        stage, z0, duration, cfg.rel_tol, cfg.abs_tol, cfg.max_steps, first_step
+    )
     bad = (status != _OK) | ~np.all(np.isfinite(z_end), axis=1)
     failures = {}
     for lane in np.flatnonzero(bad).tolist():
@@ -438,7 +465,7 @@ def _integrate(system, stage, z0, duration, cfg):
         else:
             message = f"non-finite state while integrating '{system.label}'"
         failures[lane] = IntegrationFailure(message, lane)
-    return z_end, failures
+    return z_end, step, failures
 
 
 def flow(system, x0, duration, cfg=None):
@@ -451,31 +478,43 @@ def flow(system, x0, duration, cfg=None):
     """
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
-    z_end, failures = _integrate(system, _rhs_stage(system), xs, ts, cfg or DEFAULT_CONFIG)
+    z_end, _, failures = _integrate(system, _rhs_stage(system), xs, ts, cfg or DEFAULT_CONFIG)
     if failures:
         raise failures[min(failures)]
     return z_end.reshape(x0.shape)
 
 
-def flow_with_sensitivity(system, x0, duration, cfg=None, *, per_lane=False):
+def flow_with_sensitivity(system, x0, duration, cfg=None, *, per_lane=False, first_step=None):
     """Flow plus the sensitivity matrix S = d(end state)/d(x0).
 
     Integrates the augmented state/variational system in one pass and
     returns a :class:`FlowResult`; ``end_derivative`` is the right-hand side
-    evaluated at the end point.  Batched like :func:`flow`: for ``x0`` of
-    shape (B, n) every field gains a leading lane axis, and a failing lane
-    raises :class:`IntegrationFailure` for the lowest one.  With
-    ``per_lane`` set nothing raises: the call returns ``(result,
-    failures)``, where ``failures`` maps each failing lane to its
-    :class:`IntegrationFailure` and that lane's entries of ``result`` are
-    NaN, while every other lane holds its own flow.
+    evaluated at the end point, and ``step`` the last step the controller
+    chose.  Batched like :func:`flow`: for ``x0`` of shape (B, n) every
+    field gains a leading lane axis, and a failing lane raises
+    :class:`IntegrationFailure` for the lowest one.  With ``per_lane`` set
+    nothing raises: the call returns ``(result, failures)``, where
+    ``failures`` maps each failing lane to its :class:`IntegrationFailure`
+    and that lane's entries of ``result`` are NaN, while every other lane
+    holds its own flow.
+
+    ``first_step``, a scalar or one magnitude per lane, is the size of each
+    lane's first step, cut to its |duration|: a warm start from the
+    ``step`` of a nearby integration, in place of the starting-step
+    heuristic (Hairer, Norsett & Wanner, vol. I, sec. II.4).  An entry that
+    is not > 0 falls back to the heuristic for its lane: 0, the ``step`` of a
+    lane that took no step, and NaN, that of a failed lane.
     """
     x0 = np.asarray(x0, dtype=float)
     xs, ts = _as_batch(system, x0, np.asarray(duration, dtype=float))
+    if first_step is not None:
+        first_step = np.broadcast_to(np.asarray(first_step, dtype=float), ts.shape)
     n = system.dim
     identity = np.broadcast_to(np.eye(n).ravel(), (len(xs), n * n))
     z0 = np.concatenate([xs, identity], axis=1)
-    z_end, failures = _integrate(system, system.variational_stage, z0, ts, cfg or DEFAULT_CONFIG)
+    z_end, step, failures = _integrate(
+        system, system.variational_stage, z0, ts, cfg or DEFAULT_CONFIG, first_step
+    )
     if failures and not per_lane:
         raise failures[min(failures)]
     failed = list(failures)
@@ -487,9 +526,10 @@ def flow_with_sensitivity(system, x0, duration, cfg=None, *, per_lane=False):
     _rhs_stage(system)(ts, end_state, end_derivative)
     z_end[failed] = np.nan
     end_derivative[failed] = np.nan
-    result = FlowResult(end_state, z_end[:, n:].reshape(len(xs), n, n), end_derivative)
+    step[failed] = np.nan
+    result = FlowResult(end_state, z_end[:, n:].reshape(len(xs), n, n), end_derivative, step)
     if x0.ndim == 1:
         result = FlowResult(
-            result.end_state[0], result.sensitivity[0], result.end_derivative[0]
+            result.end_state[0], result.sensitivity[0], result.end_derivative[0], result.step[0]
         )
     return (result, failures) if per_lane else result

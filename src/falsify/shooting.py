@@ -176,27 +176,31 @@ class ProblemInstance:
         return self.system.dim
 
 
-def evaluate_segments(instance, vec, cfg=None):
+def evaluate_segments(instance, vec, cfg=None, *, first_step=None):
     """Flow with sensitivity of every segment of ``vec``, one batched solve.
 
     Returns one :class:`FlowResult` whose fields carry a leading segment
-    axis: ``end_state`` (N, n), ``sensitivity`` (N, n, n) and
-    ``end_derivative`` (N, n), row i computed from (x0_i, t_i).  Raises
+    axis: ``end_state`` (N, n), ``sensitivity`` (N, n, n),
+    ``end_derivative`` (N, n) and ``step`` (N,), row i computed from
+    (x0_i, t_i).  ``first_step`` is as in :func:`evaluate_many`.  Raises
     :class:`IntegrationFailure` whose message names the first failing
     segment (1-based) and whose ``lane`` is its 0-based index.
     """
-    (flows,) = evaluate_many(instance, [vec], cfg)
+    (flows,) = evaluate_many(instance, [vec], cfg, first_step=first_step)
     if isinstance(flows, IntegrationFailure):
         raise flows
     return flows
 
 
-def evaluate_many(instance, vecs, cfg=None):
+def evaluate_many(instance, vecs, cfg=None, *, first_step=None):
     """The segment flows of each shooting vector in ``vecs``: one outcome each.
 
     The segments of all vectors are integrated in one lockstep batch, so
     each vector's flows equal those of its own :func:`evaluate_segments`
-    call.  A vector's outcome is its :class:`FlowResult`, or, when one of
+    call.  ``first_step``, when given, holds one first step size per
+    segment, the same for every vector, typically the ``step`` of a nearby
+    vector's flows (see :func:`~falsify.integrate.flow_with_sensitivity`).
+    A vector's outcome is its :class:`FlowResult`, or, when one of
     its segments fails, an :class:`IntegrationFailure`, returned rather than
     raised, so the other vectors keep their flows.  Its message names the
     vector (when there are several) and its first failing segment, as in
@@ -209,14 +213,17 @@ def evaluate_many(instance, vecs, cfg=None):
             raise ValueError("shooting vector does not match the problem instance")
     states = np.concatenate([vec.states for vec in vecs])
     times = np.concatenate([vec.times for vec in vecs])
+    if first_step is not None:
+        first_step = np.tile(first_step, len(vecs))
     batch, failures = flow_with_sensitivity(
-        instance.system, states, times, cfg, per_lane=True
+        instance.system, states, times, cfg, per_lane=True, first_step=first_step
     )
     n = instance.dim
     fields = (
         batch.end_state.reshape(-1, n_seg, n),
         batch.sensitivity.reshape(-1, n_seg, n, n),
         batch.end_derivative.reshape(-1, n_seg, n),
+        batch.step.reshape(-1, n_seg),
     )
     outcomes = [FlowResult(*vector) for vector in zip(*fields)]
     # highest lane first, so each vector keeps its first failing segment

@@ -31,7 +31,18 @@ whose integration fails reads m = +inf while the other lanes keep their
 flows.  The ladder runs only where a vector's augmented state, (n + n^2) N
 floats, is at most 1000 wide; elsewhere k is always 1.  Every lane is
 bitwise the lane a one-at-a-time search would integrate, so the iterates do
-not depend on k."""
+not depend on k.
+
+Every trial integration is warm-started: each segment's first step is the
+step the incumbent's flow of that segment ended with (``FlowResult.step``),
+where the integrator would otherwise start from its starting-step heuristic
+and take several steps to grow it (carrying step sizes from iterate to
+iterate is the multiple-shooting practice of Bock & Plitt 1984).  A segment
+whose incumbent took no step, a zero duration, starts from the heuristic.
+Only the initial point is integrated fresh.  So the flows of the trial at
+alpha = 0 would differ from the incumbent's, which started from its own
+predecessor's steps, by integration error, as every trial at alpha > 0 does:
+within the integrator's tolerances, not bitwise."""
 
 import enum
 import itertools
@@ -308,10 +319,13 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     backtracking ladder batches their trials.  Each shooting vector is
     integrated once and evaluated at most once: the accepted trial point,
     with its flows, F and c, becomes the next iterate, and B is built once
-    per accepted point.  A failure ends the run with a report too: an
-    integration failure at ``X_init`` in ``INTEGRATION_FAILURE``, and a KKT
-    system that is not finite or that no rung solves to a finite step in
-    ``SINGULAR_SYSTEM``, keeping the iterations done and the incumbent.
+    per accepted point.  ``X_init`` is integrated from the integrator's
+    starting-step heuristic and every trial from the incumbent's last step
+    sizes, one per segment (see the module docstring).  A failure ends the
+    run with a report too: an integration failure at ``X_init`` in
+    ``INTEGRATION_FAILURE``, and a KKT system that is not finite or that no
+    rung solves to a finite step in ``SINGULAR_SYSTEM``, keeping the
+    iterations done and the incumbent.
     """
     cfg = cfg or SqpConfig()
     lam = np.zeros(constraint_dim(formulation.constraints, instance.dim, instance.n_segments))
@@ -373,7 +387,10 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
                     _step_lengths(alpha, cfg.backtrack_factor, cfg.eps3), lanes
                 )
                 vecs = [unpack(flat + a * d_x, n, n_segments) for a in alphas]
-                pending.extend(zip(vecs, evaluate_many(instance, vecs, cfg.integrator)))
+                outcomes = evaluate_many(
+                    instance, vecs, cfg.integrator, first_step=point.flows.step
+                )
+                pending.extend(zip(vecs, outcomes))
                 lanes = min(2 * lanes, cap)
             value, trial = _trial_merit(formulation, instance, *pending.pop(0), lam_full, cfg.omega)
             trials.append(trial)

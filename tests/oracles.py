@@ -397,23 +397,26 @@ def _error_norm(k, h, y0, y1, rtol, atol):
     return abs(h) * e5 / math.sqrt(y0.size * (e5 + 0.01 * e3))
 
 
-def _serial_dop853(fun, y0, duration, rtol, atol, max_steps):
+def _serial_dop853(fun, y0, duration, rtol, atol, max_steps, first_step=None):
+    """(end state, |h| of the last step before its cut to the end, 0 when no
+    step was taken); the first step is ``first_step`` when that is > 0."""
     y = np.array(y0, dtype=float)
     if duration == 0.0:
-        return y
+        return y, 0.0
     direction = 1.0 if duration > 0.0 else -1.0
     t, t_end = 0.0, duration
     k = np.empty((13, y.size))
     k[0] = fun(t, y)
-    h = direction * min(
-        _initial_step(fun, t, y, k[0], direction, rtol, atol), abs(duration)
-    )
+    if first_step is None or not first_step > 0.0:
+        first_step = _initial_step(fun, t, y, k[0], direction, rtol, atol)
+    h = direction * min(first_step, abs(duration))
     err_prev = 1e-4
     steps = 0
     while (t_end - t) * direction > 0.0:
         if steps >= max_steps:
             raise RuntimeError("step budget exhausted")
         steps += 1
+        last = abs(h)
         if abs(h) > abs(t_end - t):
             h = t_end - t
         elif abs(h) < 1e-15 * max(abs(t), 1.0) and abs(h) < abs(t_end - t):
@@ -437,19 +440,34 @@ def _serial_dop853(fun, y0, duration, rtol, atol, max_steps):
             h = h * min(0.9, max(0.2, 0.9 * err ** (-1.0 / 8.0)))
         else:
             h = h * 0.2
-    return y
+    return y, last
 
 
-def serial_flow(system, x0, duration, cfg=DEFAULT_CONFIG, sensitivity=False):
-    """End state of one IVP from the serial reference loop.
+def serial_flow(system, x0, duration, cfg=DEFAULT_CONFIG, sensitivity=False, first_step=None):
+    """End state of one IVP from the serial reference loop, started with a
+    step of ``first_step`` when that is > 0.
 
     With ``sensitivity`` it integrates the variational equations as well
-    and returns (end state, sensitivity matrix).
+    and returns (end state, sensitivity matrix, last step), the last step
+    being what :class:`~falsify.integrate.FlowResult` calls ``step``.
     """
     fun, z0, unpack_end = _augmented(system, x0, sensitivity)
-    return unpack_end(
-        _serial_dop853(fun, z0, float(duration), cfg.rel_tol, cfg.abs_tol, cfg.max_steps)
+    z_end, last = _serial_dop853(
+        fun, z0, float(duration), cfg.rel_tol, cfg.abs_tol, cfg.max_steps, first_step
     )
+    return (*unpack_end(z_end), last) if sensitivity else z_end
+
+
+def serial_first_step(system, x0, duration, cfg=DEFAULT_CONFIG, sensitivity=False):
+    """The first step size of the serial loop started without ``first_step``:
+    the starting-step heuristic cut to |duration|, 0 for a zero duration."""
+    if duration == 0.0:
+        return 0.0
+    fun, z0, _ = _augmented(system, x0, sensitivity)
+    direction = 1.0 if duration > 0.0 else -1.0
+    f0 = fun(0.0, z0)
+    step = _initial_step(fun, 0.0, z0, f0, direction, cfg.rel_tol, cfg.abs_tol)
+    return min(step, abs(float(duration)))
 
 
 # ---------------------------------------------------------------------------

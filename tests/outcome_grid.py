@@ -12,10 +12,10 @@ distances `verify` measured, how many steps each KKT rung produced and its
 wall time.  ``--cells`` solves only the named cells.  Nothing is written
 into ROOT.
 
-The second form measures the rounding noise of the `full` cells: it solves
-each of them K + 1 times, from the stock guess with every duration raised
-by 0, 1, ..., K ulp (``np.nextafter``), and records each run's NIT, S digit
-and reasons.  The guess is built here; the library has no hook for it.
+The second form measures the rounding noise of the cells: it solves each
+of them K + 1 times, from the stock guess with every duration raised by 0,
+1, ..., K ulp (``np.nextafter``), and records each run's NIT, S digit and
+reasons.  The guess is built here; the library has no hook for it.
 
 The third form compares two grid files and exits 1 when the second is
 worse.  `full` cells are compared one by one: every S digit that got better
@@ -26,11 +26,13 @@ rounding: raising every step d_x by one ulp moves NIT on benchmark2 n3 N5
 eq6 from 207 to 115 and turns benchmark3 n2 N10 eq6 from S1 into F, so a
 per-cell outcome says little there.  The second file is worse when a `full`
 cell's digit gets worse or the `blockdiag` found share drops.  With
-``--noise``, each `full` NIT delta and digit change is marked inside or
-outside the noise file's range for that cell (the NITs and the outcomes its
-jittered runs reached), and the NIT total is shown with the band the
-per-cell ranges add up to.  The marks inform the reader; they do not enter
-the verdict.
+``--noise``, each `full` NIT delta and digit change, and each `blockdiag`
+cell found on one side only, is marked inside or outside the noise file's
+range for that cell (the NITs and the outcomes its jittered runs reached).
+The `full` NIT total is shown with the band the per-cell ranges add up to,
+and the `blockdiag` found share is marked against the found shares of the
+noise file's runs at 0, 1, ..., K ulp.  The marks inform the reader; they do
+not enter the verdict.
 """
 
 import argparse
@@ -120,13 +122,12 @@ def import_library(root):
         raise ImportError(f"falsify was imported from {falsify.__file__}, not from {root}/src")
 
 
-def chosen_cells(only, hessians=("full", "blockdiag")):
-    """The grid cells named in ``only`` (every cell when None) whose Hessian
-    variant is in ``hessians``."""
-    cells = [cell for cell in grid_cells() if cell[-1] in hessians]
+def chosen_cells(only):
+    """The grid cells named in ``only`` (every cell when None)."""
+    cells = grid_cells()
     unknown = set(only or ()) - {cell[0] for cell in cells}
     if unknown:
-        raise SystemExit(f"not {'/'.join(hessians)} grid cells: {sorted(unknown)}")
+        raise SystemExit(f"not grid cells: {sorted(unknown)}")
     return [cell for cell in cells if only is None or cell[0] in only]
 
 
@@ -153,10 +154,10 @@ def run_grid(root, only):
 
 
 def run_noise(root, jitter, only):
-    """Per `full` cell, the NIT, digit and reasons of its runs from the stock
-    guess with the durations raised by 0, 1, ..., ``jitter`` ulp."""
+    """Per cell, the NIT, digit and reasons of its runs from the stock guess
+    with the durations raised by 0, 1, ..., ``jitter`` ulp."""
     cells, wall = {}, 0.0
-    chosen = chosen_cells(only, ("full",))
+    chosen = chosen_cells(only)
     import_library(root)
     for name, *cell in chosen:
         runs = [solve_cell(*cell, jitter=k) for k in range(jitter + 1)]
@@ -198,9 +199,9 @@ def noise_mark(noise, name, cell, what):
 
 
 def compare(a, b, noise=None):
-    """Lines of the comparison of grid files ``a`` and ``b``, each `full`
-    change marked against the noise file ``noise`` when given, and whether
-    ``b`` is worse."""
+    """Lines of the comparison of grid files ``a`` and ``b``, each change
+    marked against the noise file ``noise`` when given, and whether ``b`` is
+    worse."""
     cells_a, cells_b = a["cells"], b["cells"]
     if set(cells_a) != set(cells_b):
         return [f"cell lists differ: {sorted(set(cells_a) ^ set(cells_b))}"], True
@@ -241,13 +242,21 @@ def compare(a, b, noise=None):
     found_a = sum(cells_a[name]["status"] != "F" for name in block)
     found_b = sum(cells_b[name]["status"] != "F" for name in block)
     worse |= found_b < found_a
-    lines.append(f"blockdiag: {len(block)} cells, found {found_a} -> {found_b}")
+    mark = ""
+    if noise is not None and block and all(name in noise["cells"] for name in block):
+        # found share of the noise file's run at each jitter
+        runs = zip(*(noise["cells"][name]["status"] for name in block))
+        shares = [sum(status != "F" for status in run) for run in runs]
+        inside = min(shares) <= found_b <= max(shares)
+        mark = f" ({'inside' if inside else 'outside'} noise: found {min(shares)}..{max(shares)})"
+    lines.append(f"blockdiag: {len(block)} cells, found {found_a} -> {found_b}{mark}")
     for name in block:
         old, new = cells_a[name], cells_b[name]
         if (old["status"] == "F") != (new["status"] == "F"):
             lines.append(
                 f"  {'lost' if new['status'] == 'F' else 'gained'}: "
                 f"{name} {outcome(old)} -> {outcome(new)}"
+                + noise_mark(noise, name, new, "outcome")
             )
     lines.append(f"wall_s total {a['total_wall_s']} -> {b['total_wall_s']}")
     return lines, worse
@@ -259,7 +268,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, help="grid file to write")
     parser.add_argument("--cells", help="comma-separated cell names (default: every cell)")
     parser.add_argument("--jitter", type=int, metavar="K",
-                        help="solve each `full` cell K + 1 times, durations raised by 0..K ulp")
+                        help="solve each cell K + 1 times, durations raised by 0..K ulp")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"))
     parser.add_argument("--noise", type=Path, help="noise file to mark --compare's changes against")
     args = parser.parse_args(argv)

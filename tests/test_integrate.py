@@ -20,7 +20,14 @@ from falsify.integrate import (
 )
 from falsify.systems import OdeSystem, benchmark1, benchmark2, benchmark3
 
-from oracles import TIGHT, blowup_system, rotation_flow_matrix, scipy_flow, serial_flow
+from oracles import (
+    TIGHT,
+    blowup_system,
+    rotation_flow_matrix,
+    scipy_flow,
+    serial_first_step,
+    serial_flow,
+)
 
 # End state of benchmark2 from [1, 1, 1] after 5 time units, frozen from an
 # independent high-accuracy run (scipy DOP853 at rtol=atol=1e-13).
@@ -201,18 +208,26 @@ def _mixed_batch(system, lanes, seed):
 
 @pytest.mark.parametrize("lanes", [5, 40])
 def test_batch_lanes_equal_single_calls(lanes):
+    """Also: a first step equal to the one the starting-step heuristic would
+    pick gives every lane the bytes of the call without ``first_step``."""
     for system in (benchmark1(4), benchmark2(), benchmark3(6)):
         x0, durations = _mixed_batch(system, lanes, seed=lanes)
         ends = flow(system, x0, durations)
         batch = flow_with_sensitivity(system, x0, durations)
         assert ends.shape == x0.shape
         assert batch.sensitivity.shape == (lanes, system.dim, system.dim)
+        assert batch.step.shape == (lanes,)
         for i in range(lanes):
             np.testing.assert_array_equal(ends[i], flow(system, x0[i], durations[i]))
             single = flow_with_sensitivity(system, x0[i], durations[i])
             np.testing.assert_array_equal(batch.end_state[i], single.end_state)
             np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
             np.testing.assert_array_equal(batch.end_derivative[i], single.end_derivative)
+            np.testing.assert_array_equal(batch.step[i], single.step)
+        first = [serial_first_step(system, x, d, sensitivity=True) for x, d in zip(x0, durations)]
+        warm = flow_with_sensitivity(system, x0, durations, first_step=first)
+        for field in ("end_state", "sensitivity", "end_derivative", "step"):
+            assert getattr(warm, field).tobytes() == getattr(batch, field).tobytes(), field
 
 
 def test_lanes_agree_with_serial_reference():
@@ -222,9 +237,10 @@ def test_lanes_agree_with_serial_reference():
         batch = flow_with_sensitivity(system, x0, durations)
         for i in range(len(x0)):
             assert ends[i].tobytes() == serial_flow(system, x0[i], durations[i]).tobytes()
-            end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
+            end, sens, step = serial_flow(system, x0[i], durations[i], sensitivity=True)
             assert batch.end_state[i].tobytes() == end.tobytes()
             assert batch.sensitivity[i].tobytes() == sens.tobytes()
+            assert batch.step[i] == step
 
 
 def test_zero_duration_lanes_are_identity():
@@ -234,6 +250,26 @@ def test_zero_duration_lanes_are_identity():
     for i in np.flatnonzero(durations == 0.0):
         np.testing.assert_array_equal(batch.end_state[i], x0[i])
         np.testing.assert_array_equal(batch.sensitivity[i], np.eye(3))
+        assert batch.step[i] == 0.0
+
+
+def test_first_steps_that_are_not_positive_fall_back_to_the_heuristic():
+    """The step of a lane that took no step is 0, and a failed lane's is NaN:
+    as first steps, both (and a negative one) start their lane as a call
+    without ``first_step`` does, bitwise, beside warm-started lanes."""
+    system = benchmark2()
+    x0, durations = _mixed_batch(system, 6, seed=2)
+    assert durations[[1, 2, 3, 5]].all()
+    fresh = flow_with_sensitivity(system, x0, durations)
+    first = np.array([0.3, 0.0, np.nan, 0.3, 0.0, -0.1])
+    warm = flow_with_sensitivity(system, x0, durations, first_step=first)
+    for i in range(len(x0)):
+        same = all(
+            getattr(warm, field)[i].tobytes() == getattr(fresh, field)[i].tobytes()
+            for field in ("end_state", "sensitivity", "end_derivative", "step")
+        )
+        # lane 0 has a zero duration, lane 3 starts from its own step
+        assert same == (i != 3), i
 
 
 def _kink_system():
@@ -260,9 +296,10 @@ def test_lanes_that_reject_steps_match_single_and_serial_runs():
         single = flow_with_sensitivity(system, x0[i], durations[i])
         np.testing.assert_array_equal(batch.end_state[i], single.end_state)
         np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
-        end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
+        end, sens, step = serial_flow(system, x0[i], durations[i], sensitivity=True)
         assert batch.end_state[i].tobytes() == end.tobytes()
         assert batch.sensitivity[i].tobytes() == sens.tobytes()
+        assert batch.step[i] == single.step == step
 
 
 BUILT_IN = [("benchmark1", 2), ("benchmark1", 4), ("benchmark2", 3), ("benchmark3", 2),
@@ -271,31 +308,45 @@ BUILT_IN = [("benchmark1", 2), ("benchmark1", 4), ("benchmark2", 3), ("benchmark
 DURATIONS = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
 
 
+# first steps of warm-started lanes: the heuristic's fallbacks 0 and NaN, and
+# sizes from far below to far above a typical step
+FIRST_STEPS = st.one_of(st.just(0.0), st.just(np.nan), st.floats(1e-4, 3.0))
+
+
 @st.composite
 def random_batches(draw):
-    """A built-in system, B <= 12 start states near the unit vector, B durations."""
+    """A built-in system, B <= 12 start states near the unit vector, B
+    durations and B first steps."""
     name, n = draw(st.sampled_from(BUILT_IN))
     lanes = draw(st.integers(1, 12))
     x0 = draw(hnp.arrays(float, (lanes, n), elements=st.floats(0.6, 1.4)))
     durations = draw(hnp.arrays(float, lanes, elements=DURATIONS))
-    return make_system(name, n), x0, durations
+    first = draw(hnp.arrays(float, lanes, elements=FIRST_STEPS))
+    return make_system(name, n), x0, durations, first
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)
 @given(random_batches())
 def test_random_batch_lanes_equal_single_calls_and_the_serial_loop(case):
-    system, x0, durations = case
+    """Fresh and warm-started lanes alike: each lane of a batch has the bytes
+    of its own call and of the serial loop, its step included."""
+    system, x0, durations, first = case
     ends = flow(system, x0, durations)
-    batch = flow_with_sensitivity(system, x0, durations)
+    for first_step in (None, first):
+        batch = flow_with_sensitivity(system, x0, durations, first_step=first_step)
+        for i in range(len(x0)):
+            lane_first = None if first_step is None else first_step[i]
+            single = flow_with_sensitivity(system, x0[i], durations[i], first_step=lane_first)
+            for field in ("end_state", "sensitivity", "end_derivative", "step"):
+                assert getattr(batch, field)[i].tobytes() == getattr(single, field).tobytes()
+            end, sens, step = serial_flow(
+                system, x0[i], durations[i], sensitivity=True, first_step=lane_first
+            )
+            assert batch.end_state[i].tobytes() == end.tobytes()
+            assert batch.sensitivity[i].tobytes() == sens.tobytes()
+            assert batch.step[i] == step
     for i in range(len(x0)):
         np.testing.assert_array_equal(ends[i], flow(system, x0[i], durations[i]))
-        single = flow_with_sensitivity(system, x0[i], durations[i])
-        np.testing.assert_array_equal(batch.end_state[i], single.end_state)
-        np.testing.assert_array_equal(batch.sensitivity[i], single.sensitivity)
-        np.testing.assert_array_equal(batch.end_derivative[i], single.end_derivative)
-        end, sens = serial_flow(system, x0[i], durations[i], sensitivity=True)
-        assert batch.end_state[i].tobytes() == end.tobytes()
-        assert batch.sensitivity[i].tobytes() == sens.tobytes()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -365,8 +416,11 @@ def test_only_the_one_lane_stepper_calls_the_system_on_single_states(monkeypatch
 
 
 def _dop853_lanes(system, x0, durations, max_steps):
-    """Statuses and end states of ``integrate._dop853`` on ``system``'s rhs."""
-    return integrate._dop853(integrate._rhs_stage(system), x0, durations, 1e-9, 1e-9, max_steps)
+    """End states and statuses of ``integrate._dop853`` on ``system``'s rhs."""
+    end, status, _ = integrate._dop853(
+        integrate._rhs_stage(system), x0, durations, 1e-9, 1e-9, max_steps
+    )
+    return end, status
 
 
 def test_lane_outcomes_are_independent():
@@ -481,13 +535,17 @@ def test_one_lane_hand_off_keeps_every_lane_bitwise(case, monkeypatch):
             continue
         assert end[i].tobytes() == serial_flow(system, x0[i], durations[i], cfg).tobytes()
         single = flow_with_sensitivity(system, x0[i], durations[i], cfg)
-        serial_end, serial_sens = serial_flow(system, x0[i], durations[i], cfg, sensitivity=True)
+        serial_end, serial_sens, serial_step = serial_flow(
+            system, x0[i], durations[i], cfg, sensitivity=True
+        )
         for ours, theirs in (
             (result.end_state[i], single.end_state),
             (result.sensitivity[i], single.sensitivity),
             (result.end_derivative[i], single.end_derivative),
+            (result.step[i], single.step),
             (result.end_state[i], serial_end),
             (result.sensitivity[i], serial_sens),
+            (result.step[i], np.float64(serial_step)),
         ):
             assert ours.tobytes() == theirs.tobytes()
 

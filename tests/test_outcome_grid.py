@@ -79,7 +79,8 @@ def test_compare_flags_a_worse_full_digit_and_a_lost_blockdiag_cell():
 def test_jittered_runs_are_reproducible(tmp_path):
     """`--jitter 2` solves a `full` cell from the stock guess and with its
     durations one and two ulp up; a second run writes the same records,
-    and the first of them is the row `falsify bench` computes for the cell."""
+    and the first of them is the row `falsify bench` computes for the cell.
+    `blockdiag` cells are jittered the same way."""
     from falsify.bench import BenchSpec, run_table
     from falsify.formulation import Formulation
     from falsify.sqp import SqpConfig
@@ -99,8 +100,15 @@ def test_jittered_runs_are_reproducible(tmp_path):
     assert (runs["nit"][0], runs["status"][0], runs["reasons"][0]) == (
         stock.nit, stock.status, list(stock.reasons)
     )
-    done = grid_tool(ROOT, "--jitter", 1, "--out", files[0], "--cells", CELLS[2])
-    assert done.returncode != 0 and "not full grid cells" in done.stderr
+    block = tmp_path / "GRID_noise_block.json"
+    done = grid_tool(ROOT, "--jitter", 1, "--out", block, "--cells", CELLS[2])
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(block.read_text())["cells"][CELLS[2]]
+    assert all(len(runs[key]) == 2 for key in ("nit", "status", "reasons"))
+    (stock,) = run_table(spec, SqpConfig(hessian_variant="blockdiag"))
+    assert (runs["nit"][0], runs["status"][0], runs["reasons"][0]) == (
+        stock.nit, stock.status, list(stock.reasons)
+    )
 
 
 def test_compare_marks_full_changes_against_the_noise():
@@ -151,3 +159,55 @@ def test_compare_marks_full_changes_against_the_noise():
     del narrow["cells"]["s-n2-N5-eq7-full"]
     lines, _ = outcome_grid.compare(before, after, narrow)
     assert "  nit total 70 -> 122" in lines
+
+
+def test_compare_marks_blockdiag_changes_against_the_noise():
+    """The `blockdiag` found share is marked against the found shares of the
+    noise file's runs at each jitter, and each cell found on one side only
+    against its own runs' outcomes; the verdict stays that of the cells."""
+    before = {
+        "total_wall_s": 3.0,
+        "cells": {
+            "s-n2-N5-eq5-blockdiag": record(12, "1"),
+            "s-n2-N5-eq6-blockdiag": record(50, "2"),
+            "s-n2-N5-eq7-blockdiag": record(30, "F", ["unsafe_boundary"]),
+        },
+    }
+    after = copy.deepcopy(before)
+    after["cells"]["s-n2-N5-eq5-blockdiag"] = record(14, "F", ["negative_length"])
+    after["cells"]["s-n2-N5-eq6-blockdiag"] = record(400, "F", ["unsafe_boundary"])
+    noise = {
+        "jitter": 2,
+        "cells": {
+            "s-n2-N5-eq5-blockdiag": {
+                "nit": [12, 13, 14],
+                "status": ["1", "1", "F"],
+                "reasons": [[], [], ["negative_length"]],
+            },
+            "s-n2-N5-eq6-blockdiag": {
+                "nit": [50, 60, 70], "status": ["2"] * 3, "reasons": [[]] * 3
+            },
+            "s-n2-N5-eq7-blockdiag": {
+                "nit": [30, 31, 30],
+                "status": ["F", "1", "F"],
+                "reasons": [["unsafe_boundary"], [], ["unsafe_boundary"]],
+            },
+        },
+    }
+    plain, worse = outcome_grid.compare(before, after)
+    lines, noisy_worse = outcome_grid.compare(before, after, noise)
+    assert worse and noisy_worse
+    # found 2, 3 and 1 at 0, 1 and 2 ulp
+    assert "blockdiag: 3 cells, found 2 -> 0 (outside noise: found 1..3)" in lines
+    assert "  lost: s-n2-N5-eq5-blockdiag S1 -> F negative_length" \
+        " (inside noise: F negative_length / S1)" in lines
+    assert "  lost: s-n2-N5-eq6-blockdiag S2 -> F unsafe_boundary (outside noise: S2)" in lines
+    assert [re.sub(r" \((inside|outside) noise: .*\)$| \(noise band .*\)$", "", line)
+            for line in lines] == plain
+
+    after["cells"]["s-n2-N5-eq6-blockdiag"] = record(60, "2")
+    lines, _ = outcome_grid.compare(before, after, noise)
+    assert "blockdiag: 3 cells, found 2 -> 1 (inside noise: found 1..3)" in lines
+    del noise["cells"]["s-n2-N5-eq7-blockdiag"]
+    lines, _ = outcome_grid.compare(before, after, noise)
+    assert "blockdiag: 3 cells, found 2 -> 1" in lines

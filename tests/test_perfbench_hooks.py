@@ -109,9 +109,9 @@ def test_traced_smoke_cell_matches_the_plain_run(monkeypatch):
     ladder = []
     evaluate_many = falsify.sqp.evaluate_many
 
-    def recording(instance, vecs, *args):
+    def recording(instance, vecs, *args, **kwargs):
         ladder.append(len(vecs))
-        return evaluate_many(instance, vecs, *args)
+        return evaluate_many(instance, vecs, *args, **kwargs)
 
     monkeypatch.setattr(falsify.sqp, "evaluate_many", recording)
     for cell in workloads.WORKLOADS["smoke"].cells + workloads.WORKLOADS["backtrack"].cells[:1]:

@@ -622,6 +622,29 @@ def bench_cell(system_name, dim, n_segments, name):
     return instance, initial_guess(instance, n_segments, spec.horizon), spec.formulation
 
 
+def test_a_segment_of_zero_duration_starts_its_trials_fresh(monkeypatch):
+    """Every trial batch starts from the incumbent's steps.  The duration
+    bound cuts the first search of benchmark1 n2 N5 eq10 so that a
+    segment's duration lands on 0, and that segment's recorded step is 0.
+    The trials of the next search start it from the starting-step
+    heuristic; a zero first step would underflow every trial into S3."""
+    instance, guess, form = bench_cell("benchmark1", 2, 5, "eq10")
+    first = run(form, instance, guess, SqpConfig(max_iter=1))
+    assert 0.0 in first.final_X.times
+    first_steps = []
+    evaluate_many = falsify.sqp.evaluate_many
+
+    def recording(instance, vecs, cfg=None, *, first_step):
+        first_steps.append(first_step)
+        return evaluate_many(instance, vecs, cfg, first_step=first_step)
+
+    monkeypatch.setattr(falsify.sqp, "evaluate_many", recording)
+    report = run(form, instance, guess, SqpConfig(max_iter=3))
+    assert (report.nit, report.termination) == (3, Termination.S2_MAXIT)
+    assert first_steps[0].tobytes() == evaluate_segments(instance, guess).step.tobytes()
+    assert any(0.0 in steps for steps in first_steps)
+
+
 def assert_same_run(ours, theirs):
     """Both reports hold the same bits: every TraceRecord field, the final
     vector and the multipliers."""
@@ -643,9 +666,9 @@ def ladder_batches(monkeypatch):
     sizes = []
     original = falsify.sqp.evaluate_many
 
-    def recording(instance, vecs, cfg=None):
+    def recording(instance, vecs, cfg=None, **kwargs):
         sizes.append(len(vecs))
-        return original(instance, vecs, cfg)
+        return original(instance, vecs, cfg, **kwargs)
 
     monkeypatch.setattr(falsify.sqp, "evaluate_many", recording)
     return sizes
@@ -708,9 +731,9 @@ def test_failing_ladder_lane_reads_inf_without_a_second_integration(monkeypatch)
         integrated.append(pack(vec).tobytes())
         return evaluate_one(instance, vec, cfg)
 
-    def failing_first_trial(instance, vecs, cfg=None):
+    def failing_first_trial(instance, vecs, cfg=None, **kwargs):
         integrated.extend(pack(vec).tobytes() for vec in vecs)
-        outcomes = list(evaluate_many(instance, vecs, cfg))
+        outcomes = list(evaluate_many(instance, vecs, cfg, **kwargs))
         if fresh[0]:
             fresh[0] = False
             outcomes[0] = IntegrationFailure("step budget exhausted")
