@@ -203,58 +203,46 @@ def constraint_value(kind, instance, vec, flows):
 def constraint_jacobian(kind, instance, vec, flows):
     """Sparse (m1, m2) B with B[:, j] = gradient of constraint j, packed layout rows.
 
-    Assembled from (row, column, value) triplets; entries that come out
+    Built in CSC format column by column (init column, joints, unsafe
+    column), each column's rows in increasing order; entries that come out
     exactly zero are not stored.  Kind ``"none"`` gives an empty (m1, 0)
     matrix, which the SQP and KKT layers treat like any other B.
     """
     n, big_n = vec.dim, vec.n_segments
     m1 = big_n * (n + 1)
     m2 = constraint_dim(kind, n, big_n)
-    rows, cols, vals = [], [], []
-
-    def column(col, seg, x_part, t_part=None):
-        """Column ``col``: x rows of segment ``seg``, then its t row."""
-        rows.append(np.arange(n) + seg * (n + 1))
-        cols.append(np.full(n, col))
-        vals.append(x_part)
-        if t_part is not None:
-            rows.append([seg * (n + 1) + n])
-            cols.append([col])
-            vals.append([t_part])
-
-    col = 0
+    # candidate entries, column after column, and the number in each column
+    rows, vals, sizes = [np.zeros(0, dtype=int)], [np.zeros(0)], []
     if kind in ("matching_boundary", "boundary"):
-        column(col, 0, instance.init.shape @ (vec.states[0] - instance.init.center))
-        col += 1
+        rows.append(np.arange(n))
+        vals.append(instance.init.shape @ (vec.states[0] - instance.init.center))
+        sizes.append(n)
     if kind in ("matching", "matching_boundary"):
-        # joint i, column col + i*n + c: -S_i[c, :] on segment i's x rows,
-        # -f_i[c] on its t row, and 1 on row c of segment i+1's x rows
-        joints = np.arange(big_n - 1)
-        block_cols = col + joints[:, None] * n + np.arange(n)          # (N-1, n)
-        x_rows = joints[:, None] * (n + 1) + np.arange(n)              # (N-1, n)
-        rows.append(np.broadcast_to(x_rows[:, None, :], (big_n - 1, n, n)).ravel())
-        cols.append(np.broadcast_to(block_cols[:, :, None], (big_n - 1, n, n)).ravel())
-        vals.append(-flows.sensitivity[:-1].ravel())
-        rows.append(np.repeat(joints * (n + 1) + n, n))
-        cols.append(block_cols.ravel())
-        vals.append(-flows.end_derivative[:-1].ravel())
-        rows.append((x_rows + n + 1).ravel())
-        cols.append(block_cols.ravel())
-        vals.append(np.ones((big_n - 1) * n))
-        col += n * (big_n - 1)
+        # joint i, component c: -S_i[c, :] on segment i's x rows, -f_i[c] on
+        # its t row, and 1 on row c of segment i+1's x rows
+        start = np.arange(big_n - 1)[:, None] * (n + 1)
+        joint_rows = np.empty((big_n - 1, n, n + 2), dtype=int)
+        joint_rows[:, :, : n + 1] = (start + np.arange(n + 1))[:, None, :]
+        joint_rows[:, :, n + 1] = start + n + 1 + np.arange(n)
+        joint_vals = np.empty((big_n - 1, n, n + 2))
+        joint_vals[:, :, :n] = -flows.sensitivity[:-1]
+        joint_vals[:, :, n] = -flows.end_derivative[:-1]
+        joint_vals[:, :, n + 1] = 1.0
+        rows.append(joint_rows.ravel())
+        vals.append(joint_vals.ravel())
+        sizes += [n + 2] * ((big_n - 1) * n)
     if kind in ("matching_boundary", "boundary"):
         w = instance.unsafe_set.shape @ (
             flows.end_state[-1] - instance.unsafe_set.center
         )
-        column(
-            col, big_n - 1, flows.sensitivity[-1].T @ w, float(flows.end_derivative[-1] @ w)
-        )
-    if rows:
-        rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
-    mat = sp.csc_matrix((vals, (rows, cols)), shape=(m1, m2))
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
+        rows.append((big_n - 1) * (n + 1) + np.arange(n + 1))
+        vals.append(np.append(flows.sensitivity[-1].T @ w, flows.end_derivative[-1] @ w))
+        sizes.append(n + 1)
+    rows, vals = np.concatenate(rows), np.concatenate(vals)
+    keep = vals != 0.0
+    stored = np.bincount(np.repeat(np.arange(m2), sizes)[keep], minlength=m2)
+    indptr = np.concatenate(([0], np.cumsum(stored)))
+    return sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(m1, m2))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ a single dim x dim block for ``full``, and k = N blocks of width w = n+1 for
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 __all__ = ["HessianApprox", "init_identity", "VARIANTS"]
@@ -125,18 +124,6 @@ class HessianApprox:
         diagonal = np.arange(count)
         dense[diagonal, :, diagonal, :] = self.blocks
         return dense.reshape(self.dim, self.dim)
-
-    def csc(self):
-        """H in CSC format, holding exactly its nonzero entries, each
-        column's rows in increasing order."""
-        count, width, _ = self.blocks.shape
-        columns = self.blocks.transpose(0, 2, 1)  # columns[b, c] is column c of block b
-        nonzero = columns != 0.0
-        block, _, row = np.nonzero(nonzero)
-        indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=2).ravel())))
-        return sp.csc_matrix(
-            (columns[nonzero], block * width + row, indptr), shape=(self.dim, self.dim)
-        )
 
     def update(self, s, y):
         """BFGS update with step s = X_new - X and gradient difference y.

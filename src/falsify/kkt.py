@@ -17,11 +17,16 @@ projection), with the bandwidth read from its sparsity pattern: under
 multiple shooting B couples neighbouring segments only, so the bandwidth
 is at most 2n - 1, and any other B still factors, with a wider band.  With
 m2 = 0 the projection is the identity and PPCG is plain CG on
-H d_x = rhs_top.  The direct solve serves as fallback: it assembles the
-saddle matrix in CSC format from H's nonzero blocks and B's entries (B is
-sparse and block structured under multiple shooting) and factors it once
-with SuperLU.  That one sparse LU supplies both the diagonal of U that its
-singularity test reads and the solve.
+H d_x = rhs_top.  The direct solve serves as fallback: one banded LU
+(LAPACK gbtrf, then gbtrs) of the saddle matrix with its rows and columns
+in segment order.  The primal rows keep their packed order, segment by
+segment (n + 1 rows each), and each constraint follows the segment that
+holds its first stored row in B, so under multiple shooting the order is
+[x_i, t_i, lambda_i] per segment and the half-bandwidth is at most 2n + 1.
+The band is read from the permuted sparsity pattern, so any other B still
+solves, with a wider band; the LU costs about dim kl (kl + ku) flops.  That
+one factorization supplies both the diagonal of U that its singularity test
+reads and the solve.
 """
 
 from dataclasses import dataclass
@@ -29,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu
 
 __all__ = [
     "SaddleSystem",
@@ -42,7 +46,9 @@ __all__ = [
 
 PPCG_TOL = 1e-10  # stopping tolerance, relative to the initial projected residual
 
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+_pbtrf, _pbtrs, _gbtrf, _gbtrs = get_lapack_funcs(
+    ("pbtrf", "pbtrs", "gbtrf", "gbtrs"), dtype=np.float64
+)
 
 
 class SingularSystem(Exception):
@@ -80,7 +86,9 @@ class SaddleSystem:
         return self.rhs_bottom.shape[0]
 
     def dense_matrix(self):
-        return _saddle_csc(self).toarray()
+        """The saddle matrix [[H, B], [B^T, 0]] as a dense array."""
+        jac = self.jac.toarray()
+        return np.block([[self.hess.dense_copy(), jac], [jac.T, np.zeros((self.m2, self.m2))]])
 
     def rhs(self):
         return np.concatenate([self.rhs_top, self.rhs_bottom])
@@ -108,34 +116,62 @@ class KktSolution:
     cg_iterations: int
 
 
-def _saddle_csc(system):
-    """The saddle matrix [[H, B], [B^T, 0]] in CSC format."""
-    hess = system.hess.csc()
-    return sp.bmat([[hess, system.jac], [system.jac.T, None]], format="csc")
+def _segment_order(hess, jac):
+    """Order of the saddle matrix's rows and columns, segment by segment.
+
+    The primal rows keep their packed order; each constraint column of the
+    CSC ``jac`` follows the segment (n + 1 packed rows) that holds its first
+    stored row, and a column without entries goes last.
+    """
+    m1, m2 = jac.shape
+    first = np.full(m2, m1)
+    stored = np.diff(jac.indptr) > 0
+    first[stored] = jac.indices[jac.indptr[:-1][stored]]
+    segment = np.concatenate((np.arange(m1), first)) // (hess.n + 1)
+    return np.lexsort((np.arange(m1 + m2) >= m1, segment))
 
 
 def solve_direct(system):
-    """Sparse LU (SuperLU) solve of the saddle matrix.
+    """Banded LU (LAPACK gbtrf/gbtrs) solve of the saddle matrix in segment order.
 
-    One factorization with SuperLU's default COLAMD ordering and partial
-    pivoting serves both the singularity test and the solve.  Raises
-    :class:`SingularSystem` when SuperLU finds the matrix exactly singular,
-    when the magnitudes of U's diagonal reveal rank deficiency (relative
-    tolerance 1e-12), or when the residual check fails, a NaN residual
-    included.
+    The band storage is written straight from H's nonzero block entries and
+    B's stored entries, with kl and ku read from the permuted pattern.  One
+    factorization with partial pivoting serves both the singularity test and
+    the solve.  Raises :class:`SingularSystem` when gbtrf finds an exactly
+    zero pivot, when the magnitudes of U's diagonal reveal rank deficiency
+    (relative tolerance 1e-12), or when the residual check fails, a NaN
+    residual included.
     """
-    rhs = system.rhs()
-    try:
-        lu = splu(_saddle_csc(system))
-    except RuntimeError as exc:
-        raise SingularSystem(f"saddle matrix numerically singular (SuperLU: {exc})") from exc
-    pivots = np.abs(lu.U.diagonal())
+    hess, jac = system.hess, system.jac.tocsc()
+    m1, m2 = jac.shape
+    order = _segment_order(hess, jac)
+    position = np.empty_like(order)
+    position[order] = np.arange(m1 + m2)
+    width = hess.blocks.shape[1]
+    block, row, col = np.nonzero(hess.blocks)
+    jac_cols = m1 + np.repeat(np.arange(m2), np.diff(jac.indptr))
+    rows = position[np.concatenate((block * width + row, jac.indices, jac_cols))]
+    cols = position[np.concatenate((block * width + col, jac_cols, jac.indices))]
+    kl = int(np.max(rows - cols, initial=0))
+    ku = int(np.max(cols - rows, initial=0))
+    # LAPACK general band storage: entry (i, j) at band[kl + ku + i - j, j]
+    band = np.zeros((2 * kl + ku + 1, m1 + m2), order="F")
+    band[kl + ku + rows - cols, cols] = np.concatenate(
+        (hess.blocks[block, row, col], jac.data, jac.data)
+    )
+    lu, ipiv, info = _gbtrf(band, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise SingularSystem(
+            f"saddle matrix numerically singular (gbtrf: U[{info - 1}, {info - 1}] is exactly zero)"
+        )
+    pivots = np.abs(lu[kl + ku])
     if pivots.max() == 0.0 or pivots.min() <= 1e-12 * pivots.max():
         raise SingularSystem(
             f"saddle matrix numerically singular (pivot ratio {pivots.min():.2e}/{pivots.max():.2e})"
         )
-    sol = lu.solve(rhs)
-    m1 = system.m1
+    rhs = system.rhs()
+    sol = np.empty(m1 + m2)
+    sol[order] = _gbtrs(lu, kl, ku, rhs[order], ipiv)[0]
     d_x, d_lam = sol[:m1], sol[m1:]
     residual = system.residual(d_x, d_lam)
     # a NaN residual, from an overflowed solution, fails the test too

@@ -268,9 +268,9 @@ def line_search(
 def _solve_step(system, method):
     """KKT solve with the documented fallback ladder.
 
-    PPCG breakdowns fall back to the sparse LU direct solve; a singular
-    direct solve (SuperLU finds the saddle matrix exactly singular, the
-    diagonal of U is rank deficient, or the residual check fails) falls back
+    PPCG breakdowns fall back to the banded LU direct solve; a singular
+    direct solve (gbtrf finds an exactly zero pivot, the diagonal of U is
+    rank deficient, or the residual check fails) falls back
     to the dense minimum-norm least-squares direction with the line search
     started at alpha = 1/2 instead of 1.  Returns the solution, the initial
     step length and the name of the rung that solved.  A system holding a

@@ -6,7 +6,9 @@ scipy's integrators provide reference flows, the rotation benchmark has
 an explicit matrix-exponential solution, and the six regularized
 formulations have closed-form Lagrangian gradients
 (:func:`lagrangian_gradient_direct`) to compare with the library's one
-path, objective gradient + B lambda.  The dense LDL^T KKT solve as three
+path, objective gradient + B lambda, and the constraint Jacobian built from
+triplets (:func:`constraint_jacobian_triplets`) gives the CSC arrays the
+library's column-by-column build must equal.  The dense LDL^T KKT solve as three
 separate passes, and a one-dimensional system that blows up in finite
 time, live here too.  Two helpers call into the solver on purpose:
 :func:`trial` and :func:`merit_slope` give the merit tests the m(alpha) and
@@ -18,6 +20,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from falsify import integrate, sqp
@@ -315,6 +318,64 @@ def lagrangian_gradient_direct(form, instance, vec, lam, flows):
 
 
 # ---------------------------------------------------------------------------
+# constraint Jacobian from triplets
+
+
+def constraint_jacobian_triplets(kind, instance, vec, flows):
+    """B assembled from (row, column, value) triplets, converted to CSC,
+    with its exact zeros eliminated and its indices sorted: the arrays
+    :func:`falsify.formulation.constraint_jacobian` must reproduce."""
+    n, big_n = vec.dim, vec.n_segments
+    m1 = big_n * (n + 1)
+    m2 = constraint_dim(kind, n, big_n)
+    rows, cols, vals = [], [], []
+
+    def column(col, seg, x_part, t_part=None):
+        """Column ``col``: x rows of segment ``seg``, then its t row."""
+        rows.append(np.arange(n) + seg * (n + 1))
+        cols.append(np.full(n, col))
+        vals.append(x_part)
+        if t_part is not None:
+            rows.append([seg * (n + 1) + n])
+            cols.append([col])
+            vals.append([t_part])
+
+    col = 0
+    if kind in ("matching_boundary", "boundary"):
+        column(col, 0, instance.init.shape @ (vec.states[0] - instance.init.center))
+        col += 1
+    if kind in ("matching", "matching_boundary"):
+        # joint i, column col + i*n + c: -S_i[c, :] on segment i's x rows,
+        # -f_i[c] on its t row, and 1 on row c of segment i+1's x rows
+        joints = np.arange(big_n - 1)
+        block_cols = col + joints[:, None] * n + np.arange(n)          # (N-1, n)
+        x_rows = joints[:, None] * (n + 1) + np.arange(n)              # (N-1, n)
+        rows.append(np.broadcast_to(x_rows[:, None, :], (big_n - 1, n, n)).ravel())
+        cols.append(np.broadcast_to(block_cols[:, :, None], (big_n - 1, n, n)).ravel())
+        vals.append(-flows.sensitivity[:-1].ravel())
+        rows.append(np.repeat(joints * (n + 1) + n, n))
+        cols.append(block_cols.ravel())
+        vals.append(-flows.end_derivative[:-1].ravel())
+        rows.append((x_rows + n + 1).ravel())
+        cols.append(block_cols.ravel())
+        vals.append(np.ones((big_n - 1) * n))
+        col += n * (big_n - 1)
+    if kind in ("matching_boundary", "boundary"):
+        w = instance.unsafe_set.shape @ (
+            flows.end_state[-1] - instance.unsafe_set.center
+        )
+        column(
+            col, big_n - 1, flows.sensitivity[-1].T @ w, float(flows.end_derivative[-1] @ w)
+        )
+    if rows:
+        rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+    mat = sp.csc_matrix((vals, (rows, cols)), shape=(m1, m2))
+    mat.eliminate_zeros()
+    mat.sort_indices()
+    return mat
+
+
+# ---------------------------------------------------------------------------
 # reference formulas of the built-in systems
 
 # The right-hand sides and state Jacobians of benchmark1/2/3 as first
@@ -482,7 +543,7 @@ def ldl_pivot_magnitudes(mat):
 
 def direct_three_pass(system):
     """The dense KKT solve as three O(m^3) passes, an independent reference
-    for the sparse LU of :func:`falsify.kkt.solve_direct`: a lower LDL^T
+    for the banded LU of :func:`falsify.kkt.solve_direct`: a lower LDL^T
     factorization whose D feeds the singularity test through ``eigvalsh``,
     then a separate symmetric solve.  Raises and returns as
     ``solve_direct`` does.

@@ -21,7 +21,9 @@ The third form compares two grid files and exits 1 when the second is
 worse.  `full` cells are compared one by one: every S digit that got better
 or worse, and every NIT delta with the totals.  `blockdiag` cells are
 compared by their found share (cells not "F") only, with the cells that were
-found on one side and not on the other.  Their iterates are sensitive to
+found on one side and not on the other; each side's count of S1 cells is
+printed beside its found share, as a report only: a cell that stops S2 at the
+iteration cap can verify as found by chance.  Their iterates are sensitive to
 rounding: raising every step d_x by one ulp moves NIT on benchmark2 n3 N5
 eq6 from 207 to 115 and turns benchmark3 n2 N10 eq6 from S1 into F, so a
 per-cell outcome says little there.  The second file is worse when a `full`
@@ -242,6 +244,8 @@ def compare(a, b, noise=None):
     found_a = sum(cells_a[name]["status"] != "F" for name in block)
     found_b = sum(cells_b[name]["status"] != "F" for name in block)
     worse |= found_b < found_a
+    converged_a = sum(cells_a[name]["status"] == "1" for name in block)
+    converged_b = sum(cells_b[name]["status"] == "1" for name in block)
     mark = ""
     if noise is not None and block and all(name in noise["cells"] for name in block):
         # found share of the noise file's run at each jitter
@@ -249,7 +253,10 @@ def compare(a, b, noise=None):
         shares = [sum(status != "F" for status in run) for run in runs]
         inside = min(shares) <= found_b <= max(shares)
         mark = f" ({'inside' if inside else 'outside'} noise: found {min(shares)}..{max(shares)})"
-    lines.append(f"blockdiag: {len(block)} cells, found {found_a} -> {found_b}{mark}")
+    lines.append(
+        f"blockdiag: {len(block)} cells, found {found_a} (S1 {converged_a})"
+        f" -> {found_b} (S1 {converged_b}){mark}"
+    )
     for name in block:
         old, new = cells_a[name], cells_b[name]
         if (old["status"] == "F") != (new["status"] == "F"):

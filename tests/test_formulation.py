@@ -20,6 +20,7 @@ from oracles import (
     TIGHT,
     benchmark2_instance,
     benchmark3_instance,
+    constraint_jacobian_triplets,
     fd_flows,
     fd_gradient,
     fd_jacobian,
@@ -288,6 +289,29 @@ def test_constraint_jacobian_matches_dense_assembly(n_segments):
             assert np.all(jac.data != 0.0), kind
             assert jac.nnz == np.count_nonzero(dense), kind
             np.testing.assert_array_equal(jac.toarray(), dense, err_msg=kind)
+
+
+@pytest.mark.parametrize("n_segments", [1, 4])
+def test_constraint_jacobian_arrays_equal_the_triplet_build(n_segments):
+    """The column-by-column CSC build stores the arrays that triplets, zero
+    elimination and sorting give, bit for bit and with the same dtypes; the
+    rotation's sensitivities hold exact zeros, which both leave out."""
+    rng = np.random.default_rng(37)
+    for instance in (benchmark2_instance(n_segments), benchmark3_instance(4, n_segments)):
+        vec = random_vector_near_guess(instance, rng)
+        flows = flows_for(instance, vec)
+        for kind in ("matching", "matching_boundary", "boundary", "none"):
+            built = constraint_jacobian(kind, instance, vec, flows)
+            expected = constraint_jacobian_triplets(kind, instance, vec, flows)
+            assert built.format == "csc" and built.shape == expected.shape, kind
+            for name in ("data", "indices", "indptr"):
+                found, wanted = getattr(built, name), getattr(expected, name)
+                assert found.dtype == wanted.dtype, (kind, name)
+                np.testing.assert_array_equal(found, wanted, err_msg=f"{kind} {name}")
+    if n_segments > 1:
+        # the last instance, benchmark3, leaves exact zeros in its joint columns
+        joints = constraint_jacobian("matching", instance, vec, flows)
+        assert joints.nnz < joints.shape[1] * (4 + 2)
 
 
 def test_lagrangian_gradient_closed_forms_agree():

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from falsify.hessian import VARIANTS, HessianApprox, init_identity
 
@@ -166,27 +165,6 @@ def test_matvec_matches_dense():
             h.update(s, y)
         v = rng.standard_normal(h.dim)
         np.testing.assert_allclose(h.matvec(v), h.dense_copy() @ v, rtol=1e-14)
-
-
-def test_csc_export_holds_exactly_the_nonzeros():
-    """The export is bitwise the dense matrix, stores no zero, and has the
-    arrays of the CSC conversion of the dense matrix: the direct solver's
-    saddle matrix is assembled from it."""
-    rng = np.random.default_rng(163)
-    for variant in VARIANTS:
-        h = init_identity(variant, 2, 4)
-        for _ in range(4):
-            export = h.csc()
-            dense = h.dense_copy()
-            assert np.array_equal(export.toarray(), dense), variant
-            assert (export.data != 0).all(), variant
-            reference = sp.csc_matrix(dense)
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(export, name), getattr(reference, name)), name
-            s, y = curved_pair(rng, h.dim)
-            s[rng.permutation(h.dim)[:3]] = 0.0
-            h.update(s, y)
-            h.blocks[:, 0, 1] = h.blocks[:, 1, 0] = 0.0  # zeros inside the blocks
 
 
 def test_blocks_must_have_the_variant_shape():

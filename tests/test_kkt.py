@@ -1,4 +1,4 @@
-"""Tests for the saddle-point solvers: sparse direct solve and PPCG."""
+"""Tests for the saddle-point solvers: banded direct solve and PPCG."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,25 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from falsify import kkt
+from falsify.formulation import constraint_jacobian
 from falsify.hessian import VARIANTS, HessianApprox, init_identity
 from falsify.kkt import (
     Breakdown,
     SaddleSystem,
     SingularSystem,
     _ConstraintProjector,
+    _segment_order,
     solve_direct,
     solve_ppcg,
 )
-from oracles import direct_three_pass, ldl_pivot_magnitudes
+from falsify.shooting import evaluate_segments
+from oracles import (
+    benchmark3_instance,
+    direct_three_pass,
+    ldl_pivot_magnitudes,
+    random_vector_near_guess,
+)
 
 
 def full_hessian(mat):
@@ -156,7 +165,7 @@ def assert_agrees_with_the_three_pass_oracle(system):
 
 
 def test_direct_solve_agrees_with_the_three_pass_oracle():
-    """The sparse LU step matches the dense LDL^T step on indefinite systems
+    """The banded LU step matches the dense LDL^T step on indefinite systems
     whose upper LDL^T needs 2x2 pivots; the largest has the size of the
     wide-linear direct cells (kappa about 1e5)."""
     rng = np.random.default_rng(257)
@@ -237,6 +246,70 @@ def test_singular_direct_solve_raises():
             solve(system)
     with pytest.raises(Breakdown, match=r"B\^T B factorization"):
         solve_ppcg(system)
+
+
+def band_spy(monkeypatch):
+    """(kl, ku) of every gbtrf call of the direct solve."""
+    seen = []
+    factor = kkt._gbtrf
+
+    def spy(band, kl, ku, **kwargs):
+        seen.append((kl, ku))
+        return factor(band, kl, ku, **kwargs)
+
+    monkeypatch.setattr(kkt, "_gbtrf", spy)
+    return seen
+
+
+def test_multiple_shooting_saddle_matrix_has_a_narrow_band(monkeypatch):
+    """On benchmark3 n4 N5 eq8 with `blockdiag` blocks, the segment order
+    [x_i, t_i, lambda_i] gives a half-bandwidth of at most 2n + 1; with the
+    multipliers after all primal rows, the joint columns' entries on the
+    next segment would lie about m1 rows from the diagonal."""
+    n, n_segments = 4, 5
+    rng = np.random.default_rng(271)
+    instance = benchmark3_instance(n, n_segments)
+    vec = random_vector_near_guess(instance, rng)
+    jac = constraint_jacobian("matching_boundary", instance, vec, evaluate_segments(instance, vec))
+    a = rng.standard_normal((n_segments, n + 1, n + 1))
+    hess = HessianApprox("blockdiag", n, n_segments, a @ a.transpose(0, 2, 1) + np.eye(n + 1))
+    system = SaddleSystem(
+        hess, jac, rng.standard_normal(hess.dim), rng.standard_normal(jac.shape[1])
+    )
+    seen = band_spy(monkeypatch)
+    assert_agrees_with_the_three_pass_oracle(system)
+    (kl, ku), = seen
+    assert kl <= 2 * n + 1 and ku <= 2 * n + 1
+    # the order the band was read from, checked on the dense matrix
+    order = _segment_order(hess, jac)
+    rows, cols = np.nonzero(system.dense_matrix()[np.ix_(order, order)])
+    assert (kl, ku) == (np.max(rows - cols), np.max(cols - rows))
+
+
+def test_constraint_without_entries_goes_last_and_is_singular():
+    """A B column with no stored entry sorts after every other row, and its
+    zero row and column leave gbtrf an exactly zero pivot."""
+    hess = init_identity("blockdiag", 2, 3)
+    jac = np.zeros((hess.dim, 3))
+    jac[[1, 7], 1] = 1.0
+    jac[[4, 8], 2] = 1.0
+    jac = sp.csc_matrix(jac)
+    order = _segment_order(hess, jac)
+    assert order.tolist() == [0, 1, 2, 10, 3, 4, 5, 11, 6, 7, 8, 9]
+    system = SaddleSystem(hess, jac, np.ones(hess.dim), np.ones(3))
+    with pytest.raises(SingularSystem, match="exactly zero"):
+        solve_direct(system)
+
+
+def test_exactly_singular_matrix_is_singular_not_a_step():
+    """A zero H without constraints: gbtrf reports a zero pivot (info > 0),
+    and the solve raises before gbtrs could divide by it."""
+    system = SaddleSystem(
+        HessianApprox("blockdiag", 1, 2, np.zeros((2, 2, 2))), sp.csc_matrix((4, 0)),
+        np.ones(4), np.zeros(0),
+    )
+    with pytest.raises(SingularSystem, match="exactly zero"):
+        solve_direct(system)
 
 
 def test_max_iter_caps_work():

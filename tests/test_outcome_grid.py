@@ -72,8 +72,29 @@ def test_compare_flags_a_worse_full_digit_and_a_lost_blockdiag_cell():
     lost = copy.deepcopy(before)
     lost["cells"]["s-n2-N5-eq5-blockdiag"] = record(12, "F", ["negative_length"])
     lines, worse = outcome_grid.compare(before, lost)
-    assert worse and "blockdiag: 2 cells, found 1 -> 0" in lines
+    assert worse and "blockdiag: 2 cells, found 1 (S1 1) -> 0 (S1 0)" in lines
     assert "  lost: s-n2-N5-eq5-blockdiag S1 -> F negative_length" in lines
+
+
+def test_compare_reports_blockdiag_s1_counts_beside_the_found_share():
+    """Each side's count of S1 `blockdiag` cells is printed beside its found
+    share; it is a report only, so a found cell that drops from S1 to S2 at
+    the iteration cap does not make the second file worse."""
+    before = {
+        "total_wall_s": 2.0,
+        "cells": {
+            "s-n2-N5-eq5-blockdiag": record(12, "1"),
+            "s-n2-N5-eq6-blockdiag": record(40, "1"),
+            "s-n2-N5-eq7-blockdiag": record(400, "2"),
+        },
+    }
+    capped = copy.deepcopy(before)
+    capped["cells"]["s-n2-N5-eq6-blockdiag"] = record(400, "2")
+    lines, worse = outcome_grid.compare(before, capped)
+    assert not worse
+    assert "blockdiag: 3 cells, found 3 (S1 2) -> 3 (S1 1)" in lines
+    lines, worse = outcome_grid.compare(capped, before)
+    assert not worse and "blockdiag: 3 cells, found 3 (S1 1) -> 3 (S1 2)" in lines
 
 
 def test_jittered_runs_are_reproducible(tmp_path):
@@ -198,7 +219,7 @@ def test_compare_marks_blockdiag_changes_against_the_noise():
     lines, noisy_worse = outcome_grid.compare(before, after, noise)
     assert worse and noisy_worse
     # found 2, 3 and 1 at 0, 1 and 2 ulp
-    assert "blockdiag: 3 cells, found 2 -> 0 (outside noise: found 1..3)" in lines
+    assert "blockdiag: 3 cells, found 2 (S1 1) -> 0 (S1 0) (outside noise: found 1..3)" in lines
     assert "  lost: s-n2-N5-eq5-blockdiag S1 -> F negative_length" \
         " (inside noise: F negative_length / S1)" in lines
     assert "  lost: s-n2-N5-eq6-blockdiag S2 -> F unsafe_boundary (outside noise: S2)" in lines
@@ -207,7 +228,7 @@ def test_compare_marks_blockdiag_changes_against_the_noise():
 
     after["cells"]["s-n2-N5-eq6-blockdiag"] = record(60, "2")
     lines, _ = outcome_grid.compare(before, after, noise)
-    assert "blockdiag: 3 cells, found 2 -> 1 (inside noise: found 1..3)" in lines
+    assert "blockdiag: 3 cells, found 2 (S1 1) -> 1 (S1 0) (inside noise: found 1..3)" in lines
     del noise["cells"]["s-n2-N5-eq7-blockdiag"]
     lines, _ = outcome_grid.compare(before, after, noise)
-    assert "blockdiag: 3 cells, found 2 -> 1" in lines
+    assert "blockdiag: 3 cells, found 2 (S1 1) -> 1 (S1 0)" in lines

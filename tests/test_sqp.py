@@ -603,7 +603,8 @@ def test_non_finite_system_raises_singular_before_any_rung(method):
 
 
 def test_large_well_conditioned_system_solves_directly():
-    # m1 + m2 = 2100: the sparse LU of the saddle matrix solves it, so the
+    # m1 + m2 = 2100: the banded LU of the saddle matrix solves it (this
+    # random B has no segment structure, so its band is nearly full), so the
     # ladder must not fall to least squares with a halved initial step
     m1, m2 = 1500, 600
     rng = np.random.default_rng(5)
