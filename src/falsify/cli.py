@@ -218,16 +218,20 @@ def _cell_instance(spec):
         return None
 
 
+def _json_record(record):
+    """Every field of a dataclass ``record``, with non-finite floats as null."""
+    return {
+        key: _number(value) if isinstance(value, float) else value
+        for key, value in asdict(record).items()
+    }
+
+
 def _write_trace(report, path):
     """JSON Lines: every ``TraceRecord`` field of each iteration, with
     non-finite floats as null."""
     with open(path, "w", newline="") as sink:
         for rec in report.trace:
-            row = {
-                key: _number(value) if isinstance(value, float) else value
-                for key, value in asdict(rec).items()
-            }
-            sink.write(json.dumps(row, allow_nan=False) + "\n")
+            sink.write(json.dumps(_json_record(rec), allow_nan=False) + "\n")
 
 
 def _number(value):
@@ -253,6 +257,7 @@ def _write_report(cfg, row, path):
         "nit": report.nit,
         "hessian_skips": report.hessian_skips,
         "termination": report.termination.value,
+        "last_attempt": _json_record(report.last_attempt) if report.last_attempt else None,
         "final_objective": _number(report.final_objective),
         "final_constraint_norm": _number(report.final_constraint_norm),
         "verified": checked.ok if checked else False,

@@ -7,33 +7,40 @@ Each SQP iteration solves
 
 for the primal-dual step.  B is always a sparse m1 x m2 matrix; the
 unconstrained formulations carry an empty (m1, 0) B, and every solver
-treats them as the case m2 = 0 of the same system.  The workhorse is a
-projected preconditioned conjugate gradient (PPCG) with the constraint
-preconditioner C = [[I, B], [B^T, 0]]: applying C^{-1} reduces to solves
-with the symmetric positive definite matrix B^T B, and keeps every CG
-iterate exactly on the linearized constraint manifold.  B^T B is factored
-once per solve by LAPACK's banded Cholesky (pbtrf, then pbtrs per
-projection), with the bandwidth read from its sparsity pattern: under
-multiple shooting B couples neighbouring segments only, so the bandwidth
-is at most 2n - 1, and any other B still factors, with a wider band.  With
-m2 = 0 the projection is the identity and PPCG is plain CG on
-H d_x = rhs_top.  The direct solve serves as fallback: one banded LU
-(LAPACK gbtrf, then gbtrs) of the saddle matrix with its rows and columns
-in segment order.  The primal rows keep their packed order, segment by
-segment (n + 1 rows each), and each constraint follows the segment that
-holds its first stored row in B, so under multiple shooting the order is
-[x_i, t_i, lambda_i] per segment and the half-bandwidth is at most 2n + 1.
-The band is read from the permuted sparsity pattern, so any other B still
-solves, with a wider band; the LU costs about dim kl (kl + ku) flops.  That
+treats them as the case m2 = 0 of the same system.
+
+Both solvers factor a matrix of this pattern, [[G, B], [B^T, 0]] with G
+given by its diagonal blocks, by one banded LU with partial pivoting
+(LAPACK gbtrf, then gbtrs per solve), with its rows and columns in segment
+order.  The primal rows keep their packed order, segment by segment (n + 1
+rows each), and each constraint follows the segment that holds its first
+stored row in B, so under multiple shooting the order is [x_i, t_i,
+lambda_i] per segment and, with G block diagonal by segments, the
+half-bandwidth is at most 2n + 1.  The band is read from the permuted
+sparsity pattern, so any other B or G still factors, with a wider band; the
+LU costs about dim kl (kl + ku) flops.
+
+The workhorse is a projected preconditioned conjugate gradient (PPCG) with
+the constraint preconditioner P = [[G, B], [B^T, 0]]: each application of
+P^{-1} is one banded solve and one refinement solve on its residual, and
+keeps every CG iterate on the linearized constraint manifold to round-off.
+G is H itself for the ``blockdiag`` variant, whose blocks keep P as banded
+as with G = I, and then CG ends after one iteration in exact arithmetic; for
+``full`` G is the identity, as a dense H would fill the band.  With m2 = 0,
+P is G and PPCG is CG on H d_x = rhs_top, preconditioned by G.  The direct
+solve serves as fallback: the LU of the saddle matrix itself (G = H), whose
 one factorization supplies both the diagonal of U that its singularity test
 reads and the solve.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
+
+from .hessian import init_identity
 
 __all__ = [
     "SaddleSystem",
@@ -46,9 +53,7 @@ __all__ = [
 
 PPCG_TOL = 1e-10  # stopping tolerance, relative to the initial projected residual
 
-_pbtrf, _pbtrs, _gbtrf, _gbtrs = get_lapack_funcs(
-    ("pbtrf", "pbtrs", "gbtrf", "gbtrs"), dtype=np.float64
-)
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
 
 class SingularSystem(Exception):
@@ -56,9 +61,10 @@ class SingularSystem(Exception):
 
 
 class Breakdown(Exception):
-    """PPCG has no step: the constraint preconditioner (via B^T B) could not
-    be factorized, it met non-positive curvature (the projected Hessian is
-    indefinite), or it produced a non-finite solution."""
+    """PPCG has no step: the constraint preconditioner has an exactly zero
+    pivot or a non-finite factor, one of its solves or r^T g is not finite,
+    CG met non-positive curvature (the projected Hessian is indefinite), or
+    it produced a non-finite iterate."""
 
 
 @dataclass(frozen=True)
@@ -131,47 +137,72 @@ def _segment_order(hess, jac):
     return np.lexsort((np.arange(m1 + m2) >= m1, segment))
 
 
+class _BandedSaddle:
+    """Banded LU (LAPACK gbtrf) of [[G, B], [B^T, 0]] in segment order.
+
+    G is the :class:`~falsify.hessian.HessianApprox` ``hess``, B the CSC
+    ``jac``.  The band storage is written straight from G's nonzero block
+    entries and B's stored entries, with kl and ku read from the permuted
+    pattern.  ``info`` is gbtrf's: positive when U has an exactly zero pivot,
+    and then :meth:`solve` must not be called.
+    """
+
+    def __init__(self, hess, jac):
+        m1, m2 = jac.shape
+        order = _segment_order(hess, jac)
+        position = np.empty_like(order)
+        position[order] = np.arange(m1 + m2)
+        width = hess.blocks.shape[1]
+        block, row, col = np.nonzero(hess.blocks)
+        jac_cols = m1 + np.repeat(np.arange(m2), np.diff(jac.indptr))
+        rows = position[np.concatenate((block * width + row, jac.indices, jac_cols))]
+        cols = position[np.concatenate((block * width + col, jac_cols, jac.indices))]
+        kl = int(np.max(rows - cols, initial=0))
+        ku = int(np.max(cols - rows, initial=0))
+        # LAPACK general band storage: entry (i, j) at band[kl + ku + i - j, j]
+        band = np.zeros((2 * kl + ku + 1, m1 + m2), order="F")
+        band[kl + ku + rows - cols, cols] = np.concatenate(
+            (hess.blocks[block, row, col], jac.data, jac.data)
+        )
+        self.lu, self.ipiv, self.info = _gbtrf(band, kl, ku, overwrite_ab=1)
+        self.order, self.kl, self.ku = order, kl, ku
+
+    def pivots(self):
+        """Magnitudes of U's diagonal."""
+        return np.abs(self.lu[self.kl + self.ku])
+
+    def solve(self, rhs):
+        """The solution for ``rhs``, both in the natural order."""
+        sol = np.empty(len(rhs))
+        sol[self.order] = _gbtrs(
+            self.lu, self.kl, self.ku, rhs[self.order], self.ipiv, overwrite_b=1
+        )[0]
+        return sol
+
+
 def solve_direct(system):
     """Banded LU (LAPACK gbtrf/gbtrs) solve of the saddle matrix in segment order.
 
-    The band storage is written straight from H's nonzero block entries and
-    B's stored entries, with kl and ku read from the permuted pattern.  One
-    factorization with partial pivoting serves both the singularity test and
-    the solve.  Raises :class:`SingularSystem` when gbtrf finds an exactly
-    zero pivot, when the magnitudes of U's diagonal reveal rank deficiency
-    (relative tolerance 1e-12), or when the residual check fails, a NaN
-    residual included.
+    One factorization with partial pivoting serves both the singularity test
+    and the solve.  Raises :class:`SingularSystem` when gbtrf finds an
+    exactly zero pivot, when the magnitudes of U's diagonal reveal rank
+    deficiency (relative tolerance 1e-12), or when the residual check fails,
+    a NaN residual included.
     """
-    hess, jac = system.hess, system.jac.tocsc()
-    m1, m2 = jac.shape
-    order = _segment_order(hess, jac)
-    position = np.empty_like(order)
-    position[order] = np.arange(m1 + m2)
-    width = hess.blocks.shape[1]
-    block, row, col = np.nonzero(hess.blocks)
-    jac_cols = m1 + np.repeat(np.arange(m2), np.diff(jac.indptr))
-    rows = position[np.concatenate((block * width + row, jac.indices, jac_cols))]
-    cols = position[np.concatenate((block * width + col, jac_cols, jac.indices))]
-    kl = int(np.max(rows - cols, initial=0))
-    ku = int(np.max(cols - rows, initial=0))
-    # LAPACK general band storage: entry (i, j) at band[kl + ku + i - j, j]
-    band = np.zeros((2 * kl + ku + 1, m1 + m2), order="F")
-    band[kl + ku + rows - cols, cols] = np.concatenate(
-        (hess.blocks[block, row, col], jac.data, jac.data)
-    )
-    lu, ipiv, info = _gbtrf(band, kl, ku, overwrite_ab=1)
-    if info > 0:
+    saddle = _BandedSaddle(system.hess, system.jac.tocsc())
+    if saddle.info > 0:
         raise SingularSystem(
-            f"saddle matrix numerically singular (gbtrf: U[{info - 1}, {info - 1}] is exactly zero)"
+            "saddle matrix numerically singular "
+            f"(gbtrf: U[{saddle.info - 1}, {saddle.info - 1}] is exactly zero)"
         )
-    pivots = np.abs(lu[kl + ku])
+    pivots = saddle.pivots()
     if pivots.max() == 0.0 or pivots.min() <= 1e-12 * pivots.max():
         raise SingularSystem(
             f"saddle matrix numerically singular (pivot ratio {pivots.min():.2e}/{pivots.max():.2e})"
         )
     rhs = system.rhs()
-    sol = np.empty(m1 + m2)
-    sol[order] = _gbtrs(lu, kl, ku, rhs[order], ipiv)[0]
+    sol = saddle.solve(rhs)
+    m1 = system.m1
     d_x, d_lam = sol[:m1], sol[m1:]
     residual = system.residual(d_x, d_lam)
     # a NaN residual, from an overflowed solution, fails the test too
@@ -183,50 +214,59 @@ def solve_direct(system):
 
 
 class _ConstraintProjector:
-    """Applies the constraint preconditioner C = [[I, B], [B^T, 0]].
+    """Applies the constraint preconditioner P = [[G, B], [B^T, 0]].
 
-    A C-solve with bottom block zero reduces to v = (B^T B)^{-1} B^T r,
-    g = r - B v; one refinement pass keeps B^T g at machine precision.
-    B^T B is factored once by banded Cholesky, with the bandwidth read from
-    its sparsity pattern.
+    G is the Hessian approximation ``hess`` for the ``blockdiag`` variant
+    and the identity otherwise.  P is factored once by :class:`_BandedSaddle`,
+    and each solve with it is refined once on its residual, which keeps
+    B^T g at round-off and r^T g accurate enough for the stopping test, which
+    needs it to about eps^2 of its start.  Raises :class:`Breakdown` when P
+    has an exactly zero pivot or a non-finite factor, and when a solve or
+    r^T g is not finite.
     """
 
-    def __init__(self, jac):
+    def __init__(self, hess, jac):
+        if hess.variant == "blockdiag":
+            self.g = hess
+        else:
+            self.g = None  # G = I, which the refinement applies without a product
+            hess = init_identity("blockdiag", hess.n, hess.n_segments)
         self.jac = jac.tocsc()
         self.jac_t = self.jac.T
-        gram = (self.jac_t @ self.jac).tocoo()
-        upper = gram.row <= gram.col
-        rows, cols = gram.row[upper], gram.col[upper]
-        bandwidth = int(np.max(cols - rows, initial=0))
-        # LAPACK upper band storage: entry (i, j) at band[bandwidth + i - j, j]
-        band = np.zeros((bandwidth + 1, gram.shape[0]), order="F")
-        band[bandwidth + rows - cols, cols] = gram.data[upper]
-        self.factor, info = _pbtrf(band, overwrite_ab=1)
+        self.m1, self.m2 = jac.shape
+        self.saddle = _BandedSaddle(hess, self.jac)
+        info = self.saddle.info
         if info > 0:
             raise Breakdown(
-                f"B^T B factorization failed: leading minor {info} is not positive definite"
+                "constraint preconditioner singular "
+                f"(gbtrf: U[{info - 1}, {info - 1}] is exactly zero)"
             )
-        probe = self.gram_solve(np.ones(gram.shape[0]))
-        if not np.all(np.isfinite(probe)):
-            raise Breakdown("B^T B factorization produced non-finite solve")
+        if not np.isfinite(self.saddle.lu).all():
+            raise Breakdown("constraint preconditioner has a non-finite factor")
 
-    def gram_solve(self, rhs):
-        """(B^T B)^{-1} rhs from the banded Cholesky factor."""
-        return _pbtrs(self.factor, rhs)[0]
+    def solve(self, top, bottom):
+        """(u, w) with G u + B w = top and B^T u = bottom, refined once."""
+        sol = self.saddle.solve(np.concatenate((top, bottom)))
+        u, w = sol[: self.m1], sol[self.m1 :]
+        gu = u if self.g is None else self.g.matvec(u)
+        sol += self.saddle.solve(
+            np.concatenate((top - gu - self.jac @ w, bottom - self.jac_t @ u))
+        )
+        if not np.isfinite(sol).all():
+            raise Breakdown("constraint preconditioner produced a non-finite solve")
+        return sol[: self.m1], sol[self.m1 :]
 
     def project(self, r):
-        """(g, v) with g + B v = r and B^T g = 0."""
-        v = self.gram_solve(self.jac_t @ r)
-        g = r - self.jac @ v
-        dv = self.gram_solve(self.jac_t @ g)
-        g -= self.jac @ dv
-        return g, v + dv
+        """(g, v, r^T g) with G g + B v = r and B^T g = 0."""
+        g, v = self.solve(r, np.zeros(self.m2))
+        rg = float(r @ g)
+        if not math.isfinite(rg):
+            raise Breakdown(f"non-finite r^T g ({rg})")
+        return g, v, rg
 
     def constraint_point(self, c):
-        """Minimum-norm x with B^T x = c, with one refinement pass."""
-        x = self.jac @ self.gram_solve(c)
-        x += self.jac @ self.gram_solve(c - self.jac_t @ x)
-        return x
+        """The x of least G-norm with B^T x = c."""
+        return self.solve(np.zeros(self.m1), c)[0]
 
 
 def solve_ppcg(system, max_iter=None):
@@ -235,19 +275,18 @@ def solve_ppcg(system, max_iter=None):
     Requires the Hessian approximation to be positive definite on the null
     space of B^T; a non-positive curvature pivot or a non-finite result
     raises :class:`Breakdown` (callers fall back to :func:`solve_direct`).
-    With m2 = 0 the projector is the identity and this is plain CG on
-    H d_x = rhs_top.  It stops at
+    With m2 = 0 the projection is a solve with G and this is CG on
+    H d_x = rhs_top preconditioned by G.  It stops at
     :data:`PPCG_TOL` relative to the initial projected residual, or after
     ``max_iter`` iterations (default 2 m1).
     """
     if max_iter is None:
         max_iter = 2 * system.m1
-    projector = _ConstraintProjector(system.jac)
+    projector = _ConstraintProjector(system.hess, system.jac)
     x = projector.constraint_point(system.rhs_bottom)
 
     r = system.hess.matvec(x) - system.rhs_top
-    g, v = projector.project(r)
-    rg = float(r @ g)
+    g, v, rg = projector.project(r)
     target = PPCG_TOL * max(1.0, np.sqrt(abs(rg)))
     p = -g
     iterations = 0
@@ -261,10 +300,9 @@ def solve_ppcg(system, max_iter=None):
         alpha = rg / curvature
         x = x + alpha * p
         r = r + alpha * hp
-        g_new, v = projector.project(r)
-        rg_new = float(r @ g_new)
+        g_new, v, rg_new = projector.project(r)
         p = -g_new + (rg_new / rg) * p
-        g, rg = g_new, rg_new
+        rg = rg_new
         iterations += 1
 
     if not (np.isfinite(x).all() and np.isfinite(v).all()):

@@ -48,7 +48,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,6 +71,7 @@ __all__ = [
     "SqpConfig",
     "TraceRecord",
     "RunReport",
+    "Attempt",
     "StepTooSmall",
     "line_search",
     "run",
@@ -157,6 +158,26 @@ class TraceRecord:
 
 
 @dataclass(frozen=True)
+class Attempt:
+    """The KKT solve and search of the iteration a run ended on in S3 or
+    SingularSystem, which the trace, holding accepted steps only, leaves out.
+
+    The fields mean what the :class:`TraceRecord` fields of the same names
+    do; with no rung producing a step, ``kkt_rung`` is None,
+    ``cg_iterations`` 0 and the floats NaN.
+    """
+
+    kkt_rung: Optional[str]
+    cg_iterations: int
+    alpha_start: float
+    merit_zero: float
+    merit_slope: float
+
+
+_NO_STEP = Attempt(None, 0, math.nan, math.nan, math.nan)
+
+
+@dataclass(frozen=True)
 class RunReport:
     """Outcome of :func:`run`, with one final multiplier per column of B."""
 
@@ -171,6 +192,8 @@ class RunReport:
     #: BFGS updates skipped, on the curvature test or because the result would
     #: be ill-conditioned (one per block for blockdiag)
     hessian_skips: int = 0
+    #: the failing iteration of a run that ends in S3 or SingularSystem
+    last_attempt: Optional[Attempt] = None
 
 
 def _merit_value(objective, lam_full, c_val, omega):
@@ -325,7 +348,9 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     run with a report too: an integration failure at ``X_init`` in
     ``INTEGRATION_FAILURE``, and a KKT system that is not finite or that no
     rung solves to a finite step in ``SINGULAR_SYSTEM``, keeping the
-    iterations done and the incumbent.
+    iterations done and the incumbent.  A run that ends in S3 or
+    ``SINGULAR_SYSTEM`` reports the iteration that failed as
+    ``last_attempt``, since the trace holds accepted steps only.
     """
     cfg = cfg or SqpConfig()
     lam = np.zeros(constraint_dim(formulation.constraints, instance.dim, instance.n_segments))
@@ -342,9 +367,10 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     # lanes of an iteration's first batch: the previous iteration's trial count
     width = 1
 
-    def report(cause):
+    def report(cause, attempt=None):
         return RunReport(
-            it, cause, point.vec, point.objective, cnorm, tuple(trace), lam, hess.skip_count
+            it, cause, point.vec, point.objective, cnorm, tuple(trace), lam, hess.skip_count,
+            attempt,
         )
 
     it = 0
@@ -362,7 +388,7 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
         try:
             solution, alpha_start, rung = _solve_step(system, cfg.kkt_method)
         except SingularSystem:
-            return report(Termination.SINGULAR_SYSTEM)
+            return report(Termination.SINGULAR_SYSTEM, _NO_STEP)
         d_x, d_lam = solution.d_x, solution.d_lambda
         step_t = float(np.max(np.abs(d_x[n :: n + 1])))
         if step_t > 0.0:
@@ -401,7 +427,8 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
                 evaluate, merit_zero, slope, cfg.delta, cfg.backtrack_factor, cfg.eps3, alpha_start
             )
         except StepTooSmall:
-            return report(Termination.S3_STEP_TOO_SMALL)
+            attempt = Attempt(rung, solution.cg_iterations, alpha_start, merit_zero, slope)
+            return report(Termination.S3_STEP_TOO_SMALL, attempt)
 
         trace.append(
             TraceRecord(

@@ -1,6 +1,7 @@
 """Bitwise fingerprint of the solver's iterates on the benchmark's cells.
 
     python3 tests/iterate_digest.py ROOT [--seeds 0-7] [--workloads a,b] [--cells]
+    python3 tests/iterate_digest.py --compare A.txt B.txt
 
 Solves every cell of the chosen workloads (by default those that
 ROOT/BENCHMARK.json measures) for every seed, with the inputs of
@@ -17,6 +18,12 @@ prints, before each workload's line, one line per cell and seed:
 ``workload seed cell-name nit termination`` and the first 12 hex digits of
 that cell's own hash, so a mismatch names its cell.  Nothing is written
 into ROOT.
+
+The second form reads two ``--cells`` listings, prints every cell-seed
+whose nit or termination differs, or that only one listing holds, and a
+count; it exits 1 on any such difference and 0 otherwise (2 when a file
+holds no cell line).  Cell hashes are not compared: a change that only
+re-rounds moves them.
 """
 
 import argparse
@@ -87,13 +94,50 @@ def feed_cell(h, item, run, verify, eps4):
     return f"{report.nit} {report.termination.value}"
 
 
+def read_cells(path):
+    """{(workload, seed, cell): "nit termination"} of a ``--cells`` listing."""
+    outcomes = {}
+    for line in Path(path).read_text().splitlines():
+        parts = line.split()
+        if len(parts) == 6:
+            workload, seed, cell, nit, termination, _ = parts
+            outcomes[workload, seed, cell] = f"{nit} {termination}"
+    return outcomes
+
+
+def compare(path_a, path_b):
+    """Print the cell-seeds whose outcome differs; the exit code."""
+    before, after = read_cells(path_a), read_cells(path_b)
+    if not before or not after:
+        print("no cell lines: compare two --cells listings", file=sys.stderr)
+        return 2
+    keys = sorted(before.keys() | after.keys(), key=lambda k: (k[0], int(k[1]), k[2]))
+    differ = 0
+    for key in keys:
+        old, new = before.get(key, "missing"), after.get(key, "missing")
+        if old != new:
+            print(f"{' '.join(key)}: {old} -> {new}")
+            differ += 1
+    print(f"{differ} of {len(keys)} cell-seeds differ in nit or termination")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("root", type=Path, help="checkout whose src/ and perfbench/ to use")
+    parser.add_argument(
+        "root", type=Path, nargs="?", help="checkout whose src/ and perfbench/ to use"
+    )
     parser.add_argument("--seeds", default="0-7", help='seed list, e.g. "0-7" or "0,2"')
     parser.add_argument("--workloads", help="comma-separated names (default: BENCHMARK.json's)")
     parser.add_argument("--cells", action="store_true", help="also print one line per cell")
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("A", "B"), help="compare two --cells listings"
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.root is None:
+        parser.error("give ROOT or --compare A B")
 
     root = args.root.resolve()
     if args.workloads:

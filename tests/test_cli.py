@@ -96,6 +96,7 @@ def test_solve_exit_two_on_iteration_budget(tmp_path, monkeypatch):
         "\n".join((tmp_path / "report.json").read_text().splitlines()[1:])
     )
     assert payload["termination"] == "S2_maxit"
+    assert payload["last_attempt"] is None
 
 
 def test_solve_exit_two_on_singular_kkt(tmp_path, monkeypatch, capsys):
@@ -110,6 +111,13 @@ def test_solve_exit_two_on_singular_kkt(tmp_path, monkeypatch, capsys):
     )
     assert payload["termination"] == "SingularSystem"
     assert payload["nit"] == 2
+    assert payload["last_attempt"] == {
+        "kkt_rung": None,
+        "cg_iterations": 0,
+        "alpha_start": None,
+        "merit_zero": None,
+        "merit_slope": None,
+    }
     assert payload["verified"] is False
     assert payload["verify_reasons"] == ["singular_kkt"]
     trace = (tmp_path / "trace.jsonl").read_text().splitlines()

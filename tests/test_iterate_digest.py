@@ -12,9 +12,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_digest(*args):
+    command = [sys.executable, str(ROOT / "tests" / "iterate_digest.py"), *args]
+    return subprocess.run(command, capture_output=True, text=True, timeout=120)
+
+
 def digest(*args):
-    command = [sys.executable, str(ROOT / "tests" / "iterate_digest.py"), str(ROOT), *args]
-    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    done = run_digest(str(ROOT), *args)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -34,3 +38,45 @@ def test_cells_flag_names_each_cell():
         r"smoke 0 benchmark2-n3-N5-eq8-full-ppcg \d+ S\d_\w+ [0-9a-f]{12}", lines[0]
     )
     assert lines[1:] == digest("--seeds", "0", "--workloads", "smoke")
+
+
+def test_compare_names_each_cell_whose_outcome_moved(tmp_path):
+    """Two listings that differ only in cell hashes compare equal; a changed
+    nit, a changed termination and a cell-seed on one side only are each
+    printed, and make the exit code 1."""
+    listing = digest("--seeds", "0", "--workloads", "smoke", "--cells")
+    workload, seed, cell, nit, termination, cell_hash = listing[0].split()
+
+    def write(name, *rows):
+        path = tmp_path / name
+        path.write_text("".join(f"{workload} {' '.join(row)}\n" for row in rows) + "cells 2\n")
+        return str(path)
+
+    before = write(
+        "before.txt",
+        (seed, cell, nit, termination, cell_hash),
+        ("1", cell, nit, termination, cell_hash),
+    )
+    rehashed = write(
+        "rehashed.txt",
+        (seed, cell, nit, termination, "0" * 12),
+        ("1", cell, nit, termination, "1" * 12),
+    )
+    done = run_digest("--compare", before, rehashed)
+    assert done.returncode == 0, done.stdout
+    assert done.stdout.splitlines() == ["0 of 2 cell-seeds differ in nit or termination"]
+
+    moved = write(
+        "moved.txt",
+        (seed, cell, str(int(nit) + 1), termination, cell_hash),
+        ("1", cell, nit, "S3_step_too_small", cell_hash),
+        ("2", cell, nit, termination, cell_hash),
+    )
+    done = run_digest("--compare", before, moved)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        f"{workload} {seed} {cell}: {nit} {termination} -> {int(nit) + 1} {termination}",
+        f"{workload} 1 {cell}: {nit} {termination} -> {nit} S3_step_too_small",
+        f"{workload} 2 {cell}: missing -> {nit} {termination}",
+        "3 of 3 cell-seeds differ in nit or termination",
+    ]

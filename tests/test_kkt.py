@@ -1,5 +1,7 @@
 """Tests for the saddle-point solvers: banded direct solve and PPCG."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -244,7 +246,7 @@ def test_singular_direct_solve_raises():
     for solve in (solve_direct, direct_three_pass):
         with pytest.raises(SingularSystem, match="numerically singular"):
             solve(system)
-    with pytest.raises(Breakdown, match=r"B\^T B factorization"):
+    with pytest.raises(Breakdown, match="constraint preconditioner singular"):
         solve_ppcg(system)
 
 
@@ -261,21 +263,29 @@ def band_spy(monkeypatch):
     return seen
 
 
-def test_multiple_shooting_saddle_matrix_has_a_narrow_band(monkeypatch):
-    """On benchmark3 n4 N5 eq8 with `blockdiag` blocks, the segment order
-    [x_i, t_i, lambda_i] gives a half-bandwidth of at most 2n + 1; with the
-    multipliers after all primal rows, the joint columns' entries on the
-    next segment would lie about m1 rows from the diagonal."""
-    n, n_segments = 4, 5
-    rng = np.random.default_rng(271)
+def benchmark3_saddle_system(rng, n=4, n_segments=5):
+    """A saddle system of benchmark3 n4 N5 eq8 near its initial guess, with
+    random SPD `blockdiag` blocks that are not the identity."""
     instance = benchmark3_instance(n, n_segments)
     vec = random_vector_near_guess(instance, rng)
     jac = constraint_jacobian("matching_boundary", instance, vec, evaluate_segments(instance, vec))
     a = rng.standard_normal((n_segments, n + 1, n + 1))
     hess = HessianApprox("blockdiag", n, n_segments, a @ a.transpose(0, 2, 1) + np.eye(n + 1))
-    system = SaddleSystem(
+    return SaddleSystem(
         hess, jac, rng.standard_normal(hess.dim), rng.standard_normal(jac.shape[1])
     )
+
+
+def test_multiple_shooting_saddle_matrix_has_a_narrow_band(monkeypatch):
+    """On benchmark3 n4 N5 eq8 with `blockdiag` blocks, the segment order
+    [x_i, t_i, lambda_i] gives a half-bandwidth of at most 2n + 1; with the
+    multipliers after all primal rows, the joint columns' entries on the
+    next segment would lie about m1 rows from the diagonal.  The projector's
+    P is as narrow, with G = H and with G = I (a `full` H)."""
+    n = 4
+    rng = np.random.default_rng(271)
+    system = benchmark3_saddle_system(rng, n)
+    hess, jac = system.hess, system.jac
     seen = band_spy(monkeypatch)
     assert_agrees_with_the_three_pass_oracle(system)
     (kl, ku), = seen
@@ -284,6 +294,26 @@ def test_multiple_shooting_saddle_matrix_has_a_narrow_band(monkeypatch):
     order = _segment_order(hess, jac)
     rows, cols = np.nonzero(system.dense_matrix()[np.ix_(order, order)])
     assert (kl, ku) == (np.max(rows - cols), np.max(cols - rows))
+
+    full = HessianApprox("full", n, hess.n_segments, hess.dense_copy()[None])
+    for projected in (system, replace(system, hess=full)):
+        seen.clear()
+        solve_ppcg(projected)
+        (kl, ku), = seen
+        assert kl <= 2 * n + 1 and ku <= 2 * n + 1
+
+
+def test_ppcg_with_blockdiag_hessian_takes_one_iteration():
+    """With G = H, P is the saddle matrix itself: projected CG ends after
+    one iteration, at the direct solve's step."""
+    rng = np.random.default_rng(281)
+    system = benchmark3_saddle_system(rng)
+    assert not np.array_equal(system.hess.blocks[0], np.eye(5))
+    iterative, direct = solve_ppcg(system), solve_direct(system)
+    assert iterative.cg_iterations == 1
+    found = np.concatenate((iterative.d_x, iterative.d_lambda))
+    expected = np.concatenate((direct.d_x, direct.d_lambda))
+    assert np.linalg.norm(found - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_constraint_without_entries_goes_last_and_is_singular():
@@ -356,39 +386,84 @@ def matching_jacobian(rng, n, n_segments):
     return jac
 
 
-def assert_projector_matches_the_dense_oracle(jac, rng):
-    """project and constraint_point against the normal equations solved densely."""
+def projector_hessians(rng, n, n_segments):
+    """A `full` and a `blockdiag` SPD approximation: the projector's G is the
+    identity for the first and H itself for the second."""
+    dim = n_segments * (n + 1)
+    a = rng.standard_normal((dim, dim))
+    b = rng.standard_normal((n_segments, n + 1, n + 1))
+    return (
+        HessianApprox("full", n, n_segments, (a @ a.T + dim * np.eye(dim))[None]),
+        HessianApprox("blockdiag", n, n_segments, b @ b.transpose(0, 2, 1) + np.eye(n + 1)),
+    )
+
+
+def preconditioner_matrix(hess, jac):
+    """The dense P = [[G, B], [B^T, 0]], G = H for `blockdiag`, else I."""
     m1, m2 = jac.shape
-    projector = _ConstraintProjector(sp.csc_matrix(jac))
-    gram = jac.T @ jac
+    gmat = hess.dense_copy() if hess.variant == "blockdiag" else np.eye(m1)
+    return np.block([[gmat, jac], [jac.T, np.zeros((m2, m2))]])
+
+
+def assert_projector_matches_the_dense_oracle(hess, jac, rng):
+    """project and constraint_point against P solved densely."""
+    m1, m2 = jac.shape
+    projector = _ConstraintProjector(hess, sp.csc_matrix(jac))
+    dense = preconditioner_matrix(hess, jac)
     r, c = rng.standard_normal(m1), rng.standard_normal(m2)
-    g, v = projector.project(r)
-    v_expected = np.linalg.solve(gram, jac.T @ r) if m2 else np.zeros(0)
-    np.testing.assert_allclose(v, v_expected, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(g, r - jac @ v_expected, rtol=1e-10, atol=1e-12)
+    g, v, rg = projector.project(r)
+    expected = np.linalg.solve(dense, np.concatenate((r, np.zeros(m2))))
+    np.testing.assert_allclose(g, expected[:m1], rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(v, expected[m1:], rtol=1e-10, atol=1e-12)
+    assert rg == pytest.approx(r @ expected[:m1], rel=1e-12)
     assert np.linalg.norm(jac.T @ g) <= 1e-12 * np.linalg.norm(r)
-    x_expected = jac @ np.linalg.solve(gram, c) if m2 else np.zeros(m1)
-    np.testing.assert_allclose(projector.constraint_point(c), x_expected, rtol=1e-10, atol=1e-12)
+    expected = np.linalg.solve(dense, np.concatenate((np.zeros(m1), c)))
+    np.testing.assert_allclose(
+        projector.constraint_point(c), expected[:m1], rtol=1e-10, atol=1e-12
+    )
+
+
+def projector_bands(monkeypatch, jac, n, n_segments, rng):
+    """(kl, ku) of the projector's factor for each G, after checking the
+    projection against the dense oracle and the band against the pattern of
+    P in segment order."""
+    seen = band_spy(monkeypatch)
+    for hess in projector_hessians(rng, n, n_segments):
+        assert_projector_matches_the_dense_oracle(hess, jac, rng)
+        order = _segment_order(hess, sp.csc_matrix(jac))
+        rows, cols = np.nonzero(preconditioner_matrix(hess, jac)[np.ix_(order, order)])
+        assert seen[-1] == (np.max(rows - cols), np.max(cols - rows))
+    return seen
 
 
 @pytest.mark.parametrize("permuted", [False, True])
-def test_projector_reads_the_bandwidth_from_the_pattern(permuted):
-    """B^T B is banded under the matching constraints; with B's columns
-    permuted so that two coupled constraints sit first and last, its band
-    is full, and the projection must still match the dense oracle."""
+def test_projector_reads_the_bandwidth_from_the_pattern(monkeypatch, permuted):
+    """Under the matching constraints P's band is at most 2n + 1 wide for
+    both G, also with B's columns permuted, which the segment order undoes."""
+    n, n_segments = 3, 6
     rng = np.random.default_rng(263)
-    jac = matching_jacobian(rng, 3, 6)
-    m2 = jac.shape[1]
+    jac = matching_jacobian(rng, n, n_segments)
     if permuted:
-        middle = rng.permutation(np.arange(2, m2))
-        jac = jac[:, np.concatenate(([0], middle, [1]))]
-    gram = sp.coo_matrix(jac.T @ jac)
-    bandwidth = np.max(gram.col - gram.row)
-    assert bandwidth == (m2 - 1 if permuted else 5)
-    assert_projector_matches_the_dense_oracle(jac, rng)
+        jac = jac[:, rng.permutation(jac.shape[1])]
+    for kl, ku in projector_bands(monkeypatch, jac, n, n_segments, rng):
+        assert kl <= 2 * n + 1 and ku <= 2 * n + 1
+
+
+def test_projector_factors_a_coupling_constraint_with_a_wide_band(monkeypatch):
+    """A constraint on the first and the last segment widens the band to
+    about the whole matrix, and the projection still matches the oracle."""
+    n, n_segments = 3, 6
+    rng = np.random.default_rng(277)
+    jac = matching_jacobian(rng, n, n_segments)
+    coupling = np.zeros((jac.shape[0], 1))
+    coupling[[0, -1]] = 1.0
+    jac = np.hstack((jac, coupling))
+    for kl, ku in projector_bands(monkeypatch, jac, n, n_segments, rng):
+        assert max(kl, ku) >= jac.shape[0] - 1
 
 
 @pytest.mark.parametrize("m2", [0, 1])
 def test_projector_on_zero_and_one_constraints(m2):
     rng = np.random.default_rng(269)
-    assert_projector_matches_the_dense_oracle(rng.standard_normal((7, m2)), rng)
+    for hess in projector_hessians(rng, 3, 2):
+        assert_projector_matches_the_dense_oracle(hess, rng.standard_normal((8, m2)), rng)

@@ -29,6 +29,7 @@ from falsify.shooting import (
 )
 from falsify.kkt import Breakdown, SaddleSystem, SingularSystem, solve_ppcg
 from falsify.sqp import (
+    Attempt,
     RunReport,
     SqpConfig,
     StepTooSmall,
@@ -364,6 +365,36 @@ def test_singular_kkt_system_ends_the_run_with_its_iterations(monkeypatch):
     assert report.termination.value == "SingularSystem"
     assert report.nit == len(report.trace) == 2
     assert_same_run(report, replace(budget, termination=Termination.SINGULAR_SYSTEM))
+    attempt = report.last_attempt
+    assert (attempt.kkt_rung, attempt.cg_iterations) == (None, 0)
+    assert np.isnan([attempt.alpha_start, attempt.merit_zero, attempt.merit_slope]).all()
+    assert budget.last_attempt is None
+
+
+def test_s3_run_reports_its_failing_iteration(monkeypatch):
+    """eq10 on the plain rotation with eps3 = 1e-3 ends in S3: the trace
+    holds the accepted steps only, and ``last_attempt`` holds the rung, CG
+    count, alpha_start, m(0) and m'(0) of the solve and search that failed,
+    the last ones the run made."""
+    instance, guess, form = bench_cell("benchmark3", 2, 5, "eq10")
+    solves, searches = [], []
+
+    def recording_solve_step(system, method):
+        solves.append(_solve_step(system, method))
+        return solves[-1]
+
+    def recording_line_search(evaluate, merit_zero, slope, delta, beta, eps3, alpha_start):
+        searches.append((alpha_start, merit_zero, slope))
+        return line_search(evaluate, merit_zero, slope, delta, beta, eps3, alpha_start)
+
+    monkeypatch.setattr(falsify.sqp, "_solve_step", recording_solve_step)
+    monkeypatch.setattr(falsify.sqp, "line_search", recording_line_search)
+    report = run(form, instance, guess, SqpConfig(eps3=1e-3))
+    assert report.termination is Termination.S3_STEP_TOO_SMALL
+    assert len(report.trace) == report.nit == len(solves) - 1 == len(searches) - 1
+    solution, _, rung = solves[-1]
+    assert report.last_attempt == Attempt(rung, solution.cg_iterations, *searches[-1])
+    assert report.last_attempt.kkt_rung == "ppcg"
 
 
 def test_observer_sees_every_saddle_system():
@@ -591,6 +622,19 @@ def test_non_finite_least_squares_step_raises_singular(method):
     assert system.is_finite()
     with pytest.raises(SingularSystem, match="no KKT rung produced a finite step"):
         _solve_step(system, method)
+
+
+def test_non_finite_projection_with_blockdiag_hessian_breaks_down():
+    """The same system on `blockdiag` blocks of 1e-300 I: the projector's
+    G = H factors, but its first solve overflows, so projected CG breaks
+    down instead of stopping on r^T g = inf with a zero step, and the
+    ladder still ends with no finite step."""
+    hess = HessianApprox("blockdiag", 1, 1, 1e-300 * np.eye(2)[None])
+    system = SaddleSystem(hess, sp.csc_matrix((2, 0)), np.full(2, 1e10), np.zeros(0))
+    with pytest.raises(Breakdown, match="non-finite"):
+        solve_ppcg(system)
+    with pytest.raises(SingularSystem, match="no KKT rung produced a finite step"):
+        _solve_step(system, "ppcg")
 
 
 @pytest.mark.parametrize("method", ["ppcg", "direct"])
