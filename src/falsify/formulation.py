@@ -29,6 +29,7 @@ differences, and the per-formulation closed forms that read the layout
 above are a test oracle (``tests/oracles.py``).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,49 +201,68 @@ def constraint_value(kind, instance, vec, flows):
     return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
 
 
+@functools.lru_cache(maxsize=64)
+def _jacobian_candidates(kind, n, n_segments):
+    """Row index and column of every candidate entry of B, column after
+    column (init column, joints, unsafe column), each column's rows in
+    increasing order, as two read-only arrays."""
+    rows, sizes = [np.zeros(0, dtype=int)], []
+    if kind in ("matching_boundary", "boundary"):
+        rows.append(np.arange(n))
+        sizes.append(n)
+    if kind in ("matching", "matching_boundary"):
+        # joint i, component c: segment i's x rows and t row, then row c of
+        # segment i+1's x rows
+        start = np.arange(n_segments - 1)[:, None] * (n + 1)
+        joint_rows = np.empty((n_segments - 1, n, n + 2), dtype=int)
+        joint_rows[:, :, : n + 1] = (start + np.arange(n + 1))[:, None, :]
+        joint_rows[:, :, n + 1] = start + n + 1 + np.arange(n)
+        rows.append(joint_rows.ravel())
+        sizes += [n + 2] * ((n_segments - 1) * n)
+    if kind in ("matching_boundary", "boundary"):
+        rows.append((n_segments - 1) * (n + 1) + np.arange(n + 1))
+        sizes.append(n + 1)
+    # the index dtype scipy.sparse picks for B, so that it takes them as they are
+    rows = np.concatenate(rows).astype(np.int32)
+    cols = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def constraint_jacobian(kind, instance, vec, flows):
     """Sparse (m1, m2) B with B[:, j] = gradient of constraint j, packed layout rows.
 
     Built in CSC format column by column (init column, joints, unsafe
     column), each column's rows in increasing order; entries that come out
-    exactly zero are not stored.  Kind ``"none"`` gives an empty (m1, 0)
-    matrix, which the SQP and KKT layers treat like any other B.
+    exactly zero are not stored.  The candidate rows depend on (kind, n, N)
+    alone and are computed once for each.  Kind ``"none"`` gives an empty
+    (m1, 0) matrix, which the SQP and KKT layers treat like any other B.
     """
     n, big_n = vec.dim, vec.n_segments
     m1 = big_n * (n + 1)
     m2 = constraint_dim(kind, n, big_n)
-    # candidate entries, column after column, and the number in each column
-    rows, vals, sizes = [np.zeros(0, dtype=int)], [np.zeros(0)], []
+    rows, cols = _jacobian_candidates(kind, n, big_n)
+    # candidate values, in the order of the rows
+    vals = [np.zeros(0)]
     if kind in ("matching_boundary", "boundary"):
-        rows.append(np.arange(n))
         vals.append(instance.init.shape @ (vec.states[0] - instance.init.center))
-        sizes.append(n)
     if kind in ("matching", "matching_boundary"):
-        # joint i, component c: -S_i[c, :] on segment i's x rows, -f_i[c] on
-        # its t row, and 1 on row c of segment i+1's x rows
-        start = np.arange(big_n - 1)[:, None] * (n + 1)
-        joint_rows = np.empty((big_n - 1, n, n + 2), dtype=int)
-        joint_rows[:, :, : n + 1] = (start + np.arange(n + 1))[:, None, :]
-        joint_rows[:, :, n + 1] = start + n + 1 + np.arange(n)
+        # joint i, component c: -S_i[c, :], -f_i[c], then 1
         joint_vals = np.empty((big_n - 1, n, n + 2))
         joint_vals[:, :, :n] = -flows.sensitivity[:-1]
         joint_vals[:, :, n] = -flows.end_derivative[:-1]
         joint_vals[:, :, n + 1] = 1.0
-        rows.append(joint_rows.ravel())
         vals.append(joint_vals.ravel())
-        sizes += [n + 2] * ((big_n - 1) * n)
     if kind in ("matching_boundary", "boundary"):
         w = instance.unsafe_set.shape @ (
             flows.end_state[-1] - instance.unsafe_set.center
         )
-        rows.append((big_n - 1) * (n + 1) + np.arange(n + 1))
         vals.append(np.append(flows.sensitivity[-1].T @ w, flows.end_derivative[-1] @ w))
-        sizes.append(n + 1)
-    rows, vals = np.concatenate(rows), np.concatenate(vals)
-    keep = vals != 0.0
-    stored = np.bincount(np.repeat(np.arange(m2), sizes)[keep], minlength=m2)
-    indptr = np.concatenate(([0], np.cumsum(stored)))
-    return sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(m1, m2))
+    vals = np.concatenate(vals)
+    stored = np.flatnonzero(vals)
+    indptr = np.zeros(m2 + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols[stored], minlength=m2), out=indptr[1:])
+    return sp.csc_matrix((vals[stored], rows[stored], indptr), shape=(m1, m2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Two variants on the same rank-two update
 
     H_new = H - (H s s^T H) / (s^T H s) + (y y^T) / (y^T s),
 
-skipped (and counted) whenever the curvature condition y^T s > 0 fails, or
-when the updated matrix would be numerically singular (its reciprocal
-condition number at most ``_MIN_RCOND``):
+skipped (and counted) whenever the curvature condition y^T s > 0 fails, on
+the degenerate s^T H s <= 0, which cannot occur while H stays positive
+definite but guards zero steps, or when the updated matrix would be
+numerically singular (its reciprocal condition number at most
+``_MIN_RCOND``):
 
 * ``full``      -- dense update on the whole packed vector;
 * ``blockdiag`` -- independent updates on the N diagonal blocks of size
@@ -16,6 +18,11 @@ condition number at most ``_MIN_RCOND``):
 Storage is one (k, w, w) array of diagonal blocks, each updated on its own:
 a single dim x dim block for ``full``, and k = N blocks of width w = n+1 for
 ``blockdiag``, whose entries outside the blocks are zero and never stored.
+The update is stacked over the blocks: y^T s, H s, s^T H s, both outer
+products and the 1-norm are each one array operation, taken only on the
+blocks that pass both curvature tests, and only the Cholesky factorization
+and condition estimate (LAPACK potrf, pocon) run block by block.  Each
+block's numbers are those of the same update on that block alone.
 """
 
 from dataclasses import dataclass, replace
@@ -43,36 +50,20 @@ _MIN_RCOND = 1e-14
 _potrf, _pocon = get_lapack_funcs(("potrf", "pocon"), dtype=np.float64)
 
 
-def _well_conditioned(mat):
-    """True when the symmetric ``mat`` has a Cholesky factor and a
-    reciprocal condition number above ``_MIN_RCOND``."""
+def _dots(u, v):
+    """The dot products u_i^T v_i of two (k, w, 1) stacks, as a (k,) array,
+    each computed as ``u_i[:, 0] @ v_i[:, 0]`` would be."""
+    return (u.transpose(0, 2, 1) @ v).ravel()
+
+
+def _well_conditioned(mat, norm):
+    """True when the symmetric ``mat``, of 1-norm ``norm``, has a Cholesky
+    factor and a reciprocal condition number above ``_MIN_RCOND``."""
     factor, info = _potrf(mat, lower=False, clean=False)
     if info != 0:
         return False
-    rcond, info = _pocon(factor, np.abs(mat).sum(axis=0).max())
+    rcond, info = _pocon(factor, norm)
     return info == 0 and rcond > _MIN_RCOND
-
-
-def _bfgs_inplace(mat, s, y):
-    """Apply the rank-two update to ``mat`` in place; True when applied.
-
-    Skips on y^T s <= 0 (curvature condition), on the degenerate
-    s^T H s <= 0, which cannot occur while H stays positive definite but
-    guards zero steps, and when the result would not be well conditioned.
-    """
-    ys = float(y @ s)
-    if ys <= 0.0:
-        return False
-    hs = mat @ s
-    shs = float(s @ hs)
-    if shs <= 0.0:
-        return False
-    updated = mat - np.outer(hs, hs) / shs
-    updated += np.outer(y, y) / ys
-    if not _well_conditioned(updated):
-        return False
-    mat[...] = updated
-    return True
 
 
 def _block_shape(variant, n, n_segments):
@@ -137,11 +128,24 @@ class HessianApprox:
             raise ValueError(f"s and y must have packed length {self.dim}")
 
         count, width, _ = self.blocks.shape
-        for block, s_block, y_block in zip(
-            self.blocks, s.reshape(count, width), y.reshape(count, width)
-        ):
-            if not _bfgs_inplace(block, s_block, y_block):
-                self.skip_count += 1
+        s, y = s.reshape(count, width, 1), y.reshape(count, width, 1)
+        # only blocks that pass both curvature tests are updated; a NaN
+        # fails them, as it would fail Cholesky
+        ys = _dots(y, s)
+        curved = np.flatnonzero(ys > 0.0)
+        hs = self.blocks[curved] @ s[curved]
+        shs = _dots(s[curved], hs)
+        inner = shs > 0.0
+        curved, hs, shs = curved[inner], hs[inner], shs[inner, None, None]
+        updated = self.blocks[curved] - hs * hs.transpose(0, 2, 1) / shs
+        y = y[curved]
+        updated += y * y.transpose(0, 2, 1) / ys[curved, None, None]
+        # 1-norms from column sums added row after row, as sum(axis=0) adds
+        # them on one block
+        norms = np.abs(updated).sum(axis=1).max(axis=1)
+        kept = np.array([_well_conditioned(*pair) for pair in zip(updated, norms)], dtype=bool)
+        self.blocks[curved[kept]] = updated[kept]
+        self.skip_count += count - int(np.count_nonzero(kept))
         return self
 
 

@@ -18,7 +18,11 @@ stored row in B, so under multiple shooting the order is [x_i, t_i,
 lambda_i] per segment and, with G block diagonal by segments, the
 half-bandwidth is at most 2n + 1.  The band is read from the permuted
 sparsity pattern, so any other B or G still factors, with a wider band; the
-LU costs about dim kl (kl + ku) flops.
+LU costs about dim kl (kl + ku) flops.  The layout (order, kl, ku and each
+entry's place in band storage) depends on that pattern alone, which an SQP
+run keeps from iteration to iteration, so it is computed once per pattern
+and kept in a small cache; each factorization only scatters the values into
+a zero band.
 
 The workhorse is a projected preconditioned conjugate gradient (PPCG) with
 the constraint preconditioner P = [[G, B], [B^T, 0]]: each application of
@@ -33,6 +37,7 @@ one factorization supplies both the diagonal of U that its singularity test
 reads and the solve.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,50 +127,100 @@ class KktSolution:
     cg_iterations: int
 
 
-def _segment_order(hess, jac):
-    """Order of the saddle matrix's rows and columns, segment by segment.
+# Band layouts kept, the least recently used dropped first.  An SQP run
+# meets few patterns (a `blockdiag` run one for its identity start, one for
+# the updated blocks), and each layout holds index arrays only, about as
+# long as G's and B's stored entries.
+_LAYOUT_CACHE_SIZE = 8
 
-    The primal rows keep their packed order; each constraint column of the
-    CSC ``jac`` follows the segment (n + 1 packed rows) that holds its first
-    stored row, and a column without entries goes last.
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where the saddle matrix of one sparsity pattern goes in band storage.
+
+    ``order`` is the segment order and ``ldab`` the band storage's row
+    count 2 kl + ku + 1.  ``g_index`` holds the flat indices of G's nonzero
+    block entries, and ``positions`` the flat positions, in the band's
+    Fortran order, of those entries, then of B's stored entries, then of
+    their mirrors in B^T.  Every array is read-only.
     """
-    m1, m2 = jac.shape
+
+    order: np.ndarray
+    kl: int
+    ku: int
+    ldab: int
+    g_index: np.ndarray
+    positions: np.ndarray
+
+
+def _layout(hess, jac):
+    """The :class:`_BandLayout` of G = ``hess`` and the CSC B = ``jac``."""
+    mask = hess.blocks != 0
+    return _band_layout(
+        hess.n,
+        mask.shape,
+        np.packbits(mask).tobytes(),
+        jac.shape,
+        (jac.indptr.dtype.str, jac.indptr.tobytes()),
+        (jac.indices.dtype.str, jac.indices.tobytes()),
+    )
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _band_layout(n, block_shape, packed_mask, shape, indptr, indices):
+    """The :class:`_BandLayout` of one pattern, from hashable arguments:
+    ``packed_mask`` is G's nonzero mask through ``np.packbits``, and
+    ``indptr`` and ``indices`` are (dtype, bytes) of B's CSC arrays."""
+    mask = np.unpackbits(np.frombuffer(packed_mask, np.uint8), count=math.prod(block_shape))
+    indptr, indices = (np.frombuffer(raw, dtype) for dtype, raw in (indptr, indices))
+    m1, m2 = shape
+    # segment order: the primal rows in packed order, each constraint after
+    # the segment (n + 1 packed rows) that holds its first stored row in B,
+    # a constraint without entries last
     first = np.full(m2, m1)
-    stored = np.diff(jac.indptr) > 0
-    first[stored] = jac.indices[jac.indptr[:-1][stored]]
-    segment = np.concatenate((np.arange(m1), first)) // (hess.n + 1)
-    return np.lexsort((np.arange(m1 + m2) >= m1, segment))
+    stored = np.diff(indptr) > 0
+    first[stored] = indices[indptr[:-1][stored]]
+    segment = np.concatenate((np.arange(m1), first)) // (n + 1)
+    order = np.lexsort((np.arange(m1 + m2) >= m1, segment))
+    position = np.empty_like(order)
+    position[order] = np.arange(m1 + m2)
+    width = block_shape[1]
+    g_index = np.flatnonzero(mask)
+    block, row, col = np.unravel_index(g_index, block_shape)
+    jac_cols = m1 + np.repeat(np.arange(m2), np.diff(indptr))
+    rows = position[np.concatenate((block * width + row, indices, jac_cols))]
+    cols = position[np.concatenate((block * width + col, jac_cols, indices))]
+    kl = int(np.max(rows - cols, initial=0))
+    ku = int(np.max(cols - rows, initial=0))
+    # LAPACK general band storage: entry (i, j) at band[kl + ku + i - j, j]
+    ldab = 2 * kl + ku + 1
+    positions = kl + ku + rows - cols + ldab * cols
+    for array in (order, g_index, positions):
+        array.flags.writeable = False
+    return _BandLayout(order, kl, ku, ldab, g_index, positions)
 
 
 class _BandedSaddle:
     """Banded LU (LAPACK gbtrf) of [[G, B], [B^T, 0]] in segment order.
 
     G is the :class:`~falsify.hessian.HessianApprox` ``hess``, B the CSC
-    ``jac``.  The band storage is written straight from G's nonzero block
-    entries and B's stored entries, with kl and ku read from the permuted
-    pattern.  ``info`` is gbtrf's: positive when U has an exactly zero pivot,
-    and then :meth:`solve` must not be called.
+    ``jac``.  The band layout (segment order, kl, ku and every entry's place
+    in band storage) depends on the sparsity pattern alone, of G's blocks and
+    of B, and is computed once per pattern (:func:`_band_layout`); each
+    factorization writes G's nonzero block entries and B's stored entries
+    into a zero band and runs gbtrf.  ``info`` is gbtrf's: positive when U
+    has an exactly zero pivot, and then :meth:`solve` must not be called.
     """
 
     def __init__(self, hess, jac):
-        m1, m2 = jac.shape
-        order = _segment_order(hess, jac)
-        position = np.empty_like(order)
-        position[order] = np.arange(m1 + m2)
-        width = hess.blocks.shape[1]
-        block, row, col = np.nonzero(hess.blocks)
-        jac_cols = m1 + np.repeat(np.arange(m2), np.diff(jac.indptr))
-        rows = position[np.concatenate((block * width + row, jac.indices, jac_cols))]
-        cols = position[np.concatenate((block * width + col, jac_cols, jac.indices))]
-        kl = int(np.max(rows - cols, initial=0))
-        ku = int(np.max(cols - rows, initial=0))
-        # LAPACK general band storage: entry (i, j) at band[kl + ku + i - j, j]
-        band = np.zeros((2 * kl + ku + 1, m1 + m2), order="F")
-        band[kl + ku + rows - cols, cols] = np.concatenate(
-            (hess.blocks[block, row, col], jac.data, jac.data)
+        layout = _layout(hess, jac)
+        flat = np.zeros(layout.ldab * len(layout.order))
+        flat[layout.positions] = np.concatenate(
+            (hess.blocks.take(layout.g_index), jac.data, jac.data)
         )
-        self.lu, self.ipiv, self.info = _gbtrf(band, kl, ku, overwrite_ab=1)
-        self.order, self.kl, self.ku = order, kl, ku
+        band = flat.reshape(-1, layout.ldab).T  # Fortran order, as gbtrf takes it
+        self.lu, self.ipiv, self.info = _gbtrf(band, layout.kl, layout.ku, overwrite_ab=1)
+        self.order, self.kl, self.ku = layout.order, layout.kl, layout.ku
 
     def pivots(self):
         """Magnitudes of U's diagonal."""

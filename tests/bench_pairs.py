@@ -14,10 +14,13 @@ The output file holds every run (side, pair, seed, order, exit code,
 correctness and metrics) and, per workload and end-to-end metric, each
 side's median and quartiles, the number of pairs each side won (by the
 metric's "better" direction in CHANGE_ROOT/BENCHMARK.json), the relative
-median delta and the parent's interquartile range.  It is rewritten after
-every run, so an interrupted series keeps what it measured.  Exits 1 if
-any run failed: a non-zero exit code, a result that is not "correct", or no
-result line; 0 otherwise.
+median delta, the parent's interquartile range, and two flags: whether the
+change's median is worse than the parent's by more than the metric's bound
+(``beyond_bound``) and whether the change meets the gain rule, at least
+9 of 10 pairs won and a median gain beyond the parent's IQR
+(``gain_rule_met``).  It is rewritten after every run, so an interrupted
+series keeps what it measured.  Exits 1 if any run failed: a non-zero exit
+code, a result that is not "correct", or no result line; 0 otherwise.
 """
 
 import argparse
@@ -107,10 +110,19 @@ def quartiles(values):
     return p25, median, p75
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds=None):
     """Per workload and metric: both sides' quartiles, pair wins, the
     relative median delta and the parent's IQR, over the runs that did not
-    fail.  ``better`` maps a metric name to "lower" or "higher"."""
+    fail.  ``better`` maps a metric name to "lower" or "higher", and
+    ``bounds`` to its bound, the largest relative worsening of the median
+    that a change may show.
+
+    Two flags read these numbers as a change's gates: ``beyond_bound``
+    (None without a bound) when the change's median is worse than the
+    parent's by more than the bound times the parent's median, and
+    ``gain_rule_met`` when the change won at least 9 of every 10 pairs and
+    its median gain exceeds the parent's IQR."""
+    bounds = bounds or {}
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         sides = {}
@@ -132,15 +144,22 @@ def summarize(runs, better):
             change = [c for _, c in values]
             p25, p_med, p75 = quartiles(parent)
             c25, c_med, c75 = quartiles(change)
+            change_won = sum(sign * (c - p) < 0 for p, c in values)
+            gain_exceeds_iqr = sign * (p_med - c_med) > p75 - p25
+            bound = bounds.get(name)
             entry[name] = {
                 "better": direction,
                 "parent": {"median": p_med, "p25": p25, "p75": p75},
                 "change": {"median": c_med, "p25": c25, "p75": c75},
-                "change_won_pairs": sum(sign * (c - p) < 0 for p, c in values),
+                "change_won_pairs": change_won,
                 "parent_won_pairs": sum(sign * (c - p) > 0 for p, c in values),
                 "median_delta_rel": (c_med - p_med) / p_med if p_med else None,
                 "parent_iqr": p75 - p25,
-                "median_gain_exceeds_parent_iqr": sign * (p_med - c_med) > p75 - p25,
+                "median_gain_exceeds_parent_iqr": gain_exceeds_iqr,
+                "beyond_bound": (
+                    None if bound is None else sign * (c_med - p_med) > bound * abs(p_med)
+                ),
+                "gain_rule_met": 10 * change_won >= 9 * len(values) and gain_exceeds_iqr,
             }
         summary[workload] = entry
     return summary
@@ -156,6 +175,7 @@ def main(argv=None):
         else [workload["name"] for workload in spec["workloads"]]
     )
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"] if "bound" in metric}
     report = {
         "what": "alternating parent/change pairs of the benchmark's end-to-end metrics",
         "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
@@ -189,7 +209,7 @@ def main(argv=None):
                 runs.append(run)
                 wall = (result or {}).get("metrics", {}).get("wall_s", {}).get("value")
                 print(f"{workload} pair {pair} {side}: exit {code}, wall_s {wall}", file=sys.stderr)
-                report["summary"] = summarize(runs, better)
+                report["summary"] = summarize(runs, better, bounds)
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 1 if any(failed(run) for run in runs) else 0
 

@@ -8,11 +8,13 @@ formulations have closed-form Lagrangian gradients
 (:func:`lagrangian_gradient_direct`) to compare with the library's one
 path, objective gradient + B lambda, and the constraint Jacobian built from
 triplets (:func:`constraint_jacobian_triplets`) gives the CSC arrays the
-library's column-by-column build must equal.  The dense LDL^T KKT solve as three
-separate passes, and a one-dimensional system that blows up in finite
-time, live here too.  Two helpers call into the solver on purpose:
-:func:`trial` and :func:`merit_slope` give the merit tests the m(alpha) and
-m'(0) that the line search uses, and :func:`singular_kkt_on_third_solve`
+library's column-by-column build must equal.  The dense LDL^T KKT solve
+as three separate passes, the BFGS update block by block
+(:func:`blockwise_update`), the reference of the stacked one, and a
+one-dimensional system that blows up in finite time live here too.  Two
+helpers call into the solver on purpose: :func:`trial` and
+:func:`merit_slope` give the merit tests the m(alpha) and m'(0) that the
+line search uses, and :func:`singular_kkt_on_third_solve`
 wraps its KKT ladder.  Tolerance constants match the acceptance thresholds.
 """
 
@@ -32,6 +34,7 @@ from falsify.formulation import (
     constraint_value,
     objective_gradient,
 )
+from falsify.hessian import _MIN_RCOND
 from falsify.integrate import DEFAULT_CONFIG, IntegratorConfig
 from falsify.kkt import KktSolution, SingularSystem
 from falsify.shooting import (
@@ -43,6 +46,8 @@ from falsify.shooting import (
     unpack,
 )
 from falsify.systems import OdeSystem, benchmark2, benchmark3, rotation_matrix
+
+_potrf, _pocon = scipy.linalg.get_lapack_funcs(("potrf", "pocon"), dtype=np.float64)
 
 # finite differences need flows far more accurate than the default solver
 # tolerances, otherwise integrator noise dominates the h^2 truncation error
@@ -567,3 +572,51 @@ def direct_three_pass(system):
             f"direct solve residual {residual:.2e} exceeds tolerance; system near-singular"
         )
     return KktSolution(d_x, d_lam, 0)
+
+
+# ---------------------------------------------------------------------------
+# BFGS update, one block at a time
+
+
+def _well_conditioned(mat):
+    """True when the symmetric ``mat`` has a Cholesky factor and a
+    reciprocal condition number above ``hessian._MIN_RCOND``."""
+    factor, info = _potrf(mat, lower=False, clean=False)
+    if info != 0:
+        return False
+    rcond, info = _pocon(factor, np.abs(mat).sum(axis=0).max())
+    return info == 0 and rcond > _MIN_RCOND
+
+
+def _bfgs_inplace(mat, s, y):
+    """Apply the rank-two update to ``mat`` in place; True when applied.
+
+    Skips on y^T s <= 0 (curvature condition), on the degenerate
+    s^T H s <= 0, and when the result would not be well conditioned.
+    """
+    ys = float(y @ s)
+    if ys <= 0.0:
+        return False
+    hs = mat @ s
+    shs = float(s @ hs)
+    if shs <= 0.0:
+        return False
+    updated = mat - np.outer(hs, hs) / shs
+    updated += np.outer(y, y) / ys
+    if not _well_conditioned(updated):
+        return False
+    mat[...] = updated
+    return True
+
+
+def blockwise_update(hess, s, y):
+    """(blocks, skip_count) after ``hess.update(s, y)``, computed block after
+    block by the reference above, on a copy: the stacked
+    :meth:`falsify.hessian.HessianApprox.update` must equal it bit for bit."""
+    blocks = hess.blocks.copy()
+    count, width, _ = blocks.shape
+    applied = [
+        _bfgs_inplace(block, s_block, y_block)
+        for block, s_block, y_block in zip(blocks, s.reshape(count, width), y.reshape(count, width))
+    ]
+    return blocks, hess.skip_count + applied.count(False)

@@ -32,3 +32,41 @@ def test_summary_counts_wins_by_direction_and_skips_failed_pairs():
     # higher is better: the change's 1.0 beats the parent's 0.5 in pair 2
     assert (found["change_won_pairs"], found["parent_won_pairs"]) == (1, 0)
     assert not found["median_gain_exceeds_parent_iqr"]
+
+
+def ten_pairs(parent_walls, change_walls):
+    return [
+        run(pair, side, wall)
+        for pair, walls in enumerate(zip(parent_walls, change_walls))
+        for side, wall in zip(("parent", "change"), walls)
+    ]
+
+
+def test_summary_flags_the_bound_and_the_gain_rule():
+    parent = [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.1]  # median 1.1, IQR 0.2
+    # 9 of 10 pairs won, median gain 0.3 > IQR
+    runs = ten_pairs(parent, [0.8] * 9 + [1.3])
+    wall = bench_pairs.summarize(runs, {"wall_s": "lower"}, {"wall_s": 0.25})["w"]["wall_s"]
+    assert wall["change_won_pairs"] == 9
+    assert wall["gain_rule_met"] and not wall["beyond_bound"]
+    # 8 of 10 won: the median gain alone does not meet the rule
+    runs = ten_pairs(parent, [0.8] * 8 + [1.3, 1.3])
+    wall = bench_pairs.summarize(runs, {"wall_s": "lower"}, {"wall_s": 0.25})["w"]["wall_s"]
+    assert not wall["gain_rule_met"]
+    # every pair won by less than the parent's IQR
+    runs = ten_pairs(parent, [wall - 0.01 for wall in parent])
+    wall = bench_pairs.summarize(runs, {"wall_s": "lower"}, {"wall_s": 0.25})["w"]["wall_s"]
+    assert wall["change_won_pairs"] == 10 and not wall["gain_rule_met"]
+    # 1.1 * 1.25 = 1.375: a median of 1.4 is beyond the bound, 1.35 is not
+    for change, beyond in ((1.4, True), (1.35, False)):
+        runs = ten_pairs(parent, [change] * 10)
+        summary = bench_pairs.summarize(
+            runs, {"wall_s": "lower", "found_share": "higher"}, {"wall_s": 0.25}
+        )["w"]
+        assert summary["wall_s"]["beyond_bound"] is beyond
+        # no bound given: no verdict
+        assert summary["found_share"]["beyond_bound"] is None
+    # higher is better: a found share 10 % below the parent's is beyond a 0.05 bound
+    runs = [run(0, "parent", 1.0, found=1.0), run(0, "change", 1.0, found=0.9)]
+    found = bench_pairs.summarize(runs, {"found_share": "higher"}, {"found_share": 0.05})["w"]
+    assert found["found_share"]["beyond_bound"]

@@ -17,7 +17,7 @@ from falsify.kkt import (
     SaddleSystem,
     SingularSystem,
     _ConstraintProjector,
-    _segment_order,
+    _layout,
     solve_direct,
     solve_ppcg,
 )
@@ -291,7 +291,7 @@ def test_multiple_shooting_saddle_matrix_has_a_narrow_band(monkeypatch):
     (kl, ku), = seen
     assert kl <= 2 * n + 1 and ku <= 2 * n + 1
     # the order the band was read from, checked on the dense matrix
-    order = _segment_order(hess, jac)
+    order = _layout(hess, jac).order
     rows, cols = np.nonzero(system.dense_matrix()[np.ix_(order, order)])
     assert (kl, ku) == (np.max(rows - cols), np.max(cols - rows))
 
@@ -324,7 +324,7 @@ def test_constraint_without_entries_goes_last_and_is_singular():
     jac[[1, 7], 1] = 1.0
     jac[[4, 8], 2] = 1.0
     jac = sp.csc_matrix(jac)
-    order = _segment_order(hess, jac)
+    order = _layout(hess, jac).order
     assert order.tolist() == [0, 1, 2, 10, 3, 4, 5, 11, 6, 7, 8, 9]
     system = SaddleSystem(hess, jac, np.ones(hess.dim), np.ones(3))
     with pytest.raises(SingularSystem, match="exactly zero"):
@@ -430,7 +430,7 @@ def projector_bands(monkeypatch, jac, n, n_segments, rng):
     seen = band_spy(monkeypatch)
     for hess in projector_hessians(rng, n, n_segments):
         assert_projector_matches_the_dense_oracle(hess, jac, rng)
-        order = _segment_order(hess, sp.csc_matrix(jac))
+        order = _layout(hess, sp.csc_matrix(jac)).order
         rows, cols = np.nonzero(preconditioner_matrix(hess, jac)[np.ix_(order, order)])
         assert seen[-1] == (np.max(rows - cols), np.max(cols - rows))
     return seen
@@ -467,3 +467,87 @@ def test_projector_on_zero_and_one_constraints(m2):
     rng = np.random.default_rng(269)
     for hess in projector_hessians(rng, 3, 2):
         assert_projector_matches_the_dense_oracle(hess, rng.standard_normal((8, m2)), rng)
+
+
+def assert_equals_a_cold_build(built, hess, jac, rng):
+    """``built`` equals a _BandedSaddle of (hess, jac) built with an empty
+    layout cache, bit for bit: lu, ipiv, kl, ku, order and a solve."""
+    kkt._band_layout.cache_clear()
+    cold = kkt._BandedSaddle(hess, jac)
+    assert (built.kl, built.ku) == (cold.kl, cold.ku)
+    assert np.array_equal(built.order, cold.order)
+    assert built.lu.shape == cold.lu.shape and built.lu.tobytes() == cold.lu.tobytes()
+    assert np.array_equal(built.ipiv, cold.ipiv)
+    rhs = rng.standard_normal(sum(jac.shape))
+    assert built.solve(rhs).tobytes() == cold.solve(rhs).tobytes()
+
+
+def pattern_changes(rng):
+    """(name, (hess, jac) before, (hess, jac) after) of four changes of the
+    sparsity pattern that each change the band layout."""
+    n, n_segments = 3, 4
+    jac = sp.csc_matrix(matching_jacobian(rng, n, n_segments))
+    identity = init_identity("blockdiag", n, n_segments)
+    _, dense = projector_hessians(rng, n, n_segments)
+    zeroed = jac.copy()
+    zeroed.data[1] = 0.0
+    zeroed.eliminate_zeros()
+    moved = jac.copy()
+    moved.indices[-1] += 1  # the last column's last entry, one row down
+    a = rng.standard_normal((12, 12))
+    spd = (a @ a.T + 12 * np.eye(12))[None]
+    wide = sp.csc_matrix(rng.standard_normal((12, 5)))
+    return [
+        ("identity G, then dense blocks", (identity, jac), (dense, jac)),
+        ("a B entry becomes exactly 0", (dense, jac), (dense, zeroed)),
+        ("a B entry moves to another row of its column", (dense, jac), (dense, moved)),
+        (
+            "full G of equal block shape, other n",
+            (HessianApprox("full", 2, 4, spd), wide),
+            (HessianApprox("full", 3, 3, spd), wide),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "change", range(4), ids=["dense_blocks", "zeroed_entry", "moved_entry", "other_n"]
+)
+def test_band_built_after_another_pattern_equals_a_cold_build(change):
+    """The layout cache is keyed on everything that decides the layout:
+    a band built right after a different pattern, and again from the cache,
+    equals a cold build of its own."""
+    rng = np.random.default_rng(283)
+    name, before, after = pattern_changes(rng)[change]
+    layouts = [
+        [getattr(value, "tobytes", lambda: value)() for value in vars(_layout(*pair)).values()]
+        for pair in (before, after)
+    ]
+    assert layouts[0] != layouts[1], name
+    kkt._band_layout.cache_clear()
+    kkt._BandedSaddle(*before)
+    right_after = kkt._BandedSaddle(*after)
+    from_the_cache = kkt._BandedSaddle(*after)
+    for built in (right_after, from_the_cache):
+        assert_equals_a_cold_build(built, *after, rng)
+
+
+def test_layout_cache_is_bounded_and_holds_read_only_index_arrays():
+    """More patterns than the cache holds: it keeps at most
+    _LAYOUT_CACHE_SIZE layouts, each of integer arrays that cannot be
+    written, and never a band or a factor."""
+    kkt._band_layout.cache_clear()
+    for n_segments in range(1, kkt._LAYOUT_CACHE_SIZE + 4):
+        hess = init_identity("blockdiag", 2, n_segments)
+        jac = sp.csc_matrix(np.ones((hess.dim, 1)))
+        saddle = kkt._BandedSaddle(hess, jac)
+        layout = _layout(hess, jac)
+        arrays = [value for value in vars(layout).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 3
+        for array in arrays:
+            assert array.dtype.kind == "i" and not array.flags.writeable
+            assert not np.shares_memory(array, saddle.lu)
+        with pytest.raises(ValueError, match="read-only"):
+            saddle.order[0] = 0
+    info = kkt._band_layout.cache_info()
+    assert info.currsize == kkt._LAYOUT_CACHE_SIZE
+    assert info.misses == kkt._LAYOUT_CACHE_SIZE + 3
