@@ -18,11 +18,12 @@ numerically singular (its reciprocal condition number at most
 Storage is one (k, w, w) array of diagonal blocks, each updated on its own:
 a single dim x dim block for ``full``, and k = N blocks of width w = n+1 for
 ``blockdiag``, whose entries outside the blocks are zero and never stored.
-The update is stacked over the blocks: y^T s, H s, s^T H s, both outer
-products and the 1-norm are each one array operation, taken only on the
-blocks that pass both curvature tests, and only the Cholesky factorization
-and condition estimate (LAPACK potrf, pocon) run block by block.  Each
-block's numbers are those of the same update on that block alone.
+The update is stacked over the blocks: y^T s, H s and s^T H s are each one
+array operation over every block, which selects the blocks that pass both
+curvature tests at once; both outer products and the 1-norm are taken on
+those blocks only, and only the Cholesky factorization and condition
+estimate (LAPACK potrf, pocon) run block by block.  Each block's numbers
+are those of the same update on that block alone.
 """
 
 from dataclasses import dataclass, replace
@@ -129,17 +130,15 @@ class HessianApprox:
 
         count, width, _ = self.blocks.shape
         s, y = s.reshape(count, width, 1), y.reshape(count, width, 1)
+        hs = self.blocks @ s
+        ys, shs = _dots(y, s), _dots(s, hs)
         # only blocks that pass both curvature tests are updated; a NaN
         # fails them, as it would fail Cholesky
-        ys = _dots(y, s)
-        curved = np.flatnonzero(ys > 0.0)
-        hs = self.blocks[curved] @ s[curved]
-        shs = _dots(s[curved], hs)
-        inner = shs > 0.0
-        curved, hs, shs = curved[inner], hs[inner], shs[inner, None, None]
+        curved = np.flatnonzero((ys > 0.0) & (shs > 0.0))
+        hs, y = hs[curved], y[curved]
+        ys, shs = ys[curved, None, None], shs[curved, None, None]
         updated = self.blocks[curved] - hs * hs.transpose(0, 2, 1) / shs
-        y = y[curved]
-        updated += y * y.transpose(0, 2, 1) / ys[curved, None, None]
+        updated += y * y.transpose(0, 2, 1) / ys
         # 1-norms from column sums added row after row, as sum(axis=0) adds
         # them on one block
         norms = np.abs(updated).sum(axis=1).max(axis=1)

@@ -5,9 +5,9 @@ Each SQP iteration solves
     [ H  B ] [ d_x   ]   [ rhs_top    ]
     [ B^T 0 ] [ d_lam ] = [ rhs_bottom ]
 
-for the primal-dual step.  B is always a sparse m1 x m2 matrix; the
-unconstrained formulations carry an empty (m1, 0) B, and every solver
-treats them as the case m2 = 0 of the same system.
+for the primal-dual step.  B is a sparse m1 x m2 matrix, held in CSC form
+from the system's construction on; the unconstrained formulations carry an
+empty (m1, 0) B, and every solver treats them as the case m2 = 0.
 
 Both solvers factor a matrix of this pattern, [[G, B], [B^T, 0]] with G
 given by its diagonal blocks, by one banded LU with partial pivoting
@@ -74,7 +74,7 @@ class Breakdown(Exception):
 
 @dataclass(frozen=True)
 class SaddleSystem:
-    """Assembled KKT system: Hessian approximation, constraint Jacobian, rhs."""
+    """Assembled KKT system: Hessian approximation, CSC constraint Jacobian, rhs."""
 
     hess: object          # HessianApprox (dimension m1)
     jac: sp.spmatrix      # B, sparse m1 x m2 ((m1, 0) when unconstrained)
@@ -87,6 +87,7 @@ class SaddleSystem:
             raise ValueError("rhs_top length must match the Hessian dimension")
         if not sp.issparse(self.jac) or self.jac.shape != (m1, self.rhs_bottom.shape[0]):
             raise ValueError("jac must be a sparse matrix of shape (m1, m2)")
+        object.__setattr__(self, "jac", self.jac.tocsc())  # a CSC B is kept as it is
 
     @property
     def m1(self):
@@ -244,7 +245,7 @@ def solve_direct(system):
     deficiency (relative tolerance 1e-12), or when the residual check fails,
     a NaN residual included.
     """
-    saddle = _BandedSaddle(system.hess, system.jac.tocsc())
+    saddle = _BandedSaddle(system.hess, system.jac)
     if saddle.info > 0:
         raise SingularSystem(
             "saddle matrix numerically singular "
@@ -272,12 +273,12 @@ class _ConstraintProjector:
     """Applies the constraint preconditioner P = [[G, B], [B^T, 0]].
 
     G is the Hessian approximation ``hess`` for the ``blockdiag`` variant
-    and the identity otherwise.  P is factored once by :class:`_BandedSaddle`,
-    and each solve with it is refined once on its residual, which keeps
-    B^T g at round-off and r^T g accurate enough for the stopping test, which
-    needs it to about eps^2 of its start.  Raises :class:`Breakdown` when P
-    has an exactly zero pivot or a non-finite factor, and when a solve or
-    r^T g is not finite.
+    and the identity otherwise, B a :class:`SaddleSystem`'s CSC ``jac``.  P
+    is factored once by :class:`_BandedSaddle`, and each solve with it is
+    refined once on its residual, which keeps B^T g at round-off and r^T g
+    accurate enough for the stopping test, which needs it to about eps^2 of
+    its start.  Raises :class:`Breakdown` when P has an exactly zero pivot
+    or a non-finite factor, and when a solve or r^T g is not finite.
     """
 
     def __init__(self, hess, jac):
@@ -286,8 +287,8 @@ class _ConstraintProjector:
         else:
             self.g = None  # G = I, which the refinement applies without a product
             hess = init_identity("blockdiag", hess.n, hess.n_segments)
-        self.jac = jac.tocsc()
-        self.jac_t = self.jac.T
+        self.jac = jac
+        self.jac_t = jac.T
         self.m1, self.m2 = jac.shape
         self.saddle = _BandedSaddle(hess, self.jac)
         info = self.saddle.info

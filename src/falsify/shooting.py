@@ -176,17 +176,17 @@ class ProblemInstance:
         return self.system.dim
 
 
-def evaluate_segments(instance, vec, cfg=None, *, first_step=None):
+def evaluate_segments(instance, vec, cfg=None):
     """Flow with sensitivity of every segment of ``vec``, one batched solve.
 
     Returns one :class:`FlowResult` whose fields carry a leading segment
     axis: ``end_state`` (N, n), ``sensitivity`` (N, n, n),
     ``end_derivative`` (N, n) and ``step`` (N,), row i computed from
-    (x0_i, t_i).  ``first_step`` is as in :func:`evaluate_many`.  Raises
-    :class:`IntegrationFailure` whose message names the first failing
-    segment (1-based) and whose ``lane`` is its 0-based index.
+    (x0_i, t_i).  Raises :class:`IntegrationFailure` whose message names
+    the first failing segment (1-based) and whose ``lane`` is its 0-based
+    index.
     """
-    (flows,) = evaluate_many(instance, [vec], cfg, first_step=first_step)
+    (flows,) = evaluate_many(instance, [vec], cfg)
     if isinstance(flows, IntegrationFailure):
         raise flows
     return flows

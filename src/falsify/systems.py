@@ -2,7 +2,9 @@
 
 The state Jacobian df/dx is carried explicitly because it is the coefficient
 matrix of the variational equations; all built-in constructors supply the
-analytic form.
+analytic form.  benchmark2 and benchmark3 also supply a fused variational
+kernel, faster than their composite stage; benchmark1 has none, since its
+kernel would only call its rhs and Jacobian in turn.
 """
 
 from dataclasses import dataclass
@@ -130,14 +132,7 @@ def benchmark1(n):
         out.reshape(x.shape[:-1] + (n * n,))[..., anti_diagonal] += np.cos(x[..., ::-1])
         return out
 
-    def variational(t, z, out):
-        # rhs written in place, operands in its order, then jac
-        x, f = z[..., :n], out[..., :n]
-        _rotate(x, f)
-        f += np.sin(x[..., ::-1])
-        _jac_times_sensitivity(jac(t, x), z, out)
-
-    return OdeSystem(n, rhs, jac, f"benchmark1(n={n})", variational=variational)
+    return OdeSystem(n, rhs, jac, f"benchmark1(n={n})")
 
 
 def benchmark2():

@@ -14,11 +14,13 @@ The output file holds every run (side, pair, seed, order, exit code,
 correctness and metrics) and, per workload and end-to-end metric, each
 side's median and quartiles, the number of pairs each side won (by the
 metric's "better" direction in CHANGE_ROOT/BENCHMARK.json), the relative
-median delta, the parent's interquartile range, and two flags: whether the
+median delta, the parent's interquartile range, and three flags: whether the
 change's median is worse than the parent's by more than the metric's bound
-(``beyond_bound``) and whether the change meets the gain rule, at least
+(``beyond_bound``), whether the change meets the gain rule, at least
 9 of 10 pairs won and a median gain beyond the parent's IQR
-(``gain_rule_met``).  It is rewritten after every run, so an interrupted
+(``gain_rule_met``), and whether the runs spread too widely to tell
+(``unresolved``: the parent's IQR exceeds the bound and the two sides'
+runs overlap).  It is rewritten after every run, so an interrupted
 series keeps what it measured.  Exits 1 if any run failed: a non-zero exit
 code, a result that is not "correct", or no result line; 0 otherwise.
 """
@@ -117,11 +119,14 @@ def summarize(runs, better, bounds=None):
     ``bounds`` to its bound, the largest relative worsening of the median
     that a change may show.
 
-    Two flags read these numbers as a change's gates: ``beyond_bound``
+    Three flags read these numbers as a change's gates: ``beyond_bound``
     (None without a bound) when the change's median is worse than the
-    parent's by more than the bound times the parent's median, and
+    parent's by more than the bound times the parent's median,
     ``gain_rule_met`` when the change won at least 9 of every 10 pairs and
-    its median gain exceeds the parent's IQR."""
+    its median gain exceeds the parent's IQR, and ``unresolved`` (None
+    without a bound) when the parent's IQR exceeds the bound times the
+    parent's median and not every change run reads better than every parent
+    run: a spread that wide leaves the bound untested."""
     bounds = bounds or {}
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
@@ -145,6 +150,8 @@ def summarize(runs, better, bounds=None):
             p25, p_med, p75 = quartiles(parent)
             c25, c_med, c75 = quartiles(change)
             change_won = sum(sign * (c - p) < 0 for p, c in values)
+            # the change's worst run against the parent's best
+            separated = max(sign * c for c in change) < min(sign * p for p in parent)
             gain_exceeds_iqr = sign * (p_med - c_med) > p75 - p25
             bound = bounds.get(name)
             entry[name] = {
@@ -160,6 +167,9 @@ def summarize(runs, better, bounds=None):
                     None if bound is None else sign * (c_med - p_med) > bound * abs(p_med)
                 ),
                 "gain_rule_met": 10 * change_won >= 9 * len(values) and gain_exceeds_iqr,
+                "unresolved": (
+                    None if bound is None else p75 - p25 > bound * abs(p_med) and not separated
+                ),
             }
         summary[workload] = entry
     return summary

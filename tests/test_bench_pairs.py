@@ -70,3 +70,32 @@ def test_summary_flags_the_bound_and_the_gain_rule():
     runs = [run(0, "parent", 1.0, found=1.0), run(0, "change", 1.0, found=0.9)]
     found = bench_pairs.summarize(runs, {"found_share": "higher"}, {"found_share": 0.05})["w"]
     assert found["found_share"]["beyond_bound"]
+
+
+def test_summary_flags_a_spread_wider_than_the_bound_as_unresolved():
+    wide = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.5, 1.5]  # median 1.5, IQR 1.0
+    narrow = [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.1]  # median 1.1, IQR 0.2
+    cases = [
+        # IQR 1.0 > 0.25 * 1.5, and the sides' runs overlap
+        (wide, [1.4] * 10, True),
+        # as wide, but every change run reads better than every parent run
+        (wide, [0.9] * 10, False),
+        # IQR 0.2 < 0.25 * 1.1: the spread is inside the bound
+        (narrow, [1.15] * 10, False),
+    ]
+    for parent, change, unresolved in cases:
+        runs = ten_pairs(parent, change)
+        summary = bench_pairs.summarize(
+            runs, {"wall_s": "lower", "found_share": "higher"}, {"wall_s": 0.25}
+        )["w"]
+        assert summary["wall_s"]["unresolved"] is unresolved
+        assert summary["found_share"]["unresolved"] is None
+    # higher is better: parent shares of 0.5 and 1.0, and a change at 1.0
+    # that does not beat the parent's best run
+    runs = [
+        run(pair, side, 1.0, found=found)
+        for pair, shares in enumerate([(0.5, 1.0), (1.0, 1.0)] * 5)
+        for side, found in zip(("parent", "change"), shares)
+    ]
+    found = bench_pairs.summarize(runs, {"found_share": "higher"}, {"found_share": 0.05})["w"]
+    assert found["found_share"]["unresolved"] is True

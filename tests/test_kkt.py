@@ -363,6 +363,27 @@ def test_saddle_system_validation():
         )
 
 
+@pytest.mark.parametrize("fmt", ["csr", "coo"])
+def test_saddle_system_holds_b_in_csc(fmt):
+    """A B in another sparse format is converted to CSC once, when the
+    system is built, and both rungs then solve it to the bits of the system
+    built from CSC; a CSC B is kept as it is."""
+    rng = np.random.default_rng(263)
+    jac = matching_jacobian(rng, 3, 4)
+    for hess in projector_hessians(rng, 3, 4):
+        rhs_top, rhs_bottom = rng.standard_normal(hess.dim), rng.standard_normal(jac.shape[1])
+        csc = sp.csc_matrix(jac)
+        reference = SaddleSystem(hess, csc, rhs_top, rhs_bottom)
+        assert reference.jac is csc
+        system = SaddleSystem(hess, sp.csc_matrix(jac).asformat(fmt), rhs_top, rhs_bottom)
+        assert system.jac.format == "csc"
+        for solve in (solve_direct, solve_ppcg):
+            ours, theirs = solve(system), solve(reference)
+            assert ours.d_x.tobytes() == theirs.d_x.tobytes()
+            assert ours.d_lambda.tobytes() == theirs.d_lambda.tobytes()
+            assert ours.cg_iterations == theirs.cg_iterations
+
+
 def test_residual_definition():
     rng = np.random.default_rng(251)
     system = random_spd_system(rng, 5, 2)

@@ -245,15 +245,17 @@ def test_evaluate_many_equals_evaluate_segments():
         ShootingVector(instance.init.center + 0.2 * rng.standard_normal((3, 3)), rng.uniform(0.5, 2.0, 3))
         for _ in range(4)
     ]
+    outcomes = evaluate_many(instance, vecs, TIGHT)
+    singles = [evaluate_segments(instance, vec, TIGHT) for vec in vecs]
     # also warm-started, with one first step per segment for every vector
-    for first_step in (None, np.array([0.05, 0.0, 0.4])):
-        outcomes = evaluate_many(instance, vecs, TIGHT, first_step=first_step)
-        for vec, batched in zip(vecs, outcomes):
-            single = evaluate_segments(instance, vec, TIGHT, first_step=first_step)
-            np.testing.assert_array_equal(batched.end_state, single.end_state)
-            np.testing.assert_array_equal(batched.sensitivity, single.sensitivity)
-            np.testing.assert_array_equal(batched.end_derivative, single.end_derivative)
-            np.testing.assert_array_equal(batched.step, single.step)
+    first_step = np.array([0.05, 0.0, 0.4])
+    outcomes += evaluate_many(instance, vecs, TIGHT, first_step=first_step)
+    singles += [evaluate_many(instance, [vec], TIGHT, first_step=first_step)[0] for vec in vecs]
+    for batched, single in zip(outcomes, singles):
+        np.testing.assert_array_equal(batched.end_state, single.end_state)
+        np.testing.assert_array_equal(batched.sensitivity, single.sensitivity)
+        np.testing.assert_array_equal(batched.end_derivative, single.end_derivative)
+        np.testing.assert_array_equal(batched.step, single.step)
 
 
 def test_evaluate_many_fails_one_vector_and_keeps_the_others():
