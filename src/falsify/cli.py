@@ -13,9 +13,7 @@ verified), 1 converged but unverified, 2 failure, 64 configuration error.
 import argparse
 import configparser
 import json
-import logging
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -48,8 +46,6 @@ from .integrate import IntegrationFailure, IntegratorConfig
 from .kkt import Breakdown, SaddleSystem, SingularSystem, solve_direct, solve_ppcg
 from .shooting import DegenerateInstance, evaluate_many, evaluate_segments, pack, unpack
 from .sqp import KKT_METHODS, SqpConfig, Termination
-
-logger = logging.getLogger("falsify")
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "cmd_solve", "cmd_bench", "cmd_check", "main"]
 
@@ -281,7 +277,6 @@ def cmd_solve(cfg):
         return 2
     instance, guess = cell
     dim, n_segments = instance.dim, instance.n_segments
-    logger.info("solving %s dim=%d N=%d with %s", spec.system, dim, n_segments, spec.formulation.name)
     row = solve_instance(spec, instance, guess, cfg.sqp)
     report, checked = row.report, row.check
     _write_report(cfg, row, cfg.report_path)
@@ -404,13 +399,6 @@ def main(argv=None):
     parser.add_argument("--trace", help="write per-iteration records to this file")
     parser.add_argument("--dump-trajectory", help="write the final trajectory samples to this file")
     args = parser.parse_args(argv)
-
-    # a level name resolves to an int; anything else (BASIC_FORMAT is a format
-    # string) falls back to WARNING
-    level = getattr(logging, os.environ.get("FALSIFY_LOG", "warning").upper(), None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
     try:
         cfg = load_config(args)

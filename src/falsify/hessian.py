@@ -26,7 +26,7 @@ estimate (LAPACK potrf, pocon) run block by block.  Each block's numbers
 are those of the same update on that block alone.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -104,10 +104,6 @@ class HessianApprox:
 
     def is_finite(self):
         return bool(np.isfinite(self.blocks).all())
-
-    def copy(self):
-        """An independent approximation with the same state."""
-        return replace(self, blocks=self.blocks.copy())
 
     def dense_copy(self):
         """Dense dim x dim matrix, for the oracles and the least-squares KKT rung."""

@@ -20,18 +20,18 @@ multiple-shooting bound on a step's change of scale (Bock & Plitt 1984;
 Leineweber et al. 2003), so the search does not integrate trial points whose
 durations leave the scale of the problem.
 
-Backtracking is speculative: the trial vectors for the next k step lengths
-alpha, alpha*beta, ... are integrated in one lockstep batch, one
-:func:`~falsify.shooting.evaluate_many` call whatever k, 1 included, and
-the line search reads their merit values in order, computing F + R and c
-only for the step lengths it tests.  k starts at the previous iteration's
-trial count (1 on the first) and doubles for each further batch of the
-same search, up to 8; no step length below eps3 is integrated.  A lane
-whose integration fails reads m = +inf while the other lanes keep their
-flows.  The ladder runs only where a vector's augmented state, (n + n^2) N
-floats, is at most 1000 wide; elsewhere k is always 1.  Every lane is
-bitwise the lane a one-at-a-time search would integrate, so the iterates do
-not depend on k.
+Backtracking is speculative: :func:`_trials` yields m and the point of each
+step length alpha, alpha*beta, ... in the line search's order, integrating
+the trial vectors of the next k step lengths in one lockstep batch, one
+:func:`~falsify.shooting.evaluate_many` call whatever k, 1 included, when
+the search asks for the first; F + R and c are computed only for the step
+lengths it tests.  k starts at the previous iteration's trial count (1 on
+the first) and doubles for each further batch of the same search, up to 8;
+no step length below eps3 is integrated.  A lane whose integration fails
+reads m = +inf while the other lanes keep their flows.  The ladder runs
+only where a vector's augmented state, (n + n^2) N floats, is at most 1000
+wide; elsewhere k is always 1.  Every lane is bitwise the lane a
+one-at-a-time search would integrate, so the iterates do not depend on k.
 
 Every trial integration is warm-started: each segment's first step is the
 step the incumbent's flow of that segment ended with (``FlowResult.step``),
@@ -47,7 +47,7 @@ within the integrator's tolerances, not bitwise."""
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -255,6 +255,24 @@ def _step_lengths(alpha, backtrack_factor, eps3):
         alpha *= backtrack_factor
 
 
+def _trials(formulation, instance, cfg, point, d_x, lam_full, alpha_start, width, cap):
+    """(m, point) of the trial point + alpha d_x, or (+inf, None), for each
+    alpha of ``_step_lengths(alpha_start, ...)``, in :func:`line_search`'s
+    order.  The trials are integrated from the incumbent's last steps in
+    batches of ``min(width, cap)`` vectors, the width doubling up to ``cap``
+    after each batch, when the batch's first alpha is asked for."""
+    n, n_segments = instance.system.dim, instance.n_segments
+    flat = pack(point.vec)
+    alphas = _step_lengths(alpha_start, cfg.backtrack_factor, cfg.eps3)
+    width = min(width, cap)
+    while batch := list(itertools.islice(alphas, width)):
+        vecs = [unpack(flat + alpha * d_x, n, n_segments) for alpha in batch]
+        outcomes = evaluate_many(instance, vecs, cfg.integrator, first_step=point.flows.step)
+        for vec, flows in zip(vecs, outcomes):
+            yield _trial_merit(formulation, instance, vec, flows, lam_full, cfg.omega)
+        width = min(2 * width, cap)
+
+
 def _merit_slope(grad_f, jac, c_val, lam_full, d_x, omega):
     """m'(0) = d_x^T grad F + d_x^T B(lam+d_lam) + omega d_x^T B c, added in that order."""
     slope = float(d_x @ grad_f)
@@ -330,16 +348,11 @@ def _linearize(formulation, instance, point, lam):
     return grad_f, jac, lagrangian_gradient(grad_f, jac, lam)
 
 
-def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
+def run(formulation, instance, X_init, cfg=None):
     """Run the SQP iteration from ``X_init`` until S1, S2, S3, or failure.
 
-    ``kkt_observer``, when given, receives each assembled
-    :class:`~falsify.kkt.SaddleSystem` before it is solved (used by the
-    solver cross-check suites).  Its ``hess`` is a copy of the run's Hessian
-    approximation, so a kept system still describes the step it produced
-    after later BFGS updates; without an observer nothing is copied.  Two
-    runs with identical inputs produce identical traces, whether or not the
-    backtracking ladder batches their trials.  Each shooting vector is
+    Two runs with identical inputs produce identical traces, whether or not
+    :func:`_trials` batches their trials.  Each shooting vector is
     integrated once and evaluated at most once: the accepted trial point,
     with its flows, F and c, becomes the next iterate, and B is built once
     per accepted point.  ``X_init`` is integrated from the integrator's
@@ -362,8 +375,8 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
     point = _point(formulation, instance, X_init, flows)
     grad_f, jac, grad_l = _linearize(formulation, instance, point, lam)
     trace = []
-    n, n_segments = instance.system.dim, instance.n_segments
-    cap = _ladder_cap(instance.system, n_segments)
+    n = instance.system.dim
+    cap = _ladder_cap(instance.system, instance.n_segments)
     # lanes of an iteration's first batch: the previous iteration's trial count
     width = 1
 
@@ -383,8 +396,6 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
             return report(Termination.S2_MAXIT)
 
         system = SaddleSystem(hess, jac, -grad_l, -point.c_val)
-        if kkt_observer is not None:
-            kkt_observer(replace(system, hess=hess.copy()))
         try:
             solution, alpha_start, rung = _solve_step(system, cfg.kkt_method)
         except SingularSystem:
@@ -396,29 +407,15 @@ def run(formulation, instance, X_init, cfg=None, *, kkt_observer=None):
             alpha_start = min(alpha_start, _STEP_BOUND * scale / step_t)
 
         lam_full = lam + d_lam
-        flat = pack(point.vec)
         merit_zero = _merit_value(point.objective, lam_full, point.c_val, cfg.omega)
         slope = _merit_slope(grad_f, jac, point.c_val, lam_full, d_x, cfg.omega)
+        search = _trials(formulation, instance, cfg, point, d_x, lam_full, alpha_start, width, cap)
         # line_search accepts the last alpha it evaluates
         trials = []
-        # (vector, flows) of the integrated step lengths line_search has not
-        # tested yet, in its order; a batch is integrated when none is left
-        pending = []
-        lanes = min(width, cap)
 
         def evaluate(alpha):
-            nonlocal lanes
-            if not pending:
-                alphas = itertools.islice(
-                    _step_lengths(alpha, cfg.backtrack_factor, cfg.eps3), lanes
-                )
-                vecs = [unpack(flat + a * d_x, n, n_segments) for a in alphas]
-                outcomes = evaluate_many(
-                    instance, vecs, cfg.integrator, first_step=point.flows.step
-                )
-                pending.extend(zip(vecs, outcomes))
-                lanes = min(2 * lanes, cap)
-            value, trial = _trial_merit(formulation, instance, *pending.pop(0), lam_full, cfg.omega)
+            # the search's step lengths are the generator's, in the same order
+            value, trial = next(search)
             trials.append(trial)
             return value
 

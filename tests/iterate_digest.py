@@ -8,13 +8,14 @@ ROOT/BENCHMARK.json measures) for every seed, with the inputs of
 ROOT/perfbench/workloads.make_inputs and the library in ROOT/src, and
 prints the cell count and one sha256 per workload.  A hash covers, for each
 cell and seed: nit, termination, final objective, constraint norm, final
-shooting vector, multiplier values, every field of every TraceRecord and
-the verify result.  A record field declared with a default is hashed only
-where it differs from that default, so appending such a field leaves the
-hash of every run that keeps it at its default unchanged.  Running it on
-two checkouts, one process each, shows whether a change keeps the iterates
-bitwise unchanged.  ``--cells`` also
-prints, before each workload's line, one line per cell and seed:
+shooting vector, multiplier values, every field of every TraceRecord, the
+report's BFGS skip count and failing-iteration record (``hessian_skips``,
+``last_attempt``) and the verify result.  A field declared with a default is
+hashed only where it differs from that default, so appending such a field
+leaves the hash of every run that keeps it at its default unchanged.
+Running it on two checkouts, one process each, shows whether a change keeps
+the iterates bitwise unchanged.  ``--cells`` also prints, before each
+workload's line, one line per cell and seed:
 ``workload seed cell-name nit termination`` and the first 12 hex digits of
 that cell's own hash, so a mismatch names its cell.  Nothing is written
 into ROOT.
@@ -30,7 +31,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, astuple, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,10 @@ def feed_cell(h, item, run, verify, eps4):
     for record in report.trace:
         pairs = ((f, getattr(record, f.name)) for f in fields(record))
         feed(h, *(value for f, value in pairs if value != f.default))
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.default is not MISSING and value != f.default:
+            feed(h, f.name, astuple(value) if is_dataclass(value) else value)
     feed(h, checked.ok, checked.reasons, checked.init_distance, checked.unsafe_distance)
     return f"{report.nit} {report.termination.value}"
 

@@ -14,11 +14,13 @@ as three separate passes, the BFGS update block by block
 one-dimensional system that blows up in finite time live here too.  Two
 helpers call into the solver on purpose: :func:`trial` and
 :func:`merit_slope` give the merit tests the m(alpha) and m'(0) that the
-line search uses, and :func:`singular_kkt_on_third_solve`
-wraps its KKT ladder.  Tolerance constants match the acceptance thresholds.
+line search uses, and :func:`singular_kkt_on_third_solve` and
+:func:`kkt_systems` wrap its KKT ladder, the latter to collect the saddle
+systems of a run.  Tolerance constants match the acceptance thresholds.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -227,6 +229,23 @@ def singular_kkt_on_third_solve(monkeypatch):
         return solve_step(system, method)
 
     monkeypatch.setattr(sqp, "_solve_step", failing_third)
+
+
+def kkt_systems(monkeypatch):
+    """The list into which, from now on, every saddle system `sqp.run`
+    hands `sqp._solve_step` goes, in order, before it is solved.  Each
+    holds its own copy of the Hessian blocks, so a kept system still
+    describes the step it produced after the run's later BFGS updates."""
+    solve_step = sqp._solve_step
+    systems = []
+
+    def recording(system, method):
+        hess = replace(system.hess, blocks=system.hess.blocks.copy())
+        systems.append(replace(system, hess=hess))
+        return solve_step(system, method)
+
+    monkeypatch.setattr(sqp, "_solve_step", recording)
+    return systems
 
 
 def merit_slope(form, instance, vec, lam_full, d_x, omega, cfg):

@@ -20,6 +20,7 @@ from oracles import (
     TIGHT,
     benchmark2_instance,
     benchmark3_instance,
+    kkt_systems,
     lagrangian_gradient_direct,
     merit_slope,
     random_flat_near_guess,
@@ -270,13 +271,13 @@ def test_constraint_jacobian_rank():
 # KKT solver equivalence
 
 
-def test_kkt_solver_equivalence():
-    harvested = []
+def test_kkt_solver_equivalence(monkeypatch):
+    harvested = kkt_systems(monkeypatch)
     for name, n_segments in (("eq8", 5), ("eq8", 10), ("eq9", 5), ("eq9", 10)):
         spec = BenchSpec("benchmark2", (3,), (n_segments,), Formulation.by_name(name))
         instance = generate_instance(spec, 3, n_segments)
         guess = initial_guess(instance, n_segments)
-        run(spec.formulation, instance, guess, SqpConfig(), kkt_observer=harvested.append)
+        run(spec.formulation, instance, guess, SqpConfig())
     assert len(harvested) >= 50, f"only harvested {len(harvested)} saddle systems"
 
     worst_dx = worst_constraint = 0.0

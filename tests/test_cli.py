@@ -378,18 +378,12 @@ def test_check_verifies_the_lagrangian_gradient_of_every_formulation(
     )
 
 
-def test_log_env_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("FALSIFY_LOG", "debug")
-    assert run_cli("solve") == 0
-
-
-def test_unusable_log_level_falls_back_to_warning(tmp_path):
-    """FALSIFY_LOG names a logging attribute that is no level (a format
-    string): the run goes on at WARNING and still reports the bad key."""
+def test_module_entry_point_reports_a_bad_key(tmp_path):
+    """`python -m falsify.cli solve` with a misspelt key exits 64 naming
+    the key, without a traceback."""
     config = write(tmp_path / "bad.ini", "[problem]\nsegmants = 5\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, FALSIFY_LOG="basic_format", PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-m", "falsify.cli", "solve", "--config", config],
         capture_output=True,

@@ -4,10 +4,20 @@ It imports `perfbench/workloads.py` and the library by name, so a rename on
 either side would break it without failing any other test.
 """
 
+import hashlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from falsify.shooting import ShootingVector
+from falsify.sqp import Attempt, RunReport, Termination
+from iterate_digest import feed_cell
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,3 +90,28 @@ def test_compare_names_each_cell_whose_outcome_moved(tmp_path):
         f"{workload} 2 {cell}: missing -> {nit} {termination}",
         "3 of 3 cell-seeds differ in nit or termination",
     ]
+
+
+@pytest.mark.parametrize(
+    "change", [{"hessian_skips": 3}, {"last_attempt": Attempt("ppcg", 2, 0.5, 1.0, -1.0)}]
+)
+def test_report_skips_and_last_attempt_are_hashed(change):
+    """Two stub runs whose reports differ only in the BFGS skip count, or
+    only in the failing-iteration record, give different cell hashes; the
+    same report twice gives the same hash."""
+    vec = ShootingVector(np.zeros((2, 1)), np.ones(2))
+    report = RunReport(4, Termination.S3_STEP_TOO_SMALL, vec, 1.5, 0.0, (), np.zeros(1))
+    item = SimpleNamespace(
+        cell=SimpleNamespace(name="stub"), formulation=None, instance=None, guess=None, config=None
+    )
+    checked = SimpleNamespace(
+        ok=False, reasons=("unsafe_boundary",), init_distance=0.5, unsafe_distance=1.5
+    )
+
+    def cell_hash(stub_report):
+        h = hashlib.sha256()
+        feed_cell(h, item, lambda *args: stub_report, lambda *args: checked, 1e-6)
+        return h.hexdigest()
+
+    assert cell_hash(report) == cell_hash(replace(report))
+    assert cell_hash(report) != cell_hash(replace(report, **change))

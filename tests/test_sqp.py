@@ -44,6 +44,7 @@ from oracles import (
     TIGHT,
     benchmark2_instance,
     blowup_system,
+    kkt_systems,
     merit_slope,
     random_vector_near_guess,
     singular_kkt_on_third_solve,
@@ -90,19 +91,15 @@ def test_merit_reduces_to_objective_when_unconstrained():
 
 
 @pytest.mark.parametrize("name", ["eq8", "eq13"])
-def test_recorded_merit_zero_is_the_merit_at_alpha_zero(name):
+def test_recorded_merit_zero_is_the_merit_at_alpha_zero(monkeypatch, name):
     """m(0) of the first step is bitwise the solver's merit at alpha = 0."""
     instance = benchmark2_instance(n_segments=4)
     guess = initial_guess(instance, 4)
     form = Formulation.by_name(name)
     cfg = SqpConfig(max_iter=1)
-    steps = []
-    # solved inside the observer, before the run's Hessian update
-    report = run(
-        form, instance, guess, cfg,
-        kkt_observer=lambda system: steps.append(_solve_step(system, cfg.kkt_method)),
-    )
-    solution, _, _ = steps[0]
+    seen = kkt_systems(monkeypatch)
+    report = run(form, instance, guess, cfg)
+    solution, _, _ = _solve_step(seen[0], cfg.kkt_method)
     lam = np.zeros(constraint_dim(form.constraints, 3, 4))
     value, _ = trial(
         form, instance, pack(guess), solution.d_x, 0.0, lam + solution.d_lambda,
@@ -111,15 +108,15 @@ def test_recorded_merit_zero_is_the_merit_at_alpha_zero(name):
     assert value == report.trace[0].merit_zero
 
 
-def test_kept_observer_system_re_solves_to_the_recorded_merit():
-    """The observer's system is a snapshot: the Hessian update after the
-    step does not reach it, so solving it after the run gives the step."""
+def test_kept_observer_system_re_solves_to_the_recorded_merit(monkeypatch):
+    """A collected system is a snapshot: the Hessian update after the step
+    does not reach it, so solving it after the run gives the step."""
     instance = benchmark2_instance(n_segments=4)
     guess = initial_guess(instance, 4)
     form = Formulation.by_name("eq8")
     cfg = SqpConfig(max_iter=1)
-    seen = []
-    report = run(form, instance, guess, cfg, kkt_observer=seen.append)
+    seen = kkt_systems(monkeypatch)
+    report = run(form, instance, guess, cfg)
     assert report.nit == 1 and len(seen) == 1
     solution, _, _ = _solve_step(seen[0], cfg.kkt_method)
     lam = np.zeros(constraint_dim(form.constraints, 3, 4))
@@ -397,17 +394,11 @@ def test_s3_run_reports_its_failing_iteration(monkeypatch):
     assert report.last_attempt.kkt_rung == "ppcg"
 
 
-def test_observer_sees_every_saddle_system():
+def test_observer_sees_every_saddle_system(monkeypatch):
     instance = benchmark2_instance(n_segments=5)
     guess = initial_guess(instance, 5)
-    seen = []
-    report = run(
-        Formulation.by_name("eq8"),
-        instance,
-        guess,
-        SqpConfig(),
-        kkt_observer=seen.append,
-    )
+    seen = kkt_systems(monkeypatch)
+    report = run(Formulation.by_name("eq8"), instance, guess, SqpConfig())
     assert report.termination is Termination.S1_CONVERGED
     assert len(seen) == report.nit
     assert all(system.m2 == 14 for system in seen)
@@ -415,35 +406,28 @@ def test_observer_sees_every_saddle_system():
 
 @pytest.mark.parametrize("variant", ["full", "blockdiag"])
 @pytest.mark.parametrize("system_name, dim", [("benchmark2", 3), ("benchmark3", 4)])
-def test_every_kkt_hessian_is_positive_definite(system_name, dim, variant):
+def test_every_kkt_hessian_is_positive_definite(monkeypatch, system_name, dim, variant):
     """ppcg needs H positive definite on null(B^T); the BFGS variants keep
     the whole matrix positive definite, not only its diagonal blocks."""
     spec = BenchSpec(system_name, (dim,), (10,), Formulation.by_name("eq8"))
     instance = generate_instance(spec, dim, 10)
-    seen = []
+    seen = kkt_systems(monkeypatch)
     run(
         spec.formulation,
         instance,
         initial_guess(instance, 10),
         SqpConfig(hessian_variant=variant),
-        kkt_observer=seen.append,
     )
     assert seen
     for system in seen:
         np.linalg.cholesky(system.hess.dense_copy())
 
 
-def test_multiplier_free_formulations_have_empty_kkt_bottom():
+def test_multiplier_free_formulations_have_empty_kkt_bottom(monkeypatch):
     instance = benchmark2_instance(n_segments=4)
     guess = initial_guess(instance, 4)
-    seen = []
-    run(
-        Formulation.by_name("eq13"),
-        instance,
-        guess,
-        SqpConfig(max_iter=3),
-        kkt_observer=seen.append,
-    )
+    seen = kkt_systems(monkeypatch)
+    run(Formulation.by_name("eq13"), instance, guess, SqpConfig(max_iter=3))
     assert seen and all(system.jac.shape == (system.m1, 0) for system in seen)
 
 
@@ -539,14 +523,14 @@ def test_each_shooting_vector_is_evaluated_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["eq8", "eq13"])
-def test_recorded_merit_slope_is_the_public_derivative(name):
+def test_recorded_merit_slope_is_the_public_derivative(monkeypatch, name):
     """m'(0) of the first step is bitwise the solver's _merit_slope."""
     instance = benchmark2_instance(n_segments=4)
     guess = initial_guess(instance, 4)
     form = Formulation.by_name(name)
     cfg = SqpConfig(max_iter=1)
-    seen = []
-    report = run(form, instance, guess, cfg, kkt_observer=seen.append)
+    seen = kkt_systems(monkeypatch)
+    report = run(form, instance, guess, cfg)
     solution, _, _ = _solve_step(seen[0], cfg.kkt_method)
     lam = np.zeros(constraint_dim(form.constraints, 3, 4))
     slope = merit_slope(
@@ -742,6 +726,56 @@ def test_speculative_ladder_keeps_iterates_bitwise(monkeypatch, cell):
     one_at_a_time = run(form, instance, guess, SqpConfig())
     assert sizes and set(sizes) == {1}
     assert_same_run(ladder, one_at_a_time)
+
+
+def ladder_policy(steps, first, cap):
+    """The batch sizes of a search with ``steps`` step lengths >= eps3 whose
+    first batch is ``first`` vectors wide, each further one doubling up to
+    ``cap``, until the step lengths run out."""
+    sizes, width = [], first
+    while steps > 0:
+        sizes.append(min(width, steps))
+        steps -= sizes[-1]
+        width = min(2 * width, cap)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "system_name, dim", [("benchmark1", 4), ("benchmark2", 3), ("benchmark3", 4)]
+)
+def test_ladder_batches_follow_the_width_policy(monkeypatch, system_name, dim):
+    """On the backtrack workload's cells, search k's first batch holds
+    min(trials of search k-1, _LADDER_LANES) vectors, 1 for the first
+    search; each further batch of a search doubles up to that cap; and no
+    search integrates a step length below eps3."""
+    instance, guess, form = bench_cell(system_name, dim, 10, "eq5")
+    cap = falsify.sqp._LADDER_LANES
+    assert falsify.sqp._ladder_cap(instance.system, 10) == cap
+    sizes = ladder_batches(monkeypatch)
+    searches = []  # per line search: [step lengths >= eps3, trials, first batch index]
+
+    def recording_line_search(evaluate, merit_zero, slope, delta, beta, eps3, alpha_start):
+        steps = len(list(_step_lengths(alpha_start, beta, eps3)))
+        searches.append([steps, 0, len(sizes)])
+
+        def counted(alpha):
+            searches[-1][1] += 1
+            return evaluate(alpha)
+
+        return line_search(counted, merit_zero, slope, delta, beta, eps3, alpha_start)
+
+    monkeypatch.setattr(falsify.sqp, "line_search", recording_line_search)
+    run(form, instance, guess, SqpConfig())
+    ends = [start for _, _, start in searches[1:]] + [len(sizes)]
+    first = 1
+    for (steps, trials, start), end in zip(searches, ends):
+        batches = sizes[start:end]
+        assert batches and sum(batches) >= trials
+        assert batches == ladder_policy(steps, first, cap)[: len(batches)]
+        first = min(trials, cap)
+    # the policy is exercised: some search starts wide, and some doubles
+    assert any(sizes[start] > 1 for _, _, start in searches)
+    assert any(end - start > 1 for (_, _, start), end in zip(searches, ends))
 
 
 def test_failing_ladder_lane_reads_inf_without_a_second_integration(monkeypatch):
