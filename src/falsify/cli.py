@@ -145,10 +145,15 @@ def load_config(args):
             if parser.has_option(section, key)
         }
 
+    # the --formulation flag overrides the whole section, its parts too
     name = args.formulation or fetch("formulation", "name")
-    parts = given("formulation", _PART_KEYS)
+    parts = {} if args.formulation else given("formulation", _PART_KEYS)
+    if name is not None and parts:
+        raise ConfigError(
+            f"[formulation] sets name and {', '.join(parts)}: give a name or parts, not both"
+        )
     try:
-        if name is None and parts:
+        if parts:
             # an empty part takes its default, as an unset one does
             formulation = Formulation(**{key: value for key, value in parts.items() if value})
         else:

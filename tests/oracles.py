@@ -9,10 +9,12 @@ formulations have closed-form Lagrangian gradients
 path, objective gradient + B lambda, and the constraint Jacobian built from
 triplets (:func:`constraint_jacobian_triplets`) gives the CSC arrays the
 library's column-by-column build must equal.  The dense LDL^T KKT solve
-as three separate passes, the BFGS update block by block
-(:func:`blockwise_update`), the reference of the stacked one, and a
-one-dimensional system that blows up in finite time live here too.  Two
-helpers call into the solver on purpose: :func:`trial` and
+as three separate passes, the BFGS rank-two formula
+(:func:`reference_bfgs`, the one copy the Hessian tests and the acceptance
+suite compare the library's update with), the update block by block
+through it (:func:`blockwise_update`, the reference of the stacked one),
+and a one-dimensional system that blows up in finite time live here too.
+Two helpers call into the solver on purpose: :func:`trial` and
 :func:`merit_slope` give the merit tests the m(alpha) and m'(0) that the
 line search uses, and :func:`singular_kkt_on_third_solve` and
 :func:`kkt_systems` wrap its KKT ladder, the latter to collect the saddle
@@ -607,21 +609,31 @@ def _well_conditioned(mat):
     return info == 0 and rcond > _MIN_RCOND
 
 
+def curved_pair(rng, dim):
+    """Random (s, y) with guaranteed positive curvature y^T s > 0, coupled
+    densely through y = M s for a random SPD map M."""
+    a = rng.standard_normal((dim, dim))
+    spd = a @ a.T + dim * np.eye(dim)
+    s = rng.standard_normal(dim)
+    return s, spd @ s
+
+
+def reference_bfgs(mat, s, y):
+    """The BFGS rank-two formula H - (Hs)(Hs)^T / s^T H s + y y^T / y^T s,
+    written out independently of the library and without any skip test."""
+    hs = mat @ s
+    return mat - np.outer(hs, hs) / (s @ hs) + np.outer(y, y) / (y @ s)
+
+
 def _bfgs_inplace(mat, s, y):
-    """Apply the rank-two update to ``mat`` in place; True when applied.
+    """Apply :func:`reference_bfgs` to ``mat`` in place; True when applied.
 
     Skips on y^T s <= 0 (curvature condition), on the degenerate
     s^T H s <= 0, and when the result would not be well conditioned.
     """
-    ys = float(y @ s)
-    if ys <= 0.0:
+    if float(y @ s) <= 0.0 or float(s @ (mat @ s)) <= 0.0:
         return False
-    hs = mat @ s
-    shs = float(s @ hs)
-    if shs <= 0.0:
-        return False
-    updated = mat - np.outer(hs, hs) / shs
-    updated += np.outer(y, y) / ys
+    updated = reference_bfgs(mat, s, y)
     if not _well_conditioned(updated):
         return False
     mat[...] = updated

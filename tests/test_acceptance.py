@@ -6,8 +6,8 @@ Every test measures first, then prints a single summary line
 
 before asserting, so the verdict for each guarantee is visible in one place
 even when a later assertion message is long.  Tolerances here are the
-contract values; the per-module suites probe the same code paths in more
-detail and at looser scales.
+contract values.  Each guarantee is checked here and nowhere else; the
+per-module suites test what this module does not.
 """
 
 import time
@@ -19,12 +19,13 @@ from oracles import (
     FD_STEP,
     TIGHT,
     benchmark2_instance,
-    benchmark3_instance,
+    curved_pair,
     kkt_systems,
     lagrangian_gradient_direct,
     merit_slope,
     random_flat_near_guess,
     random_vector_near_guess,
+    reference_bfgs,
     relative_error,
     rotation_flow_matrix,
     trial,
@@ -53,7 +54,7 @@ from falsify.shooting import (
     evaluate_segments,
     pack,
 )
-from falsify.sqp import SqpConfig, Termination, run
+from falsify.sqp import SqpConfig, run
 from falsify.systems import benchmark2, benchmark3
 
 
@@ -239,10 +240,11 @@ def test_constraint_jacobian_rank():
     states[0] = instance.init.center
     at_center = ShootingVector(states, vec.times.copy())
     flows = evaluate_segments(instance, at_center)
+    init_column_zero = True
     for kind in ("boundary", "matching_boundary"):
-        degenerate_max = max(
-            degenerate_max, _sigma_min(constraint_jacobian(kind, instance, at_center, flows))
-        )
+        jac = constraint_jacobian(kind, instance, at_center, flows)
+        init_column_zero = init_column_zero and not jac[:, [0]].toarray().any()
+        degenerate_max = max(degenerate_max, _sigma_min(jac))
 
     # unsafe centre placed exactly on the final flow image: the duration
     # column of the unsafe-boundary row vanishes
@@ -258,12 +260,18 @@ def test_constraint_jacobian_rank():
             degenerate_max, _sigma_min(constraint_jacobian(kind, hit_center, vec, flows))
         )
 
-    ok = matching_min > 1e-10 and generic_min > 1e-10 and degenerate_max < 1e-12
+    ok = (
+        matching_min > 1e-10
+        and generic_min > 1e-10
+        and degenerate_max < 1e-12
+        and init_column_zero
+    )
     announce(
         "constraint jacobian rank",
         ok,
         f"matching sigma_min {matching_min:.2e} over 100 draws, generic boundary "
-        f"{generic_min:.2e}, degenerate {degenerate_max:.2e}",
+        f"{generic_min:.2e}, degenerate {degenerate_max:.2e}, "
+        f"init column exactly zero {init_column_zero}",
     )
 
 
@@ -305,11 +313,6 @@ def test_kkt_solver_equivalence(monkeypatch):
 # structured BFGS
 
 
-def _reference_bfgs(mat, s, y):
-    hs = mat @ s
-    return mat - np.outer(hs, hs) / float(s @ hs) + np.outer(y, y) / float(y @ s)
-
-
 def _block_curved_pair(rng, n, n_segments):
     """Step and gradient difference whose curvature is block-aligned.
 
@@ -332,12 +335,15 @@ def test_structured_bfgs():
     width = n + 1
     dim = n_seg * width
 
-    # full variant reproduces the rank-two formula step by step
+    # full variant reproduces the rank-two formula step by step, on
+    # block-aligned pairs and then on densely coupled ones, skipping none
     full = init_identity("full", n, n_seg)
+    pairs = [_block_curved_pair(rng, n, n_seg) for _ in range(50)]
+    dense_rng = np.random.default_rng(101)
+    pairs += [curved_pair(dense_rng, dim) for _ in range(25)]
     worst_formula = 0.0
-    for _ in range(50):
-        s, y = _block_curved_pair(rng, n, n_seg)
-        expected = _reference_bfgs(full.dense_copy(), s, y)
+    for s, y in pairs:
+        expected = reference_bfgs(full.dense_copy(), s, y)
         full.update(s, y)
         err = np.abs(full.dense_copy() - expected)
         denom = np.maximum(1.0, np.abs(expected))
@@ -373,11 +379,12 @@ def test_structured_bfgs():
         if approx.skip_count <= skips_before:
             skip_ok = False
 
-    ok = worst_formula < 1e-14 and structure_ok and spd_ok and skip_ok
+    ok = worst_formula < 1e-14 and full.skip_count == 0 and structure_ok and spd_ok and skip_ok
     announce(
         "structured bfgs updates",
         ok,
-        f"full-formula max elementwise err {worst_formula:.2e}, zeros exact {structure_ok}, "
+        f"full-formula max elementwise err {worst_formula:.2e} "
+        f"({full.skip_count} skips), zeros exact {structure_ok}, "
         f"blocks SPD {spd_ok}, skip bitwise {skip_ok}",
     )
 
@@ -406,7 +413,11 @@ def test_merit_line_search_contract():
         report = run(spec.formulation, instance, guess, SqpConfig(hessian_variant=variant))
         for rec in report.trace:
             checked_steps += 1
-            if not rec.merit - rec.merit_zero <= delta * rec.alpha * rec.merit_slope:
+            if not (
+                rec.merit_slope < 0.0
+                and 0.0 < rec.alpha <= 1.0
+                and rec.merit - rec.merit_zero <= delta * rec.alpha * rec.merit_slope
+            ):
                 rule_ok = False
 
     # the directional derivative matches finite differences of the merit

@@ -8,7 +8,6 @@ from argparse import Namespace
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from falsify.bench import BenchSpec
@@ -27,30 +26,6 @@ def run_cli(*argv):
 def write(path, text):
     path.write_text(text)
     return str(path)
-
-
-def test_solve_default_configuration(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_cli("solve") == 0
-    out = capsys.readouterr().out
-    assert "S1_converged" in out
-    assert "verified" in out
-    report = (tmp_path / "report.json").read_text().splitlines()
-    assert report[0].startswith("#")
-    payload = json.loads("\n".join(report[1:]))
-    assert payload["formulation"] == "eq8"
-    assert payload["termination"] == "S1_converged"
-    assert payload["verified"] is True
-    assert payload["segments"] == 5
-    assert len(payload["final_times"]) == 5
-    assert payload["hessian_skips"] == 0
-
-
-def test_solve_reports_the_skipped_bfgs_updates(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert run_cli("solve", "--hessian", "blockdiag") == 0
-    report = (tmp_path / "report.json").read_text().splitlines()
-    assert json.loads("\n".join(report[1:]))["hessian_skips"] > 0
 
 
 def test_solve_report_is_deterministic_modulo_timestamp(tmp_path, monkeypatch):
@@ -296,6 +271,24 @@ def test_experimental_formulation_from_parts(tmp_path, monkeypatch):
     assert payload["termination"] == "S1_converged"
 
 
+def test_formulation_name_and_parts_together_rejected(tmp_path, monkeypatch, capsys):
+    """A [formulation] section that sets a name and parts is refused before
+    any solve, naming the keys; the --formulation flag still overrides the
+    whole section."""
+    monkeypatch.chdir(tmp_path)
+    config = write(
+        tmp_path / "both.ini",
+        "[formulation]\nname = eq5\nobjective = zero\nregularizer = total_squared\n",
+    )
+    assert run_cli("solve", "--config", config) == 64
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("name", "objective", "regularizer"))
+    assert not (tmp_path / "report.json").exists()
+    flags = dict(hessian=None, kkt=None, trace=None, dump_trajectory=None)
+    cfg = load_config(Namespace(config=config, formulation="eq9", **flags))
+    assert cfg.spec.formulation == Formulation.by_name("eq9")
+
+
 def test_bench_writes_csv(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     config = write(
@@ -312,7 +305,9 @@ def test_bench_writes_csv(tmp_path, monkeypatch, capsys):
     assert "out.csv" in capsys.readouterr().out
 
 
-def test_trace_and_dump_outputs(tmp_path, monkeypatch):
+def test_trace_and_dump_outputs(tmp_path, monkeypatch, capsys):
+    """The default configuration solves and verifies; its report, trace and
+    dumped trajectory describe that solve."""
     monkeypatch.chdir(tmp_path)
     code = run_cli(
         "solve",
@@ -322,8 +317,19 @@ def test_trace_and_dump_outputs(tmp_path, monkeypatch):
         str(tmp_path / "dump.txt"),
     )
     assert code == 0
+    out = capsys.readouterr().out
+    assert "S1_converged" in out
+    assert "verified" in out
     records = [json.loads(line) for line in (tmp_path / "trace.txt").read_text().splitlines()]
-    report = json.loads("\n".join((tmp_path / "report.json").read_text().splitlines()[1:]))
+    lines = (tmp_path / "report.json").read_text().splitlines()
+    assert lines[0].startswith("#")
+    report = json.loads("\n".join(lines[1:]))
+    assert report["formulation"] == "eq8"
+    assert report["termination"] == "S1_converged"
+    assert report["verified"] is True
+    assert report["segments"] == 5
+    assert len(report["final_times"]) == 5
+    assert report["hessian_skips"] == 0
     assert len(records) == report["nit"] > 0
     assert [record["iteration"] for record in records] == list(range(len(records)))
     for record in records:
@@ -343,6 +349,7 @@ def test_hessian_and_kkt_flags(tmp_path, monkeypatch):
     )
     assert payload["hessian"] == "blockdiag"
     assert payload["kkt"] == "direct"
+    assert payload["hessian_skips"] > 0
 
 
 def test_check_reports_all_pass(tmp_path, monkeypatch, capsys):
@@ -356,26 +363,18 @@ def test_check_reports_all_pass(tmp_path, monkeypatch, capsys):
     assert "all checks passed" in out
 
 
-def test_check_cross_checks_unconstrained_formulations(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_cli("check", "--formulation", "eq13") == 0
-    lines = capsys.readouterr().out.splitlines()
-    for name in ("lagrangian_gradient_fd", "kkt_ppcg_vs_direct"):
-        assert any(line.startswith(f"{name}: ") and line.endswith(" PASS") for line in lines)
-
-
 @pytest.mark.parametrize("name", FORMULATION_NAMES)
 def test_check_verifies_the_lagrangian_gradient_of_every_formulation(
     tmp_path, monkeypatch, capsys, name
 ):
     """objective gradient + B lambda against the central differences of
-    F + lambda^T c, with or without constraints and regularizer."""
+    F + lambda^T c, with or without constraints and regularizer; the KKT
+    cross-check runs on every formulation too."""
     monkeypatch.chdir(tmp_path)
     assert run_cli("check", "--formulation", name) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert any(
-        line.startswith("lagrangian_gradient_fd: ") and line.endswith(" PASS") for line in lines
-    )
+    for check in ("lagrangian_gradient_fd", "kkt_ppcg_vs_direct"):
+        assert any(line.startswith(f"{check}: ") and line.endswith(" PASS") for line in lines)
 
 
 def test_module_entry_point_reports_a_bad_key(tmp_path):

@@ -230,67 +230,6 @@ def test_constraint_jacobians_match_finite_differences():
         assert relative_error(fd, analytic) < 1e-6, kind
 
 
-def test_matching_jacobian_block_structure():
-    instance = benchmark2_instance(n_segments=3)
-    rng = np.random.default_rng(23)
-    vec = random_vector_near_guess(instance, rng)
-    flows = flows_for(instance, vec)
-    n = 3
-    jac = constraint_jacobian("matching", instance, vec, flows).toarray()
-    for i in range(2):
-        cols = slice(i * n, (i + 1) * n)
-        base = i * (n + 1)
-        np.testing.assert_allclose(
-            jac[base : base + n, cols], -flows.sensitivity[i].T
-        )
-        np.testing.assert_allclose(jac[base + n, cols], -flows.end_derivative[i])
-        np.testing.assert_array_equal(
-            jac[base + n + 1 : base + 2 * n + 1, cols], np.eye(n)
-        )
-    # nothing outside the two block columns of segment i touches column block i
-    assert np.all(jac[2 * (n + 1) + n, :] == 0.0)  # t-row of the last segment
-
-
-def dense_constraint_jacobian(kind, instance, vec, flows):
-    """B written entry by entry in the multipliers' column order."""
-    n, big_n = vec.dim, vec.n_segments
-    jac = np.zeros((big_n * (n + 1), constraint_dim(kind, n, big_n)))
-    col = 0
-    if kind in ("matching_boundary", "boundary"):
-        jac[0:n, col] = instance.init.shape @ (vec.states[0] - instance.init.center)
-        col += 1
-    if kind in ("matching", "matching_boundary"):
-        for i in range(big_n - 1):
-            for c in range(n):
-                for r in range(n):
-                    jac[i * (n + 1) + r, col] = -flows.sensitivity[i][c, r]
-                jac[i * (n + 1) + n, col] = -flows.end_derivative[i][c]
-                jac[(i + 1) * (n + 1) + c, col] = 1.0
-                col += 1
-    if kind in ("matching_boundary", "boundary"):
-        last = (big_n - 1) * (n + 1)
-        w = instance.unsafe_set.shape @ (flows.end_state[-1] - instance.unsafe_set.center)
-        jac[last : last + n, col] = flows.sensitivity[-1].T @ w
-        jac[last + n, col] = flows.end_derivative[-1] @ w
-    return jac
-
-
-@pytest.mark.parametrize("n_segments", [1, 4])
-def test_constraint_jacobian_matches_dense_assembly(n_segments):
-    rng = np.random.default_rng(31)
-    # the rotation's sensitivities hold exact zeros, which must not be stored
-    for instance in (benchmark2_instance(n_segments), benchmark3_instance(4, n_segments)):
-        vec = random_vector_near_guess(instance, rng)
-        flows = flows_for(instance, vec)
-        for kind in ("matching", "matching_boundary", "boundary", "none"):
-            jac = constraint_jacobian(kind, instance, vec, flows)
-            dense = dense_constraint_jacobian(kind, instance, vec, flows)
-            assert jac.format == "csc" and jac.has_sorted_indices, kind
-            assert np.all(jac.data != 0.0), kind
-            assert jac.nnz == np.count_nonzero(dense), kind
-            np.testing.assert_array_equal(jac.toarray(), dense, err_msg=kind)
-
-
 @pytest.mark.parametrize("n_segments", [1, 4])
 def test_constraint_jacobian_arrays_equal_the_triplet_build(n_segments):
     """The column-by-column CSC build stores the arrays that triplets, zero
@@ -355,25 +294,6 @@ def test_lagrangian_gradient_direct_rejects_wrong_multiplier_length():
                 lagrangian_gradient_direct(form, instance, vec, wrong, flows)
 
 
-def test_zeroed_matching_residuals_isolate_duration_rows():
-    """With the gap vectors nulled, only the regularizer remains in the
-    duration rows of the closed-form gradient (except the last segment's,
-    which keeps its boundary coupling).  Starts moved onto the previous
-    segment's end state, with the same flows, give gaps that are exactly 0."""
-    instance = benchmark2_instance(n_segments=5)
-    rng = np.random.default_rng(47)
-    vec = random_vector_near_guess(instance, rng)
-    flows = flows_for(instance, vec)
-    matched = ShootingVector(np.concatenate([vec.states[:1], flows.end_state[:-1]]), vec.times)
-    for name in ("eq10", "eq13"):
-        form = Formulation.by_name(name)
-        m2 = constraint_dim(form.constraints, 3, 5)
-        lam = rng.standard_normal(m2)
-        grad = lagrangian_gradient_direct(form, instance, matched, lam, flows)
-        t_rows = [i * 4 + 3 for i in range(5)]
-        np.testing.assert_array_equal(grad[t_rows[:-1]], vec.times[:-1])
-
-
 def test_lagrangian_gradient_matches_finite_differences():
     """FD of F + lam^T c in X equals the assembled Lagrangian gradient."""
     instance = benchmark2_instance(n_segments=4)
@@ -400,28 +320,3 @@ def test_lagrangian_gradient_matches_finite_differences():
         lam,
     )
     assert relative_error(fd_gradient(lagrangian_at, flat), analytic) < 1e-6
-
-
-def test_matching_jacobian_never_singular_on_random_instances():
-    """The matching Jacobian keeps full column rank structurally."""
-    instance = benchmark2_instance(n_segments=4)
-    rng = np.random.default_rng(59)
-    for _ in range(10):
-        vec = random_vector_near_guess(instance, rng)
-        jac = constraint_jacobian(
-            "matching", instance, vec, flows_for(instance, vec)
-        ).toarray()
-        sigma = np.linalg.svd(jac, compute_uv=False)
-        assert sigma.min() > 1e-10
-
-
-def test_boundary_jacobian_degenerate_at_the_centers():
-    """Starting exactly at c_I zeroes the initial-boundary column."""
-    instance = benchmark2_instance(n_segments=2)
-    states = np.vstack([instance.init.center, instance.init.center + 0.1])
-    vec = ShootingVector(states, np.array([1.0, 1.0]))
-    flows = flows_for(instance, vec)
-    jac = constraint_jacobian("boundary", instance, vec, flows).toarray()
-    np.testing.assert_array_equal(jac[:, 0], np.zeros(8))
-    sigma = np.linalg.svd(jac, compute_uv=False)
-    assert sigma.min() < 1e-12

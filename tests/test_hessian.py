@@ -4,23 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import blockwise_update
+from oracles import blockwise_update, curved_pair, reference_bfgs
 
 from falsify.hessian import VARIANTS, HessianApprox, init_identity
-
-
-def reference_bfgs(mat, s, y):
-    """The rank-two formula, written out independently of the library."""
-    hs = mat @ s
-    return mat - np.outer(hs, hs) / (s @ hs) + np.outer(y, y) / (y @ s)
-
-
-def curved_pair(rng, dim):
-    """Random (s, y) with guaranteed positive curvature y^T s > 0."""
-    a = rng.standard_normal((dim, dim))
-    spd = a @ a.T + dim * np.eye(dim)
-    s = rng.standard_normal(dim)
-    return s, spd @ s
 
 
 def test_init_identity_shapes():
@@ -33,18 +19,6 @@ def test_init_identity_shapes():
         init_identity("banded", 3, 5)
     with pytest.raises(ValueError):
         init_identity("full", 0, 5)
-
-
-def test_full_update_matches_literal_formula():
-    rng = np.random.default_rng(101)
-    h = init_identity("full", 2, 3)
-    expected = np.eye(h.dim)
-    for _ in range(25):
-        s, y = curved_pair(rng, h.dim)
-        h.update(s, y)
-        expected = reference_bfgs(expected, s, y)
-        np.testing.assert_allclose(h.dense_copy(), expected, rtol=1e-14, atol=1e-14)
-    assert h.skip_count == 0
 
 
 def test_full_update_satisfies_secant_equation():
@@ -66,19 +40,6 @@ def test_full_update_preserves_positive_definiteness():
         np.testing.assert_allclose(dense, dense.T, rtol=0.0, atol=1e-12)
         assert np.linalg.eigvalsh(dense).min() > 0.0
     assert h.skip_count == 0
-
-
-def test_negative_curvature_skips_bitwise():
-    rng = np.random.default_rng(109)
-    for variant in ("full", "blockdiag"):
-        h = init_identity(variant, 2, 3)
-        s, y = curved_pair(rng, h.dim)
-        h.update(s, y)
-        before = h.blocks.copy()
-        skips_before = h.skip_count
-        h.update(s, -s)  # y^T s = -||s||^2 < 0 everywhere
-        assert np.array_equal(h.blocks, before), variant  # bitwise identical
-        assert h.skip_count > skips_before, variant
 
 
 def test_zero_step_skips():
@@ -118,19 +79,6 @@ def test_indefinite_curvature_never_leaves_a_block_indefinite():
         assert h.skip_count > negative, variant
 
 
-def test_blockdiag_structure_is_exact():
-    rng = np.random.default_rng(113)
-    n, n_seg = 2, 4
-    width = n + 1
-    h = init_identity("blockdiag", n, n_seg)
-    off_block = ~np.kron(np.eye(n_seg, dtype=bool), np.ones((width, width), dtype=bool))
-    for _ in range(20):
-        s, y = curved_pair(rng, h.dim)
-        h.update(s, y)
-        assert h.blocks.shape == (n_seg, width, width)
-        assert np.all(h.dense_copy()[off_block] == 0.0)
-
-
 def test_blockdiag_blocks_equal_per_block_full_updates():
     rng = np.random.default_rng(127)
     n, n_seg = 3, 3
@@ -147,16 +95,6 @@ def test_blockdiag_blocks_equal_per_block_full_updates():
             if yi @ si > 0 and si @ blocks[i] @ si > 0:
                 blocks[i] = reference_bfgs(blocks[i], si, yi)
             np.testing.assert_allclose(dense[rows, rows], blocks[i], rtol=1e-13)
-
-
-def test_blockdiag_blocks_stay_positive_definite():
-    rng = np.random.default_rng(131)
-    h = init_identity("blockdiag", 2, 5)
-    for _ in range(50):
-        s, y = curved_pair(rng, h.dim)
-        h.update(s, y)
-        for block in h.blocks:
-            assert np.linalg.eigvalsh(block).min() > 0.0
 
 
 def test_matvec_matches_dense():

@@ -151,14 +151,6 @@ def test_semigroup_property():
     np.testing.assert_allclose(via_midpoint, direct, atol=1e-9)
 
 
-def test_backward_flow_inverts_forward():
-    system = benchmark1(4)
-    x0 = np.array([0.5, -0.25, 1.0, 0.75])
-    there = flow(system, x0, 2.0, TIGHT)
-    back = flow(system, there, -2.0, TIGHT)
-    np.testing.assert_allclose(back, x0, atol=1e-9)
-
-
 def test_agrees_with_scipy_reference():
     rng = np.random.default_rng(11)
     for system in (benchmark2(), benchmark1(4)):
@@ -240,16 +232,6 @@ def test_lanes_agree_with_serial_reference():
             assert batch.end_state[i].tobytes() == end.tobytes()
             assert batch.sensitivity[i].tobytes() == sens.tobytes()
             assert batch.step[i] == step
-
-
-def test_zero_duration_lanes_are_identity():
-    system = benchmark2()
-    x0, durations = _mixed_batch(system, 8, seed=3)
-    batch = flow_with_sensitivity(system, x0, durations)
-    for i in np.flatnonzero(durations == 0.0):
-        np.testing.assert_array_equal(batch.end_state[i], x0[i])
-        np.testing.assert_array_equal(batch.sensitivity[i], np.eye(3))
-        assert batch.step[i] == 0.0
 
 
 def test_first_steps_that_are_not_positive_fall_back_to_the_heuristic():

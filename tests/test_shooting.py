@@ -214,16 +214,6 @@ def test_evaluate_segments_matches_individual_flows():
         np.testing.assert_array_equal(flows.sensitivity[i], single.sensitivity)
 
 
-def test_evaluate_segments_reports_failing_segment():
-    instance = ProblemInstance(
-        blowup_system(), Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 2
-    )
-    vec = ShootingVector(np.array([[0.1], [2.0]]), np.array([1.0, 3.0]))
-    with pytest.raises(IntegrationFailure, match="segment 2") as info:
-        evaluate_segments(instance, vec)
-    assert info.value.lane == 1
-
-
 def test_evaluate_segments_reports_lowest_of_several_failures():
     instance = ProblemInstance(
         blowup_system(), Ellipsoid.ball(np.zeros(1), 0.25), Ellipsoid.ball(np.ones(1), 0.25), 4

@@ -66,13 +66,6 @@ def test_jacobians_match_finite_differences():
             )
 
 
-def test_benchmark1_reversed_sine_coupling():
-    system = benchmark1(4)
-    x = np.array([0.1, 0.2, 0.3, 0.4])
-    expected = rotation_matrix(4) @ x + np.sin(x[::-1])
-    np.testing.assert_allclose(system.rhs(0.0, x), expected, rtol=1e-15)
-
-
 def test_benchmark3_is_linear():
     system = benchmark3(6)
     rng = np.random.default_rng(3)
@@ -80,20 +73,6 @@ def test_benchmark3_is_linear():
     lhs = system.rhs(0.0, 2.0 * x + 3.0 * y)
     rhs = 2.0 * system.rhs(0.0, x) + 3.0 * system.rhs(0.0, y)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-14)
-
-
-def test_vectorized_rhs_and_jacobian_equal_per_lane_calls():
-    rng = np.random.default_rng(17)
-    for system in (benchmark1(4), benchmark1(6), benchmark2(), benchmark3(4)):
-        x = rng.uniform(-2.0, 2.0, size=(2, 5, system.dim))
-        t = rng.uniform(-1.0, 1.0, size=(2, 5))
-        rhs = system.rhs(t, x)
-        jac = system.state_jacobian(t, x)
-        assert rhs.shape == x.shape
-        assert jac.shape == x.shape + (system.dim,)
-        for index in np.ndindex(2, 5):
-            np.testing.assert_array_equal(rhs[index], system.rhs(t[index], x[index]))
-            np.testing.assert_array_equal(jac[index], system.state_jacobian(t[index], x[index]))
 
 
 def test_dimension_validation():
