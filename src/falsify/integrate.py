@@ -27,18 +27,22 @@ of ``flow_with_sensitivity``, typically the ``step`` a nearby integration
 ended with).
 A stage calls the system once on the whole batch, times (B,) and states
 (B, m), a batch of one lane included, and writes its derivative straight
-into the step's (B, 13, m) stage buffer, so a stage allocates no augmented
-array of its own.  A lane that runs alone, the last one left in a batch or the
-only one of a call, finishes on a one-lane stepper: the same operations on
-one state (m,) and a (13, m) stage buffer, with Python-float step control,
-so it keeps its bits and skips the batch loop's bookkeeping on length-1
-arrays.  A stage of ``flow_with_sensitivity`` is one call of the system's
-:meth:`~falsify.systems.OdeSystem.variational_stage` on z = [x, S
-row-major] of length m = n + n**2: a system with a ``variational`` kernel
-writes f into ``out[..., :n]`` and J S into ``out[..., n:]`` itself (the
-built-in systems do), any other composes ``rhs`` and ``state_jacobian``,
-with J S through ``np.matmul(..., out=...)`` on a C-contiguous (..., n, n)
-J.
+into a (B, 13, m) stage buffer.  The call allocates that buffer and one
+(B, m) buffer of stage arguments once, and slices both to the lanes still
+running; each stage argument y + h sum_j a_sj k_j is built in place, so
+neither a stage nor a step builds one of its own.  A step allocates four
+(B, m)-sized arrays: the new state, the error scale, one absolute value and
+the (B, 2, m) error estimates.  A lane that runs alone, the last one left
+in a batch or the only one of a call, finishes on a one-lane stepper: the
+same operations on one state (m,) and a (13, m) stage buffer, with
+Python-float step control, so it keeps its bits and skips the batch loop's
+bookkeeping on length-1 arrays.  A stage of ``flow_with_sensitivity`` is one
+call of the system's :meth:`~falsify.systems.OdeSystem.variational_stage` on
+z = [x, S row-major] of length m = n + n**2: a system with a ``variational``
+kernel writes f into ``out[..., :n]`` and J S into ``out[..., n:]`` itself
+(the built-in systems do), any other composes ``rhs`` and
+``state_jacobian``, with J S through ``np.matmul(..., out=...)`` on a
+C-contiguous (..., n, n) J.
 """
 
 import math
@@ -254,27 +258,30 @@ def _step_factor(err, err_prev):
 def _error_sums(k, scale):
     """Squared norms of the scaled 5th and 3rd order error estimates, the
     last axis of the result: (..., 2) for stages ``k`` (..., 13, m) and
-    ``scale`` (..., m)."""
-    e = (_E @ k[..., :12, :]) / scale[..., None, :]
-    return (e * e).sum(axis=-1)
+    ``scale`` (..., m).  The estimates are scaled and squared in place."""
+    e = _E @ k[..., :12, :]
+    e /= scale[..., None, :]
+    e *= e
+    return e.sum(axis=-1)
 
 
 def _dop853(stage, y0, duration, rtol, atol, max_steps, first_step=None):
     """DOP853 over the rows of ``y0``, all lanes in lockstep.
 
     ``stage(t, y, out)`` maps lane times (B,) and states (B, m) to
-    derivatives and writes them into ``out``, a (B, m) view of the step's
-    stage buffer; its return value is ignored.  Returns the end states, a
-    status code and the last chosen step magnitude per lane (0 for a lane
-    that took no step).  A lane's first step is its entry of ``first_step``
-    where that is > 0, else :func:`_initial_step`'s, either cut to the
-    lane's |duration|.  A lane leaves the batch when it reaches its end
-    time, when its step size underflows or when the step budget runs out,
-    with the state and status it had then; the other lanes run on.  Once a
-    single lane is left (or the batch starts with one), it finishes in
-    :func:`_dop853_one`, which calls ``stage`` on its time scalar and state
-    (m,), with the step count, controller state and stage it had in the
-    batch.
+    derivatives and writes them into ``out``, a (B, m) view of the call's
+    stage buffer; its return value is ignored.  The states of stages 1 to
+    11 are a view of the call's argument buffer, overwritten by the next
+    stage.  Returns the end states, a status code and the last chosen step
+    magnitude per lane (0 for a lane that took no step).  A lane's first
+    step is its entry of ``first_step`` where that is > 0, else
+    :func:`_initial_step`'s, either cut to the lane's |duration|.  A lane
+    leaves the batch when it reaches its end time, when its step size
+    underflows or when the step budget runs out, with the state and status
+    it had then; the other lanes run on.  Once a single lane is left (or the
+    batch starts with one), it finishes in :func:`_dop853_one`, which calls
+    ``stage`` on its time scalar and state (m,), with the step count,
+    controller state and stage it had in the batch.
 
     The error of a step of size h combines the two embedded estimates e5
     and e3, scaled per component (Hairer, Norsett & Wanner, vol. I,
@@ -295,13 +302,16 @@ def _dop853(stage, y0, duration, rtol, atol, max_steps, first_step=None):
     m = y.shape[1]
     direction = np.sign(t_end)
     t = np.zeros(lanes.size)
-    k0 = np.empty_like(y)
-    stage(t, y, k0)
+    # the stages of the running lanes are the leading rows of `stages`, each
+    # lane's first stage in row 0; `args` holds the state of the stage in work
+    k = stages = np.empty((lanes.size, 13, m))
+    args = np.empty((lanes.size, m))
+    stage(t, y, k[:, 0])
     size = np.full(lanes.size, np.nan) if first_step is None else first_step[lanes]
     fresh = ~(size > 0.0)  # also NaN
     if fresh.any():
         size[fresh] = _initial_step(
-            stage, t[fresh], y[fresh], k0[fresh], direction[fresh], rtol, atol
+            stage, t[fresh], y[fresh], k[fresh, 0], direction[fresh], rtol, atol
         )
     h = direction * np.minimum(size, np.abs(t_end))
     err_prev = np.full(lanes.size, 1e-4)
@@ -326,17 +336,19 @@ def _dop853(stage, y0, duration, rtol, atol, max_steps, first_step=None):
         if not running.all():
             y_end[lanes[~running]] = y[~running]
             step[lanes[~running]] = chosen[~running]
-            lanes, y, k0, t, t_end, direction, err_prev, left, size, chosen = (
+            lanes, y, t, t_end, direction, err_prev, left, size, chosen = (
                 a[running]
-                for a in (lanes, y, k0, t, t_end, direction, err_prev, left, size, chosen)
+                for a in (lanes, y, t, t_end, direction, err_prev, left, size, chosen)
             )
             if not lanes.size:
                 return y_end, status, step
+            stages[: lanes.size, 0] = k[running, 0]
+            k = stages[: lanes.size]
         if lanes.size == 1:
             # h is not filtered above: the lane's own step is direction * size
             lane = lanes[0]
             y_end[lane], status[lane], step[lane] = _dop853_one(
-                stage, y[0], k0[0], t.item(), t_end.item(), (direction * size).item(),
+                stage, y[0], k[0, 0], t.item(), t_end.item(), (direction * size).item(),
                 err_prev.item(), steps, chosen.item(), rtol, atol, max_steps,
             )
             return y_end, status, step
@@ -346,15 +358,24 @@ def _dop853(stage, y0, duration, rtol, atol, max_steps, first_step=None):
         size = np.minimum(size, left)
         h = direction * size
 
+        # y + h (A[s] @ k) and the rest, built in place: the same operations
+        # in the same order as the one-lane stepper's, so the same bits
         hc = h[:, None]
         nodes = t + np.multiply.outer(_C, h)
-        k = np.empty((len(y), 13, m))
-        k[:, 0] = k0
+        arg = args[: lanes.size]
         for s in range(1, 12):
-            stage(nodes[s], y + hc * (_A[s] @ k[:, :s]), k[:, s])
-        y_new = y + hc * (_B @ k[:, :12])
+            np.matmul(_A[s], k[:, :s], out=arg)
+            arg *= hc
+            arg += y
+            stage(nodes[s], arg, k[:, s])
+        y_new = _B @ k[:, :12]
+        y_new *= hc
+        y_new += y
         stage(nodes[12], y_new, k[:, 12])
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = np.abs(y)
+        np.maximum(scale, np.abs(y_new), out=scale)
+        scale *= rtol
+        scale += atol
         sums = _error_sums(k, scale)
         e5, e3 = sums[:, 0], sums[:, 1]
         denom = np.sqrt(m * (e5 + 0.01 * e3))
@@ -362,15 +383,17 @@ def _dop853(stage, y0, duration, rtol, atol, max_steps, first_step=None):
 
         factor = [_step_factor(e, p) for e, p in zip(err.tolist(), err_prev.tolist())]
         accept = err <= 1.0  # False for nan and inf
+        # first-same-as-last: an accepting lane's last stage is its next first
+        # one, a rejecting lane keeps its own in row 0
         if accept.all():
             t = nodes[12]
             y = y_new
-            k0 = k[:, 12]  # first-same-as-last
+            k[:, 0] = k[:, 12]
             err_prev = np.maximum(err, 1e-4)
         else:
             t = np.where(accept, nodes[12], t)
             y = np.where(accept[:, None], y_new, y)
-            k0 = np.where(accept[:, None], k[:, 12], k0)
+            k[accept, 0] = k[accept, 12]
             err_prev = np.where(accept, np.maximum(err, 1e-4), err_prev)
         h = h * factor
 

@@ -29,7 +29,10 @@ class OdeSystem:
     ``ValueError``.  It hands the Jacobians to ``np.matmul`` as they are,
     so they should be C-contiguous: numpy may round a product with a
     strided operand differently, and a batched lane would then no longer be
-    bitwise equal to a single call.
+    bitwise equal to a single call.  The state argument of a stage is
+    scratch space that the integrator overwrites at the next stage: a
+    system may read it, or return a view of it that the stage copies at
+    once, but must not keep it after the call.
 
     ``variational(t, z, out)``, when given, is one stage of the variational
     equations dx/dt = f, dS/dt = J S in a single call: ``z`` is

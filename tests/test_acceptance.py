@@ -289,7 +289,7 @@ def test_kkt_solver_equivalence(monkeypatch):
     assert len(harvested) >= 50, f"only harvested {len(harvested)} saddle systems"
 
     worst_dx = worst_constraint = 0.0
-    for system in harvested[:50]:
+    for system in harvested:
         direct = solve_direct(system)
         iterative = solve_ppcg(system)
         worst_dx = max(worst_dx, relative_error(iterative.d_x, direct.d_x))
